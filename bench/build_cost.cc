@@ -34,9 +34,6 @@ void Run() {
     indexes.push_back(std::make_unique<SimpleBitmapIndex>(col, ex, &io));
     indexes.push_back(std::make_unique<SimpleBitmapIndex>(
         col, ex, &io,
-        SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kRle)));
-    indexes.push_back(std::make_unique<SimpleBitmapIndex>(
-        col, ex, &io,
         SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah)));
     indexes.push_back(std::make_unique<EncodedBitmapIndex>(col, ex, &io));
     indexes.push_back(std::make_unique<BitSlicedIndex>(col, ex, &io));

@@ -13,6 +13,11 @@ cd "$(dirname "$0")/.."
 bash scripts/lint.sh --selftest
 bash scripts/lint.sh
 
+# Unit tests of the repo benchmark's statistics and metric derivation
+# (perfbench/stats.py, perfbench/metrics.py: percentiles, fail rates,
+# unattributed shares). Pure Python, no build needed.
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 cmake -B build -G Ninja
 cmake --build build
 

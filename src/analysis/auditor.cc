@@ -9,9 +9,8 @@
 #include "boolean/cube.h"
 #include "encoding/well_defined.h"
 #include "index/cold_encoded_bitmap_index.h"
-#include "index/persistence.h"
 #include "util/ewah_bitmap.h"
-#include "util/rle_bitmap.h"
+#include "util/stored_bitmap_io.h"
 
 namespace ebi {
 
@@ -41,8 +40,6 @@ const char* ViolationKindName(ViolationKind kind) {
       return "BitmapLengthMismatch";
     case ViolationKind::kBitmapTailDirty:
       return "BitmapTailDirty";
-    case ViolationKind::kRleRunSumMismatch:
-      return "RleRunSumMismatch";
     case ViolationKind::kEwahFormatMismatch:
       return "EwahFormatMismatch";
     case ViolationKind::kPersistedBitmapCorrupt:
@@ -266,25 +263,6 @@ AuditReport InvariantAuditor::AuditBitVectorWords(
   return report;
 }
 
-AuditReport InvariantAuditor::AuditRleRuns(const std::vector<uint32_t>& runs,
-                                           size_t declared_bits,
-                                           size_t ordinal) {
-  AuditReport report;
-  ++report.checks_run;
-  size_t sum = 0;
-  for (uint32_t run : runs) {
-    sum += run;
-  }
-  if (sum != declared_bits) {
-    report.violations.push_back(
-        {ViolationKind::kRleRunSumMismatch, ordinal,
-         VectorLabel("rle vector", ordinal) + " runs sum to " +
-             std::to_string(sum) + ", declared size is " +
-             std::to_string(declared_bits)});
-  }
-  return report;
-}
-
 AuditReport InvariantAuditor::AuditEwahWords(
     const std::vector<uint64_t>& words, size_t declared_bits,
     size_t ordinal) {
@@ -315,8 +293,6 @@ AuditReport InvariantAuditor::AuditStoredBitmap(const StoredBitmap& bitmap,
   }
   if (const BitVector* plain = bitmap.AsPlain()) {
     report.Merge(AuditBitVector(*plain, expected_bits, ordinal));
-  } else if (const RleBitmap* rle = bitmap.AsRle()) {
-    report.Merge(AuditRleRuns(rle->runs(), rle->size(), ordinal));
   } else if (const EwahBitmap* ewah = bitmap.AsEwah()) {
     report.Merge(AuditEwahWords(ewah->words(), ewah->size(), ordinal));
   }
@@ -353,7 +329,7 @@ AuditReport InvariantAuditor::AuditIndex(SecondaryIndex& index,
     report.Merge(AuditMapping(*mapping));
   }
   // Cold indexes keep their slices in the backing store; fetch each one
-  // back through the pool (validating the compressed form on the way in)
+  // back through the pool (validating the payload on the way in)
   // and hold it to the same length contract.
   if (auto* cold = dynamic_cast<ColdEncodedBitmapIndex*>(&index)) {
     for (size_t i = 0; i < cold->NumSlices(); ++i) {

@@ -27,10 +27,10 @@ namespace ebi {
 ///   * kRetrievalFunctionMismatch — Definition 2.1's retrieval function
 ///     f_v must be exactly the min-term of v's codeword;
 ///   * kSelectionNotWellDefined — Definition 2.5 / Theorems 2.2-2.3;
-///   * the bitmap kinds — every vector spans the table, RLE runs sum to
-///     the declared size, EWAH words decode to the declared word count,
-///     and (kBitmapTailDirty) no padding bit above size() is set — the
-///     tail invariant Count()/IsZero() rely on to skip masking;
+///   * the bitmap kinds — every vector spans the table, EWAH words decode
+///     to the declared word count, and (kBitmapTailDirty) no padding bit
+///     above size() is set — the tail invariant Count()/IsZero() rely on
+///     to skip masking;
 ///   * kShardPartitionMismatch — a ShardedIndex's segments must tile the
 ///     source table exactly;
 ///   * kClusterPartitionMismatch — a cluster placement's per-shard
@@ -45,7 +45,6 @@ enum class ViolationKind : uint8_t {
   kSelectionNotWellDefined,
   kBitmapLengthMismatch,
   kBitmapTailDirty,
-  kRleRunSumMismatch,
   kEwahFormatMismatch,
   kPersistedBitmapCorrupt,
   kShardPartitionMismatch,
@@ -87,9 +86,9 @@ struct AuditReport {
 ///
 /// The high-level entry points (AuditIndex, AuditShardedIndex,
 /// AuditMapping) walk real structures through the SecondaryIndex audit
-/// hooks; the raw-part overloads (AuditMappingParts, AuditRleRuns,
-/// AuditEwahWords, AuditPersistedBitmap) exist so tests can seed known-bad
-/// inputs that the constructing APIs themselves reject.
+/// hooks; the raw-part overloads (AuditMappingParts, AuditEwahWords,
+/// AuditPersistedBitmap) exist so tests can seed known-bad inputs that the
+/// constructing APIs themselves reject.
 class InvariantAuditor {
  public:
   /// Audits raw mapping parts: codeword distinctness (including the
@@ -126,15 +125,11 @@ class InvariantAuditor {
                                          size_t declared_bits,
                                          size_t ordinal = 0);
 
-  /// Length + compressed-form contracts of a stored bitmap in any
-  /// physical format (plain / RLE run-sum / EWAH marker decode).
+  /// Length + physical-form contracts of a stored bitmap (plain tail
+  /// invariant / EWAH marker decode).
   static AuditReport AuditStoredBitmap(const StoredBitmap& bitmap,
                                        size_t expected_bits,
                                        size_t ordinal = 0);
-
-  /// Raw RLE contract: alternating runs must sum to `declared_bits`.
-  static AuditReport AuditRleRuns(const std::vector<uint32_t>& runs,
-                                  size_t declared_bits, size_t ordinal = 0);
 
   /// Raw EWAH contract: `words` must decode to exactly
   /// ceil(declared_bits / 64) words (EwahBitmap::FromWords).
@@ -142,7 +137,7 @@ class InvariantAuditor {
                                     size_t declared_bits,
                                     size_t ordinal = 0);
 
-  /// Reads one persisted StoredBitmap from `in` (index/persistence.h
+  /// Reads one persisted StoredBitmap from `in` (util/stored_bitmap_io.h
   /// format) and audits it: truncated or format-mismatched streams report
   /// kPersistedBitmapCorrupt, a loadable bitmap of the wrong length
   /// reports kBitmapLengthMismatch.

@@ -38,7 +38,6 @@
 #include "index/index.h"
 #include "index/index_factory.h"
 #include "index/join_index.h"
-#include "index/persistence.h"
 #include "index/projection_index.h"
 #include "index/range_based_bitmap_index.h"
 #include "index/sharded_index.h"

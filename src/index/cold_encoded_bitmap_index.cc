@@ -44,8 +44,7 @@ Status ColdEncodedBitmapIndex::Build() {
   EBI_ASSIGN_OR_RETURN(
       BitmapStore store,
       BitmapStore::Open(BackingPath(options_.directory, this),
-                        options_.pool_pages, io_, options_.format,
-                        options_.prefetch_pool));
+                        options_.pool_pages, io_, options_.prefetch_pool));
   store_ = std::make_unique<BitmapStore>(std::move(store));
 
   const size_t k = static_cast<size_t>(mapping_.width());
@@ -224,8 +223,8 @@ double ColdEncodedBitmapIndex::EstimatePages(
     return SecondaryIndex::EstimatePages(shape);
   }
   // Worst case: every slice read (reduction only lowers it), each at the
-  // pages its extent really spans — compressed slices estimate cheaper,
-  // matching the per-page charges a cold evaluation actually incurs.
+  // pages its extent really spans, matching the per-page charges a cold
+  // evaluation actually incurs.
   double pages = 0.0;
   for (const BitmapStore::VectorId id : slice_ids_) {
     const auto slice_pages = store_->StoredPages(id);

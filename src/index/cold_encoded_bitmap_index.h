@@ -28,9 +28,6 @@ struct ColdEncodedBitmapIndexOptions {
   /// Directory for the backing file.
   std::string directory = "/tmp";
   ReductionOptions reduction;
-  /// Physical on-disk format of the slice vectors (storage-engine
-  /// slices); compressed slices shrink the bytes each pool miss charges.
-  BitmapFormat format = BitmapFormat::kPlain;
   /// When set, cover evaluation prefetches the referenced slices'
   /// pages asynchronously on this pool before the blocking reads.
   exec::ThreadPool* prefetch_pool = nullptr;
@@ -74,9 +71,7 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
   void ResetStoreStats() { store_->ResetStats(); }
 
   /// Section 3.1 cost model against *real* extents: c_e <= k slice
-  /// reads, each costing the pages its stored form actually spans (so
-  /// compressed formats estimate cheaper, matching what a cold read
-  /// charges).
+  /// reads, each costing the pages its stored form actually spans.
   double EstimatePages(const SelectionShape& shape) const override;
 
   /// Number of slice vectors resident in the backing store.
@@ -84,7 +79,7 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
 
   /// Fetches slice `i` from the store for the InvariantAuditor's
   /// structural checks (a pool miss charges a vector read, like any other
-  /// access; the store validates the compressed form on the way in).
+  /// access; the store validates the payload on the way in).
   Result<BitVector> FetchSlice(size_t i);
 
   const MappingTable* audit_mapping() const override {

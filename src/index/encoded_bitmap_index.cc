@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "encoding/encoders.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/bit_util.h"
 #include "util/random.h"
@@ -74,42 +73,9 @@ Status EncodedBitmapIndex::Build() {
     WriteCodeTo(&plain, row, code);
   }
   rows_indexed_ = n;
-  StoreSlices(std::move(plain));
+  slices_ = std::move(plain);
   built_ = true;
   return Status::OK();
-}
-
-void EncodedBitmapIndex::StoreSlices(std::vector<BitVector> plain) {
-  if (options_.format == BitmapFormat::kPlain) {
-    slices_ = std::move(plain);
-    stored_slices_.clear();
-    return;
-  }
-  stored_slices_.clear();
-  stored_slices_.reserve(plain.size());
-  for (BitVector& slice : plain) {
-    stored_slices_.push_back(
-        StoredBitmap::Make(std::move(slice), options_.format));
-  }
-  slices_.clear();
-}
-
-std::vector<BitVector> EncodedBitmapIndex::MaterializeSlices() const {
-  if (options_.format == BitmapFormat::kPlain) {
-    return slices_;
-  }
-  std::vector<BitVector> plain;
-  plain.reserve(stored_slices_.size());
-  for (const StoredBitmap& slice : stored_slices_) {
-    plain.push_back(slice.ToBitVector());
-  }
-  return plain;
-}
-
-size_t EncodedBitmapIndex::SliceSizeBytes(size_t i) const {
-  return options_.format == BitmapFormat::kPlain
-             ? slices_[i].SizeBytes()
-             : stored_slices_[i].SizeBytes();
 }
 
 Result<uint64_t> EncodedBitmapIndex::CodeForRow(size_t row) const {
@@ -134,12 +100,6 @@ void EncodedBitmapIndex::WriteCodeTo(std::vector<BitVector>* slices,
   for (size_t i = 0; i < slices->size(); ++i) {
     (*slices)[i].Assign(row, (code >> i) & 1);
   }
-}
-
-void EncodedBitmapIndex::CountSliceRewrite() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter(obs::kMetricIndexSliceRewrites);
-  counter->Increment();
 }
 
 Status EncodedBitmapIndex::Append(size_t row) {
@@ -198,29 +158,13 @@ Status EncodedBitmapIndex::AppendBatch(size_t first_row, size_t count) {
   // Pass 2 — slices, written once for the whole batch. Width growth adds
   // all-zero vectors B_k (existing rows keep zero high bits, matching the
   // zero-extension ExpandWidth applied to their codewords).
-  if (options_.format == BitmapFormat::kPlain) {
-    for (int w = width_before; w < mapping_.width(); ++w) {
-      slices_.emplace_back(rows_indexed_);
+  for (int w = width_before; w < mapping_.width(); ++w) {
+    slices_.emplace_back(rows_indexed_);
+  }
+  for (size_t r = 0; r < count; ++r) {
+    for (size_t i = 0; i < slices_.size(); ++i) {
+      slices_[i].PushBack((codes[r] >> i) & 1);
     }
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t i = 0; i < slices_.size(); ++i) {
-        slices_[i].PushBack((codes[r] >> i) & 1);
-      }
-    }
-  } else {
-    // One decompress-modify-recompress cycle per batch — the coalesced
-    // alternative to one full rewrite per appended row.
-    std::vector<BitVector> plain = MaterializeSlices();
-    for (int w = width_before; w < mapping_.width(); ++w) {
-      plain.emplace_back(rows_indexed_);
-    }
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t i = 0; i < plain.size(); ++i) {
-        plain[i].PushBack((codes[r] >> i) & 1);
-      }
-    }
-    StoreSlices(std::move(plain));
-    CountSliceRewrite();
   }
   rows_indexed_ += count;
   return Status::OK();
@@ -246,7 +190,6 @@ Result<std::unique_ptr<SecondaryIndex>> EncodedBitmapIndex::CloneRebound(
   clone->options_.strategy = EncodingStrategy::kCustom;
   clone->mapping_ = mapping_;
   clone->slices_ = slices_;
-  clone->stored_slices_ = stored_slices_;
   clone->rows_indexed_ = rows_indexed_;
   clone->built_ = true;
   return std::unique_ptr<SecondaryIndex>(std::move(clone));
@@ -260,16 +203,7 @@ Status EncodedBitmapIndex::MarkDeleted(size_t row) {
     return Status::OutOfRange("row out of range");
   }
   if (mapping_.void_code().has_value()) {
-    if (options_.format == BitmapFormat::kPlain) {
-      WriteCodeTo(&slices_, row, *mapping_.void_code());
-    } else {
-      // Decompress-modify-recompress: the in-place update cost compressed
-      // storage pays for maintenance (Section 2.2 discussion).
-      std::vector<BitVector> plain = MaterializeSlices();
-      WriteCodeTo(&plain, row, *mapping_.void_code());
-      StoreSlices(std::move(plain));
-      CountSliceRewrite();
-    }
+    WriteCodeTo(&slices_, row, *mapping_.void_code());
   }
   // Without a void codeword the existence AND in evaluation masks the row.
   return Status::OK();
@@ -294,30 +228,15 @@ Result<BitVector> EncodedBitmapIndex::EvaluateCoverCharged(
   obs::ScopedSpan span("cover.eval");
   const IoScope scope(io_);
   const uint64_t vars = VariablesOf(cover);
-  const size_t k = SliceCount();
+  const size_t k = slices_.size();
   uint64_t vectors_read = 0;
   for (size_t i = 0; i < k; ++i) {
     if ((vars >> i) & 1) {
-      // Compressed formats charge their (smaller) physical size here —
-      // the I/O benefit the format knob exists to measure.
-      io_->ChargeVectorRead(SliceSizeBytes(i));
+      io_->ChargeVectorRead(slices_[i].SizeBytes());
       ++vectors_read;
     }
   }
-  BitVector result;
-  if (options_.format == BitmapFormat::kPlain) {
-    result = EvaluateCover(cover, slices_, rows_indexed_);
-  } else {
-    // Decompress only the slices the reduced cover references; the rest
-    // stay untouched (properly sized all-zero placeholders).
-    std::vector<BitVector> touched(k, BitVector(rows_indexed_));
-    for (size_t i = 0; i < k; ++i) {
-      if ((vars >> i) & 1) {
-        touched[i] = stored_slices_[i].ToBitVector();
-      }
-    }
-    result = EvaluateCover(cover, touched, rows_indexed_);
-  }
+  BitVector result = EvaluateCover(cover, slices_, rows_indexed_);
   const bool existence_and = !mapping_.void_code().has_value();
   if (existence_and) {
     // No void codeword: deleted rows still carry stale value codes, so the
@@ -431,41 +350,14 @@ Status EncodedBitmapIndex::Reencode(MappingTable new_mapping) {
     }
     WriteCodeTo(&plain, row, *code);
   }
-  StoreSlices(std::move(plain));
-  return Status::OK();
-}
-
-Status EncodedBitmapIndex::RestoreFromParts(MappingTable mapping,
-                                            std::vector<BitVector> slices) {
-  if (slices.size() != static_cast<size_t>(mapping.width())) {
-    return Status::InvalidArgument(
-        "slice count " + std::to_string(slices.size()) +
-        " != mapping width " + std::to_string(mapping.width()));
-  }
-  if (mapping.NumValues() < column_->Cardinality()) {
-    return Status::FailedPrecondition(
-        "restored mapping covers fewer values than the column holds");
-  }
-  for (const BitVector& slice : slices) {
-    if (slice.size() != column_->size()) {
-      return Status::InvalidArgument(
-          "slice length " + std::to_string(slice.size()) +
-          " != column rows " + std::to_string(column_->size()));
-    }
-  }
-  mapping_ = std::move(mapping);
-  rows_indexed_ = column_->size();
-  StoreSlices(std::move(slices));
-  options_.strategy = EncodingStrategy::kCustom;
-  built_ = true;
+  slices_ = std::move(plain);
   return Status::OK();
 }
 
 size_t EncodedBitmapIndex::SizeBytes() const {
   size_t total = 0;
-  const size_t k = SliceCount();
-  for (size_t i = 0; i < k; ++i) {
-    total += SliceSizeBytes(i);
+  for (const BitVector& slice : slices_) {
+    total += slice.SizeBytes();
   }
   // Mapping table: codeword array plus hash entries (code -> ValueId).
   total += mapping_.NumValues() * (sizeof(uint64_t) + 16);

@@ -14,7 +14,6 @@
 #include "encoding/mapping_table.h"
 #include "encoding/optimizer.h"
 #include "index/index.h"
-#include "util/stored_bitmap.h"
 
 namespace ebi {
 
@@ -64,11 +63,6 @@ struct EncodedBitmapIndexOptions {
 
   /// RNG seed for kRandom.
   uint64_t random_seed = 7;
-
-  /// Physical format of the slice vectors. Encoded slices sit near 50%
-  /// density (Section 3.1), so compression buys little here — the knob
-  /// exists to measure exactly that, with the same query path throughout.
-  BitmapFormat format = BitmapFormat::kPlain;
 };
 
 /// The encoded bitmap index of Definition 2.1 — the paper's contribution.
@@ -79,7 +73,9 @@ struct EncodedBitmapIndexOptions {
 /// (the OR of the selected values' min-terms), logically reducing it with
 /// unused codewords as don't-cares, and evaluating the reduced cover over
 /// the slices; the number of distinct vectors in the reduced cover is the
-/// I/O charged (c_e of Section 3.1).
+/// I/O charged (c_e of Section 3.1). Slices are plain BitVectors: they
+/// sit near 50% density (Section 3.1), where compression saves no space
+/// and slows every AND/OR (DESIGN.md §4).
 ///
 /// Maintenance follows Section 2.2: appends of known values set k bits;
 /// appends of new values take a free codeword, or — when Equation (1)
@@ -94,10 +90,7 @@ class EncodedBitmapIndex : public SecondaryIndex {
       : SecondaryIndex(column, existence, io),
         options_(std::move(options)) {}
 
-  std::string Name() const override {
-    return std::string("encoded-bitmap") +
-           BitmapFormatSuffix(options_.format);
-  }
+  std::string Name() const override { return "encoded-bitmap"; }
 
   /// Installs a caller-provided mapping (strategy kCustom). The mapping
   /// must cover the column's current cardinality.
@@ -109,9 +102,7 @@ class EncodedBitmapIndex : public SecondaryIndex {
   /// Batched appends (Section 2.2, coalesced): resolves codewords for the
   /// whole batch first — growing the code width at most as far as the
   /// batch needs, in one mapping pass — then writes all bits in a single
-  /// slice pass. Compressed formats decompress and recompress the slice
-  /// set exactly once per batch (one ebi.index.slice_rewrites tick),
-  /// where per-row Append pays one full rewrite per row.
+  /// slice pass.
   Status AppendBatch(size_t first_row, size_t count) override;
 
   /// Copy-on-write clone for snapshot publication: copies the mapping and
@@ -137,7 +128,7 @@ class EncodedBitmapIndex : public SecondaryIndex {
   }
 
   size_t SizeBytes() const override;
-  size_t NumVectors() const override { return SliceCount(); }
+  size_t NumVectors() const override { return slices_.size(); }
 
   /// Section 3.1: c_e <= ceil(log2 m) whatever δ is (worst case; reduction
   /// only lowers it), plus an existence read when no void codeword exists.
@@ -145,13 +136,12 @@ class EncodedBitmapIndex : public SecondaryIndex {
     (void)shape;
     const double existence =
         mapping_.void_code().has_value() ? 0.0 : 1.0;
-    return (static_cast<double>(SliceCount()) + existence) *
+    return (static_cast<double>(slices_.size()) + existence) *
            PagesPerVector();
   }
 
   const MappingTable& mapping() const { return mapping_; }
-  /// The plain slice vectors. Only populated in BitmapFormat::kPlain (the
-  /// persistence path); empty when the index stores compressed slices.
+  /// The slice vectors B_0..B_{k-1}.
   const std::vector<BitVector>& slices() const { return slices_; }
 
   /// The reduced retrieval expression an IN-list would evaluate — exposed
@@ -168,20 +158,10 @@ class EncodedBitmapIndex : public SecondaryIndex {
   /// column has NULLs (and a void codeword to keep Theorem 2.1 behaviour).
   Status Reencode(MappingTable new_mapping);
 
-  /// Restores a previously persisted index: installs the mapping and the
-  /// slice vectors directly (no rebuild pass). Slice count must equal the
-  /// mapping width and every slice must cover the bound column's rows.
-  /// Used by the persistence layer (index/persistence.h).
-  Status RestoreFromParts(MappingTable mapping,
-                          std::vector<BitVector> slices);
-
   void ForEachAuditVector(
       const std::function<void(const AuditableVector&)>& fn) const override {
     for (size_t i = 0; i < slices_.size(); ++i) {
       fn(AuditableVector{"slice", i, &slices_[i], nullptr});
-    }
-    for (size_t i = 0; i < stored_slices_.size(); ++i) {
-      fn(AuditableVector{"slice", i, nullptr, &stored_slices_[i]});
     }
   }
 
@@ -195,31 +175,14 @@ class EncodedBitmapIndex : public SecondaryIndex {
   /// Writes codeword `code` into plain slices at row `row`.
   static void WriteCodeTo(std::vector<BitVector>* slices, size_t row,
                           uint64_t code);
-  /// Ticks ebi.index.slice_rewrites — one full decompress-modify-
-  /// recompress cycle of the compressed slice set.
-  static void CountSliceRewrite();
   Result<uint64_t> CodeForRow(size_t row) const;
-
-  /// Number of slice vectors (whatever the physical format).
-  size_t SliceCount() const {
-    return options_.format == BitmapFormat::kPlain ? slices_.size()
-                                                   : stored_slices_.size();
-  }
-  /// Physical bytes of slice `i` — the per-read I/O charge.
-  size_t SliceSizeBytes(size_t i) const;
-  /// Installs freshly built plain slices in the configured format.
-  void StoreSlices(std::vector<BitVector> plain);
-  /// Plain copies of every slice (decompress-modify-recompress idiom).
-  std::vector<BitVector> MaterializeSlices() const;
 
   EncodedBitmapIndexOptions options_;
   bool built_ = false;
   size_t rows_indexed_ = 0;
   MappingTable mapping_;
-  /// Plain-format storage: slices_[i] = B_i. Empty in compressed formats.
+  /// slices_[i] = B_i.
   std::vector<BitVector> slices_;
-  /// Compressed-format storage (kRle / kEwah). Empty in kPlain.
-  std::vector<StoredBitmap> stored_slices_;
 };
 
 }  // namespace ebi

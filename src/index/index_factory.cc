@@ -16,9 +16,6 @@ Result<IndexKind> IndexKindFromName(const std::string& name) {
   if (name == "simple") {
     return IndexKind::kSimpleBitmap;
   }
-  if (name == "simple-rle") {
-    return IndexKind::kSimpleBitmapRle;
-  }
   if (name == "simple-ewah") {
     return IndexKind::kSimpleBitmapEwah;
   }
@@ -53,8 +50,6 @@ const char* IndexKindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kSimpleBitmap:
       return "simple";
-    case IndexKind::kSimpleBitmapRle:
-      return "simple-rle";
     case IndexKind::kSimpleBitmapEwah:
       return "simple-ewah";
     case IndexKind::kEncodedBitmap:
@@ -83,10 +78,6 @@ std::unique_ptr<SecondaryIndex> MakeSecondaryIndex(
   switch (kind) {
     case IndexKind::kSimpleBitmap:
       return std::make_unique<SimpleBitmapIndex>(column, existence, io);
-    case IndexKind::kSimpleBitmapRle:
-      return std::make_unique<SimpleBitmapIndex>(
-          column, existence, io,
-          SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kRle));
     case IndexKind::kSimpleBitmapEwah:
       return std::make_unique<SimpleBitmapIndex>(
           column, existence, io,

@@ -15,7 +15,6 @@ namespace ebi {
 /// construct indexes through the same path.
 enum class IndexKind {
   kSimpleBitmap,
-  kSimpleBitmapRle,
   kSimpleBitmapEwah,
   kEncodedBitmap,
   kBitSliced,

@@ -38,18 +38,13 @@ Status RangeBasedBitmapIndex::Build() {
     }
   }
 
-  std::vector<BitVector> plain(bounds_.size(), BitVector(n));
+  bitmaps_.assign(bounds_.size(), BitVector(n));
   for (size_t row = 0; row < n; ++row) {
     const ValueId id = column_->ValueIdAt(row);
     if (id == kNullValueId) {
       continue;
     }
-    plain[BucketOf(column_->ValueOf(id).int_value)].Set(row);
-  }
-  bitmaps_.clear();
-  bitmaps_.reserve(plain.size());
-  for (BitVector& b : plain) {
-    bitmaps_.push_back(StoredBitmap::Make(std::move(b), options_.format));
+    bitmaps_[BucketOf(column_->ValueOf(id).int_value)].Set(row);
   }
   rows_indexed_ = n;
   built_ = true;
@@ -78,7 +73,7 @@ Status RangeBasedBitmapIndex::Append(size_t row) {
     if (id != kNullValueId) {
       set = BucketOf(column_->ValueOf(id).int_value) == b;
     }
-    bitmaps_[b].AppendBit(set);
+    bitmaps_[b].PushBack(set);
   }
   ++rows_indexed_;
   return Status::OK();
@@ -123,11 +118,7 @@ Result<BitVector> RangeBasedBitmapIndex::EvaluateRange(int64_t lo,
         lo <= bucket_lo && (has_upper ? hi >= bucket_hi_excl - 1 : false);
     if (fully_covered) {
       io_->ChargeVectorRead(bitmaps_[b].SizeBytes());
-      if (const BitVector* plain = bitmaps_[b].AsPlain()) {
-        result.OrWith(*plain);
-      } else {
-        result.OrWith(bitmaps_[b].ToBitVector());
-      }
+      result.OrWith(bitmaps_[b]);
     } else {
       VerifyBucket(b, lo, hi, &result);
     }
@@ -172,7 +163,7 @@ Result<BitVector> RangeBasedBitmapIndex::EvaluateIn(
 
 size_t RangeBasedBitmapIndex::SizeBytes() const {
   size_t total = bounds_.size() * sizeof(int64_t);
-  for (const StoredBitmap& b : bitmaps_) {
+  for (const BitVector& b : bitmaps_) {
     total += b.SizeBytes();
   }
   return total;

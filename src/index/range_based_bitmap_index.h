@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "index/index.h"
-#include "util/stored_bitmap.h"
 
 namespace ebi {
 
@@ -16,11 +15,6 @@ namespace ebi {
 struct RangeBasedBitmapIndexOptions {
   /// Number of equal-population buckets.
   size_t num_buckets = 32;
-
-  /// Physical format of the per-bucket bitmap vectors. Bucket vectors are
-  /// ~1/#buckets dense, so compression pays off like it does for simple
-  /// bitmap vectors.
-  BitmapFormat format = BitmapFormat::kPlain;
 };
 
 /// The dynamic range-based bitmap index of Wu & Yu (Section 4, [19]):
@@ -40,10 +34,7 @@ class RangeBasedBitmapIndex : public SecondaryIndex {
                             RangeBasedBitmapIndexOptions())
       : SecondaryIndex(column, existence, io), options_(options) {}
 
-  std::string Name() const override {
-    return std::string("range-based-bitmap") +
-           BitmapFormatSuffix(options_.format);
-  }
+  std::string Name() const override { return "range-based-bitmap"; }
 
   Status Build() override;
   Status Append(size_t row) override;
@@ -86,7 +77,7 @@ class RangeBasedBitmapIndex : public SecondaryIndex {
   void ForEachAuditVector(
       const std::function<void(const AuditableVector&)>& fn) const override {
     for (size_t i = 0; i < bitmaps_.size(); ++i) {
-      fn(AuditableVector{"bucket", i, nullptr, &bitmaps_[i]});
+      fn(AuditableVector{"bucket", i, &bitmaps_[i], nullptr});
     }
   }
 
@@ -99,8 +90,8 @@ class RangeBasedBitmapIndex : public SecondaryIndex {
   bool built_ = false;
   size_t rows_indexed_ = 0;
   std::vector<int64_t> bounds_;  // bounds_[i] = lower bound of bucket i.
-  /// One vector per bucket, in options_.format.
-  std::vector<StoredBitmap> bitmaps_;
+  /// One plain vector per bucket.
+  std::vector<BitVector> bitmaps_;
   size_t last_candidates_ = 0;
 };
 

@@ -45,12 +45,6 @@ inline constexpr char kMetricReductionCount[] = "ebi.reduction.count";
 inline constexpr char kMetricReductionTermsIn[] = "ebi.reduction.terms_in";
 inline constexpr char kMetricReductionTermsOut[] = "ebi.reduction.terms_out";
 
-// Full slice-set rewrites of compressed encoded indexes (decompress-
-// modify-recompress cycles). The batched maintenance path exists to keep
-// this at one per batch instead of one per appended row.
-inline constexpr char kMetricIndexSliceRewrites[] =
-    "ebi.index.slice_rewrites";
-
 // --- Serving layer (src/serve, DESIGN.md §9/§11).
 inline constexpr char kMetricServeSubmitted[] = "ebi.serve.submitted";
 inline constexpr char kMetricServeShed[] = "ebi.serve.shed";

@@ -3,15 +3,12 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "util/ewah_bitmap.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 
 Result<BitmapStore> BitmapStore::Open(const std::string& path,
                                       size_t capacity_pages,
                                       IoAccountant* io,
-                                      BitmapFormat format,
                                       exec::ThreadPool* prefetch_pool) {
   if (capacity_pages == 0) {
     return Status::InvalidArgument("pool capacity must be > 0");
@@ -26,28 +23,16 @@ Result<BitmapStore> BitmapStore::Open(const std::string& path,
   BitmapStore store;
   store.engine_ = std::move(engine);
   store.io_ = io;
-  store.format_ = format;
   return store;
 }
 
-StoredBitmap BitmapStore::ToStored(const BitVector& bits) const {
-  switch (format_) {
-    case BitmapFormat::kPlain:
-      break;
-    case BitmapFormat::kRle:
-      return StoredBitmap::FromRle(RleBitmap::Compress(bits));
-    case BitmapFormat::kEwah:
-      return StoredBitmap::FromEwah(EwahBitmap::Compress(bits));
-  }
-  return StoredBitmap::Make(bits, BitmapFormat::kPlain);
-}
-
 Result<BitmapStore::VectorId> BitmapStore::Put(const BitVector& bits) {
-  return engine_->PutSlice(ToStored(bits));
+  return engine_->PutSlice(StoredBitmap::Make(bits, BitmapFormat::kPlain));
 }
 
 Status BitmapStore::Update(VectorId id, const BitVector& bits) {
-  return engine_->UpdateSlice(id, ToStored(bits));
+  return engine_->UpdateSlice(id,
+                              StoredBitmap::Make(bits, BitmapFormat::kPlain));
 }
 
 Result<BitVector> BitmapStore::Get(VectorId id) {

@@ -7,7 +7,6 @@
 
 #include "storage/engine/storage_engine.h"
 #include "storage/io_accountant.h"
-#include "util/bitmap_format.h"
 #include "util/bitvector.h"
 #include "util/status.h"
 
@@ -36,30 +35,24 @@ struct BitmapStoreStats {
 /// vector is one slice, chunked over checksummed 4 KB pages and cached
 /// by a page-granular buffer pool.
 ///
-/// Vectors land on disk in the store's physical format: plain word
-/// arrays, RLE run arrays or EWAH buffers (BitmapFormat). Compressed
-/// slots shrink both the file footprint and the bytes a cold read
-/// charges to the accountant — the store's I/O cost is format-dependent,
-/// while Get() always hands back the decompressed BitVector. Usage:
+/// Vectors land on disk as plain word arrays. Usage:
 ///
-///   BitmapStore store("/tmp/ebi.bin", /*capacity_pages=*/8, &io,
-///                     BitmapFormat::kEwah);
-///   auto id = store.Put(bitvector);         // Compress + install.
-///   auto bits = store.Get(*id);             // Cached or re-read.
+///   auto store = BitmapStore::Open("/tmp/ebi.bin", /*capacity_pages=*/8,
+///                                  &io);
+///   auto id = store->Put(bitvector);        // Install.
+///   auto bits = store->Get(*id);            // Cached or re-read.
 class BitmapStore {
  public:
   using VectorId = uint32_t;
 
   /// Opens (creates/truncates) the backing file. `capacity_pages` is the
-  /// number of 4 KB pages the buffer pool may keep in memory; `format` is
-  /// the physical representation vectors take on disk. The backing file
-  /// (and its extent-map sidecar) is removed when the store dies — use
-  /// engine::StorageEngine directly for durable stores. When
+  /// number of 4 KB pages the buffer pool may keep in memory. The backing
+  /// file (and its extent-map sidecar) is removed when the store dies —
+  /// use engine::StorageEngine directly for durable stores. When
   /// `prefetch_pool` is set, Prefetch() warms pages asynchronously.
   static Result<BitmapStore> Open(const std::string& path,
                                   size_t capacity_pages,
                                   IoAccountant* io,
-                                  BitmapFormat format = BitmapFormat::kPlain,
                                   exec::ThreadPool* prefetch_pool = nullptr);
 
   BitmapStore(const BitmapStore&) = delete;
@@ -88,8 +81,6 @@ class BitmapStore {
   size_t Size() const { return engine_->NumSlices(); }
   /// Pages currently resident in the pool.
   size_t Resident() const { return engine_->PoolResident(); }
-  /// Physical on-disk representation.
-  BitmapFormat format() const { return format_; }
   /// Physical bytes vector `id` occupies on disk (the sum a cold read
   /// charges).
   Result<size_t> StoredBytes(VectorId id) const {
@@ -109,12 +100,8 @@ class BitmapStore {
  private:
   BitmapStore() = default;
 
-  /// Converts to the store's physical format.
-  StoredBitmap ToStored(const BitVector& bits) const;
-
   std::unique_ptr<engine::StorageEngine> engine_;
   IoAccountant* io_ = nullptr;
-  BitmapFormat format_ = BitmapFormat::kPlain;
   /// Get-level hit/miss counts (page-level counters live in the pool).
   uint64_t gets_hit_ = 0;
   uint64_t gets_missed_ = 0;

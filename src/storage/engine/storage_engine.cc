@@ -48,7 +48,7 @@ uint64_t GetU64(const uint8_t* at) {
 std::string MapPath(const std::string& path) { return path + ".map"; }
 std::string MapTmpPath(const std::string& path) { return path + ".map.tmp"; }
 
-/// Serializes a StoredBitmap through the shared persistence format, so
+/// Serializes a StoredBitmap through the util/stored_bitmap_io codec, so
 /// the hardening of LoadStoredBitmap (truncation/garbage rejection)
 /// covers the engine's pages too.
 Result<std::string> SerializeSlice(const StoredBitmap& bitmap) {

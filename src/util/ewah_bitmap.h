@@ -24,7 +24,7 @@ namespace ebi {
 /// skipped or emitted wholesale and only literal words are combined
 /// bitwise. This is the compression family of Wu/Lemire-style bitmap
 /// engines (see "Sorting improves word-aligned bitmap indexes" in
-/// PAPERS.md) and the second compressed backend behind BitmapFormat.
+/// PAPERS.md) and the compressed backend behind BitmapFormat.
 ///
 /// Invariants mirror BitVector: bits at positions >= size() are zero, so
 /// Count() and equality never need masking; a partial last word is always

@@ -10,19 +10,10 @@ StoredBitmap StoredBitmap::Make(BitVector bits, BitmapFormat format) {
     case BitmapFormat::kPlain:
       out.rep_ = std::move(bits);
       break;
-    case BitmapFormat::kRle:
-      out.rep_ = RleBitmap::Compress(bits);
-      break;
     case BitmapFormat::kEwah:
       out.rep_ = EwahBitmap::Compress(bits);
       break;
   }
-  return out;
-}
-
-StoredBitmap StoredBitmap::FromRle(RleBitmap rle) {
-  StoredBitmap out;
-  out.rep_ = std::move(rle);
   return out;
 }
 
@@ -56,9 +47,6 @@ double StoredBitmap::Sparsity() const {
 BitVector StoredBitmap::ToBitVector() const {
   if (const BitVector* plain = std::get_if<BitVector>(&rep_)) {
     return *plain;
-  }
-  if (const RleBitmap* rle = std::get_if<RleBitmap>(&rep_)) {
-    return rle->Decompress();
   }
   return std::get<EwahBitmap>(rep_).Decompress();
 }
@@ -102,15 +90,6 @@ Result<StoredBitmap> StoredBitmap::And(const StoredBitmap& a,
       stored.rep_ = std::move(out);
       return stored;
     }
-    case BitmapFormat::kRle: {
-      EBI_ASSIGN_OR_RETURN(
-          RleBitmap out,
-          RleBitmap::AndChecked(std::get<RleBitmap>(a.rep_),
-                                std::get<RleBitmap>(b.rep_)));
-      StoredBitmap stored;
-      stored.rep_ = std::move(out);
-      return stored;
-    }
     case BitmapFormat::kEwah: {
       EBI_ASSIGN_OR_RETURN(
           EwahBitmap out,
@@ -137,15 +116,6 @@ Result<StoredBitmap> StoredBitmap::Or(const StoredBitmap& a,
       }
       BitVector out = *a.AsPlain();
       out.OrWith(*b.AsPlain());
-      StoredBitmap stored;
-      stored.rep_ = std::move(out);
-      return stored;
-    }
-    case BitmapFormat::kRle: {
-      EBI_ASSIGN_OR_RETURN(
-          RleBitmap out,
-          RleBitmap::OrChecked(std::get<RleBitmap>(a.rep_),
-                               std::get<RleBitmap>(b.rep_)));
       StoredBitmap stored;
       stored.rep_ = std::move(out);
       return stored;

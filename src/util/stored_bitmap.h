@@ -7,19 +7,18 @@
 #include "util/bitmap_format.h"
 #include "util/bitvector.h"
 #include "util/ewah_bitmap.h"
-#include "util/rle_bitmap.h"
 #include "util/status.h"
 
 namespace ebi {
 
 /// One bitmap vector in its selected physical format.
 ///
-/// This is the unit the bitmap-backed indexes store per value / bucket /
-/// slice: the logical bits are the same in every format, but SizeBytes()
-/// — and therefore the I/O charged per vector read — reflects the
-/// physical representation. Logical operations dispatch to the matching
-/// compressed-form kernel, so a query path written against StoredBitmap
-/// runs unchanged over plain, RLE and EWAH storage.
+/// This is the unit SimpleBitmapIndex stores per value and the storage
+/// engine stores per slice: the logical bits are the same in every
+/// format, but SizeBytes() — and therefore the I/O charged per vector
+/// read — reflects the physical representation. Logical operations
+/// dispatch to the matching kernel, so a query path written against
+/// StoredBitmap runs unchanged over plain and EWAH storage.
 class StoredBitmap {
  public:
   /// An empty plain bitmap.
@@ -32,17 +31,11 @@ class StoredBitmap {
   /// the deserialization path, where the compressed words were validated
   /// on read and decompress/recompress would lose the exact physical
   /// layout the I/O charge is based on.
-  [[nodiscard]] static StoredBitmap FromRle(RleBitmap rle);
   [[nodiscard]] static StoredBitmap FromEwah(EwahBitmap ewah);
 
   [[nodiscard]] BitmapFormat format() const {
-    if (std::holds_alternative<RleBitmap>(rep_)) {
-      return BitmapFormat::kRle;
-    }
-    if (std::holds_alternative<EwahBitmap>(rep_)) {
-      return BitmapFormat::kEwah;
-    }
-    return BitmapFormat::kPlain;
+    return std::holds_alternative<EwahBitmap>(rep_) ? BitmapFormat::kEwah
+                                                    : BitmapFormat::kPlain;
   }
 
   /// Number of logical bits.
@@ -62,11 +55,8 @@ class StoredBitmap {
     return std::get_if<BitVector>(&rep_);
   }
 
-  /// The underlying compressed form, or nullptr when the format differs.
-  /// Used by persistence to serialize runs/words without decompressing.
-  [[nodiscard]] const RleBitmap* AsRle() const {
-    return std::get_if<RleBitmap>(&rep_);
-  }
+  /// The underlying compressed form, or nullptr when plain. Used by the
+  /// codec to serialize words without decompressing.
   [[nodiscard]] const EwahBitmap* AsEwah() const {
     return std::get_if<EwahBitmap>(&rep_);
   }
@@ -90,7 +80,7 @@ class StoredBitmap {
   }
 
  private:
-  std::variant<BitVector, RleBitmap, EwahBitmap> rep_;
+  std::variant<BitVector, EwahBitmap> rep_;
 };
 
 }  // namespace ebi

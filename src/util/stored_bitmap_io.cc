@@ -4,13 +4,13 @@
 #include <bit>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <streambuf>
 #include <utility>
 #include <vector>
 
 #include "util/ewah_bitmap.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 
@@ -20,9 +20,10 @@ constexpr uint32_t kBitVectorMagic = 0x45424956;  // "EBIV".
 constexpr uint32_t kStoredMagic = 0x45424953;     // "EBIS".
 
 // Format tags in the StoredBitmap stream. Distinct from BitmapFormat so
-// enum reordering never silently changes the on-disk format.
+// enum reordering never silently changes the on-disk format. Tag 1 held
+// a retired run-length form: it stays unassigned, so old streams are
+// rejected as unknown instead of misread.
 constexpr uint32_t kTagPlain = 0;
-constexpr uint32_t kTagRle = 1;
 constexpr uint32_t kTagEwah = 2;
 
 // Cap on the elements a read trusts from a length prefix before the
@@ -124,46 +125,24 @@ Status ReadU64Array(std::istream& in, uint64_t count,
   return Status::OK();
 }
 
-Status ReadU32Array(std::istream& in, uint64_t count,
-                    std::vector<uint32_t>* out) {
-  out->clear();
-  out->reserve(static_cast<size_t>(
-      std::min<uint64_t>(count, kMaxTrustedReserve)));
-  std::vector<char> buf;
-  uint64_t remaining = count;
-  while (remaining > 0) {
-    const size_t chunk = static_cast<size_t>(
-        std::min<uint64_t>(remaining, kMaxTrustedReserve));
-    buf.resize(chunk * 4);
-    if (!in.read(buf.data(), static_cast<std::streamsize>(buf.size()))) {
-      return Status::OutOfRange("truncated stream reading u32 array");
-    }
-    const size_t base = out->size();
-    out->resize(base + chunk);
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out->data() + base, buf.data(), buf.size());
-    } else {
-      for (size_t i = 0; i < chunk; ++i) {
-        uint32_t v = 0;
-        for (int b = 0; b < 4; ++b) {
-          v |= static_cast<uint32_t>(
-                   static_cast<unsigned char>(buf[i * 4 + b]))
-               << (8 * b);
-        }
-        (*out)[base + i] = v;
-      }
-    }
-    remaining -= chunk;
-  }
-  return Status::OK();
-}
-
 Status ExpectMagic(std::istream& in, uint32_t magic, const char* what) {
   EBI_ASSIGN_OR_RETURN(const uint32_t got, ReadU32(in));
   if (got != magic) {
     return Status::InvalidArgument(std::string("bad magic for ") + what);
   }
   return Status::OK();
+}
+
+// Reads a declared bit count. Sizes within 63 of 2^64 would wrap the
+// (size + 63) / 64 word count to 0 and load as a huge vector with no
+// words, so they are rejected as corrupt.
+Result<uint64_t> ReadBitSize(std::istream& in, const char* what) {
+  EBI_ASSIGN_OR_RETURN(const uint64_t size, ReadU64(in));
+  if (size > std::numeric_limits<uint64_t>::max() - 63) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": declared size overflows the word count");
+  }
+  return size;
 }
 
 }  // namespace
@@ -182,7 +161,7 @@ Status SaveBitVector(std::ostream& out, const BitVector& bits) {
 
 Result<BitVector> LoadBitVector(std::istream& in) {
   EBI_RETURN_IF_ERROR(ExpectMagic(in, kBitVectorMagic, "BitVector"));
-  EBI_ASSIGN_OR_RETURN(const uint64_t size, ReadU64(in));
+  EBI_ASSIGN_OR_RETURN(const uint64_t size, ReadBitSize(in, "BitVector"));
   // Read the words before sizing the vector: a garbage `size` then dies
   // on stream truncation instead of on a huge allocation.
   const uint64_t num_words = (size + 63) / 64;
@@ -205,16 +184,6 @@ Status SaveStoredBitmap(std::ostream& out, const StoredBitmap& bitmap) {
     case BitmapFormat::kPlain:
       WriteU32(out, kTagPlain);
       return SaveBitVector(out, *bitmap.AsPlain());
-    case BitmapFormat::kRle: {
-      const RleBitmap* rle = bitmap.AsRle();
-      WriteU32(out, kTagRle);
-      WriteU64(out, rle->size());
-      WriteU64(out, rle->runs().size());
-      for (uint32_t run : rle->runs()) {
-        WriteU32(out, run);
-      }
-      break;
-    }
     case BitmapFormat::kEwah: {
       const EwahBitmap* ewah = bitmap.AsEwah();
       WriteU32(out, kTagEwah);
@@ -240,23 +209,9 @@ Result<StoredBitmap> LoadStoredBitmap(std::istream& in) {
       EBI_ASSIGN_OR_RETURN(BitVector bits, LoadBitVector(in));
       return StoredBitmap::Make(std::move(bits), BitmapFormat::kPlain);
     }
-    case kTagRle: {
-      EBI_ASSIGN_OR_RETURN(const uint64_t size, ReadU64(in));
-      EBI_ASSIGN_OR_RETURN(const uint64_t num_runs, ReadU64(in));
-      std::vector<uint32_t> runs;
-      EBI_RETURN_IF_ERROR(ReadU32Array(in, num_runs, &runs));
-      uint64_t total = 0;
-      for (const uint32_t run : runs) {
-        total += run;
-      }
-      if (total != size) {
-        return Status::InvalidArgument(
-            "StoredBitmap: RLE runs do not sum to the declared size");
-      }
-      return StoredBitmap::FromRle(RleBitmap::FromRuns(runs));
-    }
     case kTagEwah: {
-      EBI_ASSIGN_OR_RETURN(const uint64_t size, ReadU64(in));
+      EBI_ASSIGN_OR_RETURN(const uint64_t size,
+                           ReadBitSize(in, "StoredBitmap"));
       EBI_ASSIGN_OR_RETURN(const uint64_t num_words, ReadU64(in));
       std::vector<uint64_t> words;
       EBI_RETURN_IF_ERROR(ReadU64Array(in, num_words, &words));

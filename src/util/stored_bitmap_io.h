@@ -9,31 +9,30 @@
 
 namespace ebi {
 
-/// Stream (de)serialization of bitmap vectors — the byte format shared
-/// by index persistence (index/persistence.h) and the storage engine's
-/// page payloads (src/storage/engine/). Lives in util so the storage
-/// layer can use it without depending on the index layer.
+/// Stream (de)serialization of bitmap vectors — the byte format of the
+/// storage engine's slice payloads (src/storage/engine/). Lives in util
+/// so the storage layer can use it without depending on the index layer.
 ///
 /// Format: little-endian, magic-guarded sections. Loading is hardened
 /// against hostile streams: counts are never trusted before the bytes
 /// backing them have actually been read, so a truncated or garbage
 /// stream fails with a descriptive Status (OutOfRange for truncation,
-/// InvalidArgument for corruption) — never an assert, overflow, or
-/// attempted multi-gigabyte allocation.
+/// InvalidArgument for corruption, including a declared bit size whose
+/// word count would overflow) — never an assert, overflow, or attempted
+/// multi-gigabyte allocation.
 
 /// Bitmap vectors.
 [[nodiscard]] Status SaveBitVector(std::ostream& out, const BitVector& bits);
 [[nodiscard]] Result<BitVector> LoadBitVector(std::istream& in);
 
 /// Stored bitmaps in their physical format. The stream carries a format
-/// tag after the magic; RLE bitmaps serialize their run array and EWAH
-/// bitmaps their marker/literal words, so a compressed vector
+/// tag after the magic (0 plain, 2 EWAH; any other tag is rejected); EWAH
+/// bitmaps serialize their marker/literal words, so a compressed vector
 /// round-trips without a decompress/recompress cycle and keeps the
 /// exact physical layout (and therefore SizeBytes / I/O charge) it had
-/// when saved. Loading validates the compressed form: RLE runs must sum
-/// to the declared bit size, and EWAH words must decode to exactly the
-/// declared word count (EwahBitmap::FromWords); corrupt buffers are
-/// rejected rather than trusted.
+/// when saved. Loading validates the compressed form: EWAH words must
+/// decode to exactly the declared word count (EwahBitmap::FromWords);
+/// corrupt buffers are rejected rather than trusted.
 [[nodiscard]] Status SaveStoredBitmap(std::ostream& out,
                                       const StoredBitmap& bitmap);
 [[nodiscard]] Result<StoredBitmap> LoadStoredBitmap(std::istream& in);

@@ -139,23 +139,5 @@ TEST_F(ColdEncodedBitmapIndexTest, WidthExpansionThroughStore) {
   }
 }
 
-TEST_F(ColdEncodedBitmapIndexTest, CompressedStoreFormatsMatchScan) {
-  for (BitmapFormat format : {BitmapFormat::kRle, BitmapFormat::kEwah}) {
-    ColdEncodedBitmapIndexOptions options = TestOptions(/*pool=*/2);
-    options.format = format;
-    auto table = RandomIntTable(600, 40, 17);
-    table_ = std::move(table);
-    index_ = std::make_unique<ColdEncodedBitmapIndex>(
-        &table_->column(0), &table_->existence(), &io_, options);
-    ASSERT_TRUE(index_->Build().ok());
-    for (int64_t v = 0; v < 40; v += 7) {
-      const auto result = index_->EvaluateEquals(Value::Int(v));
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(*result, ScanEquals(*table_, table_->column(0), v))
-          << BitmapFormatName(format) << " v=" << v;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace ebi

@@ -24,7 +24,7 @@ class IndexManagerTest : public ::testing::Test {
 
 TEST_F(IndexManagerTest, KindNamesRoundTrip) {
   for (IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapRle,
+       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
         IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
         IndexKind::kBaseBitSliced, IndexKind::kProjection, IndexKind::kBTree,
         IndexKind::kValueList, IndexKind::kRangeBasedBitmap,
@@ -115,7 +115,7 @@ TEST_F(IndexManagerTest, DropUnregistersEverywhere) {
 
 TEST_F(IndexManagerTest, AllKindsBuildOnIntColumn) {
   for (IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapRle,
+       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
         IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
         IndexKind::kBaseBitSliced, IndexKind::kProjection, IndexKind::kBTree,
         IndexKind::kValueList, IndexKind::kRangeBasedBitmap,

@@ -9,11 +9,10 @@
 #include "exec/thread_pool.h"
 #include "index/cold_encoded_bitmap_index.h"
 #include "index/index_factory.h"
-#include "index/persistence.h"
 #include "index/sharded_index.h"
 #include "storage/segmented_table.h"
 #include "test_util.h"
-#include "util/rle_bitmap.h"
+#include "util/stored_bitmap_io.h"
 
 namespace ebi {
 namespace {
@@ -135,13 +134,6 @@ TEST(InvariantAuditorTest, DetectsWrongWordCountInRawWords) {
       << report.ToString();
 }
 
-TEST(InvariantAuditorTest, DetectsRleRunSumMismatch) {
-  const AuditReport report =
-      InvariantAuditor::AuditRleRuns({3, 2}, /*declared_bits=*/6);
-  EXPECT_TRUE(report.Has(ViolationKind::kRleRunSumMismatch))
-      << report.ToString();
-}
-
 TEST(InvariantAuditorTest, DetectsCorruptEwahWords) {
   // A marker claiming two literal words but providing none.
   const std::vector<uint64_t> words = {uint64_t{2} << 33};
@@ -157,7 +149,7 @@ TEST(InvariantAuditorTest, StoredBitmapCleanInEveryFormat) {
     bits.Set(i);
   }
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     const StoredBitmap stored = StoredBitmap::Make(bits, format);
     const AuditReport report =
         InvariantAuditor::AuditStoredBitmap(stored, 200);
@@ -166,7 +158,7 @@ TEST(InvariantAuditorTest, StoredBitmapCleanInEveryFormat) {
 }
 
 // ---------------------------------------------------------------------------
-// Persisted bitmaps (index/persistence.h streams).
+// Persisted bitmaps (util/stored_bitmap_io.h streams).
 
 TEST(InvariantAuditorTest, CleanPersistedBitmapRoundTrips) {
   BitVector bits(100);
@@ -174,7 +166,7 @@ TEST(InvariantAuditorTest, CleanPersistedBitmapRoundTrips) {
   bits.Set(64);
   std::ostringstream out;
   ASSERT_TRUE(
-      SaveStoredBitmap(out, StoredBitmap::Make(bits, BitmapFormat::kRle))
+      SaveStoredBitmap(out, StoredBitmap::Make(bits, BitmapFormat::kEwah))
           .ok());
   std::istringstream in(out.str());
   const AuditReport report = InvariantAuditor::AuditPersistedBitmap(in, 100);
@@ -225,10 +217,10 @@ TEST(InvariantAuditorTest, DetectsWrongLengthPersistedBitmap) {
 TEST(InvariantAuditorTest, CleanAuditAcrossIndexFamilies) {
   auto table = RandomIntTable(300, 25, 11, 0.05);
   for (const IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapRle,
-        IndexKind::kSimpleBitmapEwah, IndexKind::kEncodedBitmap,
-        IndexKind::kBitSliced, IndexKind::kBaseBitSliced,
-        IndexKind::kRangeBasedBitmap, IndexKind::kDynamicBitmap}) {
+       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
+        IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
+        IndexKind::kBaseBitSliced, IndexKind::kRangeBasedBitmap,
+        IndexKind::kDynamicBitmap}) {
     IoAccountant io;
     auto index = MakeSecondaryIndex(kind, &table->column(0),
                                     &table->existence(), &io);
@@ -247,7 +239,6 @@ TEST(InvariantAuditorTest, CleanAuditOnColdIndex) {
   IoAccountant io;
   ColdEncodedBitmapIndexOptions options;
   options.directory = ::testing::TempDir();
-  options.format = BitmapFormat::kEwah;
   ColdEncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
                                options);
   ASSERT_TRUE(index.Build().ok());
@@ -327,14 +318,15 @@ TEST(InvariantAuditorTest, ReportMergeAndToString) {
   AuditReport a = InvariantAuditor::AuditMappingParts(2, {1, 2, 1});
   const size_t a_checks = a.checks_run;
   const size_t a_violations = a.violations.size();
-  AuditReport b = InvariantAuditor::AuditRleRuns({3, 2}, 6);
+  // A marker claiming two literal words but providing none.
+  AuditReport b = InvariantAuditor::AuditEwahWords({uint64_t{2} << 33}, 128);
   a.Merge(b);
   EXPECT_EQ(a.checks_run, a_checks + b.checks_run);
   EXPECT_EQ(a.violations.size(), a_violations + 1);
-  EXPECT_EQ(a.CountOf(ViolationKind::kRleRunSumMismatch), 1u);
+  EXPECT_EQ(a.CountOf(ViolationKind::kEwahFormatMismatch), 1u);
   const std::string rendered = a.ToString();
   EXPECT_NE(rendered.find("DuplicateCodeword"), std::string::npos);
-  EXPECT_NE(rendered.find("RleRunSumMismatch"), std::string::npos);
+  EXPECT_NE(rendered.find("EwahFormatMismatch"), std::string::npos);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include "index/encoded_bitmap_index.h"
 #include "index/simple_bitmap_index.h"
-#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace ebi {
@@ -125,48 +124,6 @@ TEST_F(MaintenanceTest, EmptyBatchIsANoOp) {
   ASSERT_TRUE(driver_->AppendRows({}).ok());
   EXPECT_EQ(table_->NumRows(), 3u);
   ExpectAgreement(1);
-}
-
-// The point of the batched path: a compressed encoded index decompresses
-// and recompresses its slice set once per *batch*, while per-row appends
-// pay one full rewrite per row. Asserted through the slice-rewrite
-// counter, with correctness cross-checked against a scan.
-TEST(MaintenanceBatchRewriteTest, CompressedBatchRewritesSlicesOnce) {
-  IoAccountant io;
-  std::unique_ptr<Table> table = IntTable({1, 2, 3});
-  EncodedBitmapIndexOptions options;
-  options.format = BitmapFormat::kEwah;
-  EncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
-                           options);
-  ASSERT_TRUE(index.Build().ok());
-  MaintenanceDriver driver(table.get());
-  ASSERT_TRUE(driver.AttachIndex(&index).ok());
-
-  obs::Counter* rewrites = obs::MetricsRegistry::Global().GetCounter(
-      obs::kMetricIndexSliceRewrites);
-
-  // One batch of 8 rows, all carrying new distinct values, so the code
-  // width grows too — still exactly one rewrite cycle.
-  std::vector<std::vector<Value>> batch;
-  for (int64_t v = 4; v < 12; ++v) {
-    batch.push_back({Value::Int(v)});
-  }
-  const uint64_t before_batch = rewrites->Value();
-  ASSERT_TRUE(driver.AppendRows(batch).ok());
-  EXPECT_EQ(rewrites->Value() - before_batch, 1u);
-
-  // The same rows appended one by one cost one rewrite each.
-  const uint64_t before_rows = rewrites->Value();
-  for (int64_t v = 12; v < 16; ++v) {
-    ASSERT_TRUE(driver.AppendRow({Value::Int(v)}).ok());
-  }
-  EXPECT_EQ(rewrites->Value() - before_rows, 4u);
-
-  for (int64_t v = 1; v < 16; ++v) {
-    const auto got = index.EvaluateEquals(Value::Int(v));
-    ASSERT_TRUE(got.ok()) << v;
-    EXPECT_EQ(*got, ScanEquals(*table, table->column(0), v)) << v;
-  }
 }
 
 }  // namespace

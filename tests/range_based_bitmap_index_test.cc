@@ -139,36 +139,24 @@ TEST_F(RangeBasedBitmapIndexTest, NullsExcluded) {
   EXPECT_EQ(result->ToString(), "101");
 }
 
-TEST_F(RangeBasedBitmapIndexTest, CompressedFormatsMatchPlainRanges) {
+TEST_F(RangeBasedBitmapIndexTest, MixedBucketRangesMatchScan) {
   auto table = RandomIntTable(1200, 300, 13);
   IoAccountant io;
-  RangeBasedBitmapIndex plain(&table->column(0), &table->existence(), &io);
-  ASSERT_TRUE(plain.Build().ok());
-  for (BitmapFormat format : {BitmapFormat::kRle, BitmapFormat::kEwah}) {
-    RangeBasedBitmapIndexOptions options;
-    options.format = format;
-    RangeBasedBitmapIndex index(&table->column(0), &table->existence(),
-                                &io, options);
-    ASSERT_TRUE(index.Build().ok());
-    EXPECT_EQ(index.Name(), std::string("range-based-bitmap") +
-                                BitmapFormatSuffix(format));
-    // Ranges that mix fully covered and boundary buckets.
-    for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
-             {0, 299}, {10, 250}, {100, 101}, {290, 500}}) {
-      const auto a = plain.EvaluateRange(lo, hi);
-      const auto b = index.EvaluateRange(lo, hi);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(*a, *b) << BitmapFormatName(format) << " [" << lo << ","
-                        << hi << "]";
-    }
+  RangeBasedBitmapIndex index(&table->column(0), &table->existence(), &io);
+  ASSERT_TRUE(index.Build().ok());
+  // Ranges that mix fully covered and boundary buckets.
+  for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+           {0, 299}, {10, 250}, {100, 101}, {290, 500}}) {
+    const auto got = index.EvaluateRange(lo, hi);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, ScanRange(*table, table->column(0), lo, hi))
+        << "[" << lo << "," << hi << "]";
   }
 }
 
-TEST_F(RangeBasedBitmapIndexTest, CompressedAppendMatchesScan) {
+TEST_F(RangeBasedBitmapIndexTest, AppendIntoBoundaryBucketMatchesScan) {
   RangeBasedBitmapIndexOptions options;
   options.num_buckets = 4;
-  options.format = BitmapFormat::kEwah;
   Init(IntTable({10, 20, 30, 40, 50, 60, 70, 80}), options);
   ASSERT_TRUE(table_->AppendRow({Value::Int(35)}).ok());
   ASSERT_TRUE(index_->Append(8).ok());

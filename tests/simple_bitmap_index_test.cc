@@ -133,36 +133,26 @@ TEST_F(SimpleBitmapIndexTest, CompressedModeMatchesPlain) {
   auto table = RandomIntTable(500, 20, 3);
   IoAccountant io;
   SimpleBitmapIndex plain(&table->column(0), &table->existence(), &io);
-  SimpleBitmapIndex rle(
-      &table->column(0), &table->existence(), &io,
-      SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kRle));
   SimpleBitmapIndex ewah(
       &table->column(0), &table->existence(), &io,
       SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
   ASSERT_TRUE(plain.Build().ok());
-  ASSERT_TRUE(rle.Build().ok());
   ASSERT_TRUE(ewah.Build().ok());
   EXPECT_EQ(plain.Name(), "simple-bitmap");
-  EXPECT_EQ(rle.Name(), "simple-bitmap-rle");
   EXPECT_EQ(ewah.Name(), "simple-bitmap-ewah");
   for (int64_t v = 0; v < 20; ++v) {
     const auto a = plain.EvaluateEquals(Value::Int(v));
-    const auto b = rle.EvaluateEquals(Value::Int(v));
-    const auto c = ewah.EvaluateEquals(Value::Int(v));
+    const auto b = ewah.EvaluateEquals(Value::Int(v));
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(c.ok());
     EXPECT_EQ(*a, *b) << v;
-    EXPECT_EQ(*a, *c) << v;
   }
   // Multi-value IN runs the compressed-OR path; ranges sweep many ids.
   const std::vector<Value> in_list = {Value::Int(1), Value::Int(4),
                                       Value::Int(17)};
   const auto pin = plain.EvaluateIn(in_list);
-  const auto rin = rle.EvaluateIn(in_list);
   const auto ein = ewah.EvaluateIn(in_list);
-  ASSERT_TRUE(pin.ok() && rin.ok() && ein.ok());
-  EXPECT_EQ(*pin, *rin);
+  ASSERT_TRUE(pin.ok() && ein.ok());
   EXPECT_EQ(*pin, *ein);
   const auto prange = plain.EvaluateRange(3, 15);
   const auto erange = ewah.EvaluateRange(3, 15);
@@ -175,34 +165,27 @@ TEST_F(SimpleBitmapIndexTest, CompressedModeSavesSpaceOnSparseVectors) {
   auto table = RandomIntTable(5000, 100, 4);
   IoAccountant io;
   SimpleBitmapIndex plain(&table->column(0), &table->existence(), &io);
-  SimpleBitmapIndex rle(
-      &table->column(0), &table->existence(), &io,
-      SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kRle));
   SimpleBitmapIndex ewah(
       &table->column(0), &table->existence(), &io,
       SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
   ASSERT_TRUE(plain.Build().ok());
-  ASSERT_TRUE(rle.Build().ok());
   ASSERT_TRUE(ewah.Build().ok());
-  EXPECT_LT(rle.SizeBytes(), plain.SizeBytes());
   EXPECT_LT(ewah.SizeBytes(), plain.SizeBytes());
 }
 
 TEST_F(SimpleBitmapIndexTest, CompressedAppendStaysCorrect) {
-  for (BitmapFormat format : {BitmapFormat::kRle, BitmapFormat::kEwah}) {
-    Init(IntTable({1, 2, 1}),
-         SimpleBitmapIndexOptions::WithFormat(format));
-    ASSERT_TRUE(table_->AppendRow({Value::Int(7)}).ok());
-    ASSERT_TRUE(index_->Append(3).ok());
-    ASSERT_TRUE(table_->AppendRow({Value::Int(1)}).ok());
-    ASSERT_TRUE(index_->Append(4).ok());
-    const auto one = index_->EvaluateEquals(Value::Int(1));
-    ASSERT_TRUE(one.ok());
-    EXPECT_EQ(one->ToString(), "10101") << BitmapFormatName(format);
-    const auto seven = index_->EvaluateEquals(Value::Int(7));
-    ASSERT_TRUE(seven.ok());
-    EXPECT_EQ(seven->ToString(), "00010") << BitmapFormatName(format);
-  }
+  Init(IntTable({1, 2, 1}),
+       SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
+  ASSERT_TRUE(table_->AppendRow({Value::Int(7)}).ok());
+  ASSERT_TRUE(index_->Append(3).ok());
+  ASSERT_TRUE(table_->AppendRow({Value::Int(1)}).ok());
+  ASSERT_TRUE(index_->Append(4).ok());
+  const auto one = index_->EvaluateEquals(Value::Int(1));
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one->ToString(), "10101");
+  const auto seven = index_->EvaluateEquals(Value::Int(7));
+  ASSERT_TRUE(seven.ok());
+  EXPECT_EQ(seven->ToString(), "00010");
 }
 
 TEST_F(SimpleBitmapIndexTest, RangeOnStringColumnRejected) {

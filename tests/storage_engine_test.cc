@@ -9,9 +9,7 @@
 #include "exec/thread_pool.h"
 #include "storage/engine/buffer_pool.h"
 #include "storage/engine/page_file.h"
-#include "util/ewah_bitmap.h"
 #include "util/random.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 namespace engine {
@@ -320,20 +318,12 @@ TEST(BufferPoolTest, AsyncPrefetchDrainsBeforeDestruction) {
 // ------------------------------------------------------------ StorageEngine
 
 StoredBitmap MakeStored(const BitVector& bits, BitmapFormat format) {
-  switch (format) {
-    case BitmapFormat::kRle:
-      return StoredBitmap::FromRle(RleBitmap::Compress(bits));
-    case BitmapFormat::kEwah:
-      return StoredBitmap::FromEwah(EwahBitmap::Compress(bits));
-    case BitmapFormat::kPlain:
-      break;
-  }
-  return StoredBitmap::Make(bits, BitmapFormat::kPlain);
+  return StoredBitmap::Make(bits, format);
 }
 
 TEST(StorageEngineTest, PutGetRoundTripEveryFormat) {
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     const std::string path = TempPath("se_roundtrip");
     StorageEngineOptions options;
     options.pool_pages = 4;

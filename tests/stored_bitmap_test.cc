@@ -9,8 +9,8 @@
 namespace ebi {
 namespace {
 
-constexpr BitmapFormat kAllFormats[] = {
-    BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah};
+constexpr BitmapFormat kAllFormats[] = {BitmapFormat::kPlain,
+                                        BitmapFormat::kEwah};
 
 BitVector RandomBits(size_t n, double density, uint64_t seed) {
   Rng rng(seed);
@@ -38,9 +38,7 @@ TEST(StoredBitmapTest, RoundTripEveryFormat) {
 TEST(StoredBitmapTest, CompressedFormatsShrinkSparseVectors) {
   const BitVector sparse = RandomBits(100000, 0.001, 2);
   const StoredBitmap plain = StoredBitmap::Make(sparse, BitmapFormat::kPlain);
-  const StoredBitmap rle = StoredBitmap::Make(sparse, BitmapFormat::kRle);
   const StoredBitmap ewah = StoredBitmap::Make(sparse, BitmapFormat::kEwah);
-  EXPECT_LT(rle.SizeBytes(), plain.SizeBytes());
   EXPECT_LT(ewah.SizeBytes(), plain.SizeBytes());
 }
 
@@ -110,14 +108,9 @@ TEST(StoredBitmapTest, ForEachSetBitMatchesEveryFormat) {
   }
 }
 
-TEST(StoredBitmapTest, FormatNamesAndParsing) {
+TEST(StoredBitmapTest, FormatNamesAndSuffixes) {
   EXPECT_STREQ(BitmapFormatName(BitmapFormat::kPlain), "plain");
-  EXPECT_STREQ(BitmapFormatName(BitmapFormat::kRle), "rle");
   EXPECT_STREQ(BitmapFormatName(BitmapFormat::kEwah), "ewah");
-  EXPECT_EQ(ParseBitmapFormat("ewah"), BitmapFormat::kEwah);
-  EXPECT_EQ(ParseBitmapFormat("rle"), BitmapFormat::kRle);
-  EXPECT_EQ(ParseBitmapFormat("plain"), BitmapFormat::kPlain);
-  EXPECT_FALSE(ParseBitmapFormat("wah").has_value());
   EXPECT_EQ(BitmapFormatSuffix(BitmapFormat::kPlain), "");
   EXPECT_EQ(BitmapFormatSuffix(BitmapFormat::kEwah), "-ewah");
 }

@@ -7,13 +7,12 @@
 // workload is range-partitioned by tenant and the adversary pins to
 // tenant 0, so with shards > 1 its wide IN-scans saturate only shard
 // 0's queue while the other tenants' requests ride unobstructed —
-// that is the p99 story the closed-loop cells tell. The open-loop cell
-// paces arrivals from the schedule regardless of completions (no
-// coordinated omission), and the hedge cell turns on replicas +
-// hedging to measure how often the replica rescues a busy primary.
+// that is the p99 story the closed-loop cells tell. The open-loop cells
+// pace arrivals from the schedule regardless of completions (no
+// coordinated omission).
 //
 // Reported per cell: non-adversary p50/p99/p999 latency, throughput,
-// shed rate, partial-result rate, hedge issue/win counts. Emits
+// shed rate, deadline rate, partial-result rate. Emits
 // BENCH_serve_cluster.json; scripts/check_bench_json.sh gates
 // closed.shards4 p99 against closed.shards1 p99.
 
@@ -28,8 +27,6 @@
 
 #include "bench_util.h"
 #include "exec/thread_pool.h"
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 #include "serve/cluster/cluster_service.h"
 #include "workload/loadgen.h"
 
@@ -163,7 +160,6 @@ std::vector<OpOutcome> Drive(serve::cluster::ClusterQueryService& cluster,
 void ReportCell(const std::string& label, size_t shards,
                 const workload::LoadSchedule& schedule,
                 const std::vector<OpOutcome>& outcomes, double wall_ms,
-                uint64_t hedges_issued, uint64_t hedges_won,
                 bench::BenchReport* report) {
   std::vector<double> victim_latencies;  // Non-adversary ops only.
   size_t ok = 0;
@@ -189,11 +185,9 @@ void ReportCell(const std::string& label, size_t shards,
 
   std::printf(
       "%-16s shards=%zu ok=%4zu p50=%7.3fms p99=%8.3fms p999=%8.3fms "
-      "qps=%8.1f shed=%.3f partial=%.3f hedged=%llu won=%llu\n",
+      "qps=%8.1f shed=%.3f partial=%.3f\n",
       label.c_str(), shards, ok, p50, p99, p999, qps,
-      static_cast<double>(shed) / total, static_cast<double>(partial) / total,
-      static_cast<unsigned long long>(hedges_issued),
-      static_cast<unsigned long long>(hedges_won));
+      static_cast<double>(shed) / total, static_cast<double>(partial) / total);
 
   report->BeginRun(label);
   report->Metric("shards", shards);
@@ -206,13 +200,10 @@ void ReportCell(const std::string& label, size_t shards,
   report->Metric("shed_rate", static_cast<double>(shed) / total);
   report->Metric("deadline_rate", static_cast<double>(deadline) / total);
   report->Metric("partial_rate", static_cast<double>(partial) / total);
-  report->Metric("hedges_issued", hedges_issued);
-  report->Metric("hedges_won", hedges_won);
 }
 
 void RunCell(const std::string& label, size_t shards,
-             workload::ArrivalProcess arrivals, bool hedge,
-             bench::BenchReport* report) {
+             workload::ArrivalProcess arrivals, bench::BenchReport* report) {
   serve::cluster::ClusterOptions options;
   options.shards = shards;
   options.partition = serve::cluster::PartitionKind::kRange;
@@ -220,21 +211,10 @@ void RunCell(const std::string& label, size_t shards,
   options.key_column = "k";
   options.shard_options.worker_threads =
       std::max<size_t>(kTotalWorkers / shards, 1);
-  // Deep queues in the saturation cells so the adversary's cost shows
-  // up as queueing delay; a shallow queue in the hedge cell so clogged
-  // primaries shed and the replica hedge has something to rescue.
-  options.shard_options.queue_depth = hedge ? 6 : 16;
+  // Deep queues so the adversary's cost shows up as queueing delay.
+  options.shard_options.queue_depth = 16;
   options.partial_policy = serve::cluster::PartialResultPolicy::kPartial;
   options.shard_deadline_fraction = 0.9;
-  if (hedge) {
-    options.replicate = true;
-    options.replica_options.worker_threads = 1;
-    options.replica_options.queue_depth = 16;
-    options.hedge = true;
-    options.hedge_min_delay_ms = 0.5;
-    options.hedge_max_delay_ms = 2.0;
-    options.hedge_warmup = 64;
-  }
   serve::cluster::ClusterQueryService cluster(options);
   bench::CheckOk(cluster.Start(TenantTable(),
                                {{"k", IndexKind::kEncodedBitmap},
@@ -243,21 +223,12 @@ void RunCell(const std::string& label, size_t shards,
   const workload::LoadSchedule schedule =
       workload::GenerateLoad(BaseLoad(arrivals));
 
-  obs::Counter* issued = obs::MetricsRegistry::Global().GetCounter(
-      obs::kMetricClusterHedgeIssued);
-  obs::Counter* won =
-      obs::MetricsRegistry::Global().GetCounter(obs::kMetricClusterHedgeWon);
-  const uint64_t issued_before = issued->Value();
-  const uint64_t won_before = won->Value();
-
   bench::Timer timer;
   const std::vector<OpOutcome> outcomes = Drive(cluster, schedule);
   const double wall_ms = timer.ElapsedMs();
   bench::CheckOk(cluster.Shutdown());
 
-  ReportCell(label, shards, schedule, outcomes, wall_ms,
-             issued->Value() - issued_before, won->Value() - won_before,
-             report);
+  ReportCell(label, shards, schedule, outcomes, wall_ms, report);
 }
 
 }  // namespace
@@ -272,20 +243,12 @@ int main() {
 
   ebi::bench::BenchReport report("serve_cluster");
   // Closed-loop saturation: the shard-count sweep the p99 gate reads.
-  ebi::RunCell("closed.shards1", 1, ArrivalProcess::kClosedLoop,
-               /*hedge=*/false, &report);
-  ebi::RunCell("closed.shards2", 2, ArrivalProcess::kClosedLoop,
-               /*hedge=*/false, &report);
-  ebi::RunCell("closed.shards4", 4, ArrivalProcess::kClosedLoop,
-               /*hedge=*/false, &report);
+  ebi::RunCell("closed.shards1", 1, ArrivalProcess::kClosedLoop, &report);
+  ebi::RunCell("closed.shards2", 2, ArrivalProcess::kClosedLoop, &report);
+  ebi::RunCell("closed.shards4", 4, ArrivalProcess::kClosedLoop, &report);
   // Open-loop bursty arrivals: queueing collapse without coordinated
   // omission.
-  ebi::RunCell("open.shards1", 1, ArrivalProcess::kOpenLoop,
-               /*hedge=*/false, &report);
-  ebi::RunCell("open.shards4", 4, ArrivalProcess::kOpenLoop,
-               /*hedge=*/false, &report);
-  // Hedging: replicas absorb what the adversary-clogged primaries shed.
-  ebi::RunCell("hedge.shards2", 2, ArrivalProcess::kClosedLoop,
-               /*hedge=*/true, &report);
+  ebi::RunCell("open.shards1", 1, ArrivalProcess::kOpenLoop, &report);
+  ebi::RunCell("open.shards4", 4, ArrivalProcess::kOpenLoop, &report);
   return 0;
 }

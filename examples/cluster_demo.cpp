@@ -3,8 +3,8 @@
 // the ClusterQueryService, and show the pieces that make the cluster
 // path trustworthy — fan-out pruning for key predicates, bit-identical
 // merges (the global selection equals what one big service would
-// return), routed appends, partial results with a coverage mask, and
-// hedged duplicate requests to replicas (DESIGN.md §14).
+// return), routed appends, and partial results with a coverage mask
+// (DESIGN.md §14).
 //
 // Build & run:
 //   cmake --build build --target cluster_demo && ./build/examples/cluster_demo
@@ -54,8 +54,7 @@ void Check(bool ok, const char* what) {
 int main() {
   // Two shards, range-partitioned on "key": shard 0 owns (-inf, 47],
   // shard 1 owns (47, +inf). Each shard is a full QueryService with its
-  // own snapshots, worker pool, and (suffixed) workload log; replicas
-  // plus hedging give tail-latency insurance.
+  // own snapshots, worker pool, and (suffixed) workload log.
   ebi::serve::cluster::ClusterOptions options;
   options.shards = 2;
   options.partition = ebi::serve::cluster::PartitionKind::kRange;
@@ -66,12 +65,6 @@ int main() {
   options.shard_options.telemetry.sample_rate = 1.0;
   options.shard_options.telemetry.workload_log_path =
       "cluster_demo.workload.jsonl";
-  options.replicate = true;
-  options.replica_options.worker_threads = 1;
-  options.replica_options.telemetry.enabled = true;
-  options.replica_options.telemetry.workload_log_path =
-      "cluster_demo.workload.jsonl";
-  options.hedge = true;
   options.partial_policy = ebi::serve::cluster::PartialResultPolicy::kPartial;
 
   ebi::serve::cluster::ClusterQueryService cluster(options);
@@ -96,14 +89,12 @@ int main() {
   const Result<ebi::serve::cluster::ClusterResult> fanout =
       cluster.Select({Predicate::Eq("product", Value::Int(3))});
   Check(fanout.ok(), "fan-out Select");
-  std::printf("product == 3       -> %zu rows, visited %zu of %zu shards, "
-              "hedge delay %.2f ms\n",
+  std::printf("product == 3       -> %zu rows, visited %zu of %zu shards\n",
               fanout.value().selection.count,
-              fanout.value().visited_shards.size(), cluster.shards(),
-              cluster.CurrentHedgeDelayMs());
+              fanout.value().visited_shards.size(), cluster.shards());
 
   // Appends route row-by-row on the key and publish on every owning
-  // shard (and its replica) before the epoch ticks.
+  // shard before the epoch ticks.
   const Result<uint64_t> epoch = cluster.Append({
       {Value::Int(10), Value::Int(3)},   // -> shard 0
       {Value::Int(90), Value::Int(3)},   // -> shard 1
@@ -135,7 +126,7 @@ int main() {
                   cluster.router().placement()->total_rows),
               cluster.shards());
   std::printf("per-shard workload logs: cluster_demo.workload.jsonl.s0, "
-              ".s1 (replicas log to .s<N>r once hedges fire)\n");
+              ".s1\n");
   std::printf("aggregate them:  ./build/tools/ebi_workload summary "
               "--cluster cluster_demo.workload.jsonl\n");
   return 0;

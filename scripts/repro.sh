@@ -46,7 +46,7 @@ ctest --test-dir build-asan 2>&1 | tee -a test_output.txt
 # ThreadSanitizer pass over the concurrency surface: the thread pool, the
 # segmented/sharded execution path, the shared atomic accountant, the
 # serving layer (snapshot pins + combining appends under real races), the
-# sharded cluster tier (scatter-gather + routed appends + hedging), and
+# sharded cluster tier (scatter-gather + routed appends + sheds), and
 # the storage engine (buffer-pool pins + concurrent WAL appends).
 # TSan and ASan cannot share a build, hence the third tree.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Debug \

@@ -69,21 +69,17 @@ inline constexpr char kMetricServeStageExecuteMs[] =
     "ebi.serve.stage.execute_ms";
 
 // --- Sharded serve tier (src/serve/cluster, DESIGN.md §14). One cluster
-// query fans out to its owning shards; hedges are duplicate requests
-// issued to a replica after the p99-derived delay, "won" when the
-// replica answers first. Partial results carry a coverage mask instead
-// of failing when a shard misses its deadline budget or sheds.
+// query fans out to its owning shards (fanout counts shards visited).
+// Partial results carry a coverage mask instead of failing when a shard
+// misses its deadline budget or sheds.
 inline constexpr char kMetricClusterQueries[] = "ebi.cluster.queries";
 inline constexpr char kMetricClusterFanout[] = "ebi.cluster.fanout";
-inline constexpr char kMetricClusterHedgeIssued[] =
-    "ebi.cluster.hedge_issued";
-inline constexpr char kMetricClusterHedgeWon[] = "ebi.cluster.hedge_won";
 inline constexpr char kMetricClusterPartialResults[] =
     "ebi.cluster.partial_results";
 inline constexpr char kMetricClusterShardDeadlineMiss[] =
     "ebi.cluster.shard_deadline_miss";
-/// Primary-shard response latency; the source of the hedging delay
-/// (ClusterQueryService::CurrentHedgeDelayMs derives its p99 from it).
+/// Submit-to-response latency of each shard that answered, as the
+/// cluster gather saw it.
 inline constexpr char kMetricClusterShardLatencyMs[] =
     "ebi.cluster.shard_latency_ms";
 

@@ -21,16 +21,12 @@ double MsBetween(Clock::time_point a, Clock::time_point b) {
 }
 
 /// Statuses a shard can return that mean "not now" rather than "wrong":
-/// eligible for hedging and, under kPartial, for a coverage-masked miss.
-/// Hard errors (bad predicate, internal fault) always fail the query.
+/// under kPartial they become a coverage-masked miss. Hard errors (bad
+/// predicate, internal fault) always fail the query.
 bool IsUnavailable(StatusCode code) {
   return code == StatusCode::kOverloaded ||
          code == StatusCode::kDeadlineExceeded;
 }
-
-/// Polling granularity while a primary and its hedge race: fine enough
-/// not to smear sub-ms wins, coarse enough to stay off the profile.
-constexpr double kRaceSliceMs = 0.25;
 
 // Metric handles, cached per the registry's hot-path contract.
 obs::Counter* QueriesCounter() {
@@ -41,16 +37,6 @@ obs::Counter* QueriesCounter() {
 obs::Counter* FanoutCounter() {
   static obs::Counter* counter =
       obs::MetricsRegistry::Global().GetCounter(obs::kMetricClusterFanout);
-  return counter;
-}
-obs::Counter* HedgeIssuedCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      obs::kMetricClusterHedgeIssued);
-  return counter;
-}
-obs::Counter* HedgeWonCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter(obs::kMetricClusterHedgeWon);
   return counter;
 }
 obs::Counter* PartialResultsCounter() {
@@ -72,12 +58,11 @@ obs::Histogram* ShardLatencyHistogram() {
 }
 
 /// Derives the per-shard ServeOptions: path-carrying knobs get a
-/// ".s<shard>" (replicas ".s<shard>r") suffix so shards never share a
-/// WAL, workload log, or export file.
-ServeOptions ShardServeOptions(const ServeOptions& base, size_t shard,
-                               bool replica) {
+/// ".s<shard>" suffix so shards never share a WAL, workload log, or
+/// export file.
+ServeOptions ShardServeOptions(const ServeOptions& base, size_t shard) {
   ServeOptions out = base;
-  std::string suffix = ".s" + std::to_string(shard) + (replica ? "r" : "");
+  const std::string suffix = ".s" + std::to_string(shard);
   if (!out.wal_path.empty()) {
     out.wal_path += suffix;
   }
@@ -105,12 +90,9 @@ Status ClusterQueryService::Start(std::unique_ptr<Table> table,
   if (options_.shards == 0) {
     return Status::InvalidArgument("cluster needs at least one shard");
   }
-  if (options_.hedge && !options_.replicate) {
-    return Status::InvalidArgument(
-        "hedging requires replicas (ClusterOptions::replicate)");
-  }
-  if (options_.shard_deadline_fraction <= 0.0 ||
-      options_.shard_deadline_fraction > 1.0) {
+  // Written so NaN fails it too.
+  if (!(options_.shard_deadline_fraction > 0.0 &&
+        options_.shard_deadline_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "shard_deadline_fraction must be in (0, 1]");
   }
@@ -163,39 +145,20 @@ Status ClusterQueryService::Start(std::unique_ptr<Table> table,
   EBI_ASSIGN_OR_RETURN(ShardRouter::RoutedBatch routed,
                        router_->RouteAppend(rows, key_index_));
 
-  primaries_.resize(options_.shards);
-  if (options_.replicate) {
-    replicas_.resize(options_.shards);
-  }
+  shards_.resize(options_.shards);
   for (size_t s = 0; s < options_.shards; ++s) {
-    const std::string shard_name =
-        table->name() + ".shard" + std::to_string(s);
-    auto build_table = [&]() -> Result<std::unique_ptr<Table>> {
-      auto shard_table = std::make_unique<Table>(shard_name);
-      for (size_t c = 0; c < table->NumColumns(); ++c) {
-        EBI_RETURN_IF_ERROR(shard_table->AddColumn(
-            table->column(c).name(), table->column(c).type()));
-      }
-      for (const auto& row : routed.per_shard_rows[s]) {
-        EBI_RETURN_IF_ERROR(shard_table->AppendRow(row));
-      }
-      return shard_table;
-    };
-
-    primaries_[s] = std::make_unique<QueryService>(
-        ShardServeOptions(options_.shard_options, s, /*replica=*/false));
-    EBI_ASSIGN_OR_RETURN(std::unique_ptr<Table> primary_table,
-                         build_table());
-    EBI_RETURN_IF_ERROR(primaries_[s]->Start(std::move(primary_table),
-                                             specs));
-    if (options_.replicate) {
-      replicas_[s] = std::make_unique<QueryService>(
-          ShardServeOptions(options_.replica_options, s, /*replica=*/true));
-      EBI_ASSIGN_OR_RETURN(std::unique_ptr<Table> replica_table,
-                           build_table());
-      EBI_RETURN_IF_ERROR(replicas_[s]->Start(std::move(replica_table),
-                                              specs));
+    auto shard_table =
+        std::make_unique<Table>(table->name() + ".shard" + std::to_string(s));
+    for (size_t c = 0; c < table->NumColumns(); ++c) {
+      EBI_RETURN_IF_ERROR(shard_table->AddColumn(table->column(c).name(),
+                                                 table->column(c).type()));
     }
+    for (const auto& row : routed.per_shard_rows[s]) {
+      EBI_RETURN_IF_ERROR(shard_table->AppendRow(row));
+    }
+    shards_[s] = std::make_unique<QueryService>(
+        ShardServeOptions(options_.shard_options, s));
+    EBI_RETURN_IF_ERROR(shards_[s]->Start(std::move(shard_table), specs));
   }
   started_.store(true, std::memory_order_seq_cst);
   return Status::OK();
@@ -213,24 +176,18 @@ Result<ClusterResult> ClusterQueryService::Select(
   }
   QueriesCounter()->Increment();
 
-  const Clock::time_point start = Clock::now();
   std::optional<TimePoint> deadline;
   if (options.deadline_ms.has_value()) {
-    // Mirror the per-service admission fix: expired on arrival means no
-    // shard is ever contacted.
-    if (*options.deadline_ms <= 0.0) {
-      return Status::DeadlineExceeded(
-          "cluster deadline already expired on arrival");
-    }
-    deadline = start + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               *options.deadline_ms));
+    // The same admission check as each shard's: an expired or malformed
+    // deadline means no shard is ever contacted.
+    EBI_ASSIGN_OR_RETURN(deadline,
+                         DeadlineAfter(*options.deadline_ms, Clock::now()));
   }
 
   const std::vector<size_t> owners = router_->OwningShards(predicates);
   FanoutCounter()->Increment(owners.size());
 
-  // Scatter: submit to every owning shard's primary up front (Submit is
+  // Scatter: submit to every owning shard up front (Submit is
   // non-blocking), so shards execute concurrently on their own pools
   // while the gather below walks them in order.
   std::vector<ShardCall> calls;
@@ -245,9 +202,9 @@ Result<ClusterResult> ClusterQueryService::Select(
       shard_options.deadline_ms =
           std::max(0.0, remaining) * options_.shard_deadline_fraction;
     }
-    auto submitted = primaries_[s]->Submit(predicates, shard_options);
+    auto submitted = shards_[s]->Submit(predicates, shard_options);
     if (submitted.ok()) {
-      call.primary = std::move(submitted).value();
+      call.ticket = std::move(submitted).value();
     } else {
       call.submit_status = submitted.status();
     }
@@ -258,8 +215,8 @@ Result<ClusterResult> ClusterQueryService::Select(
   out.visited_shards = owners;
   std::vector<std::optional<ServeResult>> responses;
   responses.reserve(calls.size());
-  for (ShardCall& call : calls) {
-    auto [outcome, response] = GatherShard(predicates, call, deadline);
+  for (const ShardCall& call : calls) {
+    auto [outcome, response] = GatherShard(call, deadline);
     responses.push_back(std::move(response));
     out.outcomes.push_back(std::move(outcome));
   }
@@ -308,14 +265,7 @@ Result<ClusterResult> ClusterQueryService::Select(
         out.selection.rows.Set(static_cast<size_t>(map[local]));
       }
     });
-    out.selection.io.vectors_read += shard_result.selection.io.vectors_read;
-    out.selection.io.pages_read += shard_result.selection.io.pages_read;
-    out.selection.io.bytes_read += shard_result.selection.io.bytes_read;
-    out.selection.io.nodes_read += shard_result.selection.io.nodes_read;
-    out.selection.io.bytes_written +=
-        shard_result.selection.io.bytes_written;
-    out.selection.io.pages_written +=
-        shard_result.selection.io.pages_written;
+    out.selection.io += shard_result.selection.io;
     if (out.selection.predicate_stats.empty()) {
       out.selection.predicate_stats = shard_result.selection.predicate_stats;
     } else if (shard_result.selection.predicate_stats.size() ==
@@ -331,128 +281,33 @@ Result<ClusterResult> ClusterQueryService::Select(
 }
 
 std::pair<ShardOutcome, std::optional<ServeResult>>
-ClusterQueryService::GatherShard(const std::vector<Predicate>& predicates,
-                                 ShardCall& call,
+ClusterQueryService::GatherShard(const ShardCall& call,
                                  std::optional<TimePoint> deadline) {
   ShardOutcome out;
   out.shard = call.shard;
-  QueryService* replica_service =
-      (options_.hedge && options_.replicate) ? replicas_[call.shard].get()
-                                             : nullptr;
-
-  std::optional<Result<ServeResult>> primary_outcome;
-  std::optional<Result<ServeResult>> hedge_outcome;
-  std::shared_ptr<ServeTicket> hedge_ticket;
-  bool hedge_resolved_first = false;
-
-  if (call.primary == nullptr) {
-    primary_outcome = Result<ServeResult>(call.submit_status);
+  std::optional<Result<ServeResult>> response;
+  if (call.ticket == nullptr) {
+    response = Result<ServeResult>(call.submit_status);
+  } else if (deadline.has_value()) {
+    response = call.ticket->WaitFor(
+        std::max(0.0, MsBetween(Clock::now(), *deadline)));
+  } else {
+    response = call.ticket->Wait();
   }
-
-  const auto past_deadline = [&]() {
-    return deadline.has_value() && Clock::now() >= *deadline;
-  };
-
-  // Phase 1: wait on the primary until it resolves, the hedge point
-  // passes, or the cluster deadline expires.
-  if (call.primary != nullptr) {
-    if (replica_service != nullptr) {
-      TimePoint hedge_at =
-          call.submitted +
-          std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  CurrentHedgeDelayMs()));
-      if (deadline.has_value() && *deadline < hedge_at) {
-        hedge_at = *deadline;
-      }
-      const double wait_ms = MsBetween(Clock::now(), hedge_at);
-      primary_outcome = call.primary->WaitFor(std::max(0.0, wait_ms));
-    } else if (deadline.has_value()) {
-      const double wait_ms = MsBetween(Clock::now(), *deadline);
-      primary_outcome = call.primary->WaitFor(std::max(0.0, wait_ms));
-    } else {
-      primary_outcome = call.primary->Wait();
-    }
-  }
-
-  // Phase 2: hedge when the primary is still out (past the delay) or
-  // came back unavailable — the replica may hold the answer the primary
-  // cannot produce in time.
-  const bool primary_unavailable =
-      primary_outcome.has_value() && !(*primary_outcome).ok() &&
-      IsUnavailable((*primary_outcome).status().code());
-  if (replica_service != nullptr &&
-      (!primary_outcome.has_value() || primary_unavailable) &&
-      !past_deadline()) {
-    RequestOptions hedge_options;
-    if (deadline.has_value()) {
-      hedge_options.deadline_ms =
-          std::max(0.0, MsBetween(Clock::now(), *deadline));
-    }
-    out.hedged = true;
-    HedgeIssuedCounter()->Increment();
-    auto submitted = replica_service->Submit(predicates, hedge_options);
-    if (submitted.ok()) {
-      hedge_ticket = std::move(submitted).value();
-    } else {
-      hedge_outcome = Result<ServeResult>(submitted.status());
-    }
-  }
-
-  // Phase 3: race the primary and the hedge to the first OK response
-  // (bounded by the cluster deadline). Neither is cancelled — the loser
-  // finishes on its own pool and its result is dropped.
-  while ((call.primary != nullptr && !primary_outcome.has_value()) ||
-         (hedge_ticket != nullptr && !hedge_outcome.has_value())) {
-    if (past_deadline()) {
-      break;
-    }
-    if (call.primary != nullptr && !primary_outcome.has_value()) {
-      primary_outcome = call.primary->WaitFor(kRaceSliceMs);
-      if (primary_outcome.has_value() && (*primary_outcome).ok()) {
-        break;
-      }
-    }
-    if (hedge_ticket != nullptr && !hedge_outcome.has_value()) {
-      hedge_outcome = hedge_ticket->WaitFor(kRaceSliceMs);
-      if (hedge_outcome.has_value() && (*hedge_outcome).ok()) {
-        hedge_resolved_first = true;
-        break;
-      }
-    }
-  }
-
   out.latency_ms = MsBetween(call.submitted, Clock::now());
 
-  const bool primary_ok =
-      primary_outcome.has_value() && (*primary_outcome).ok();
-  const bool hedge_ok = hedge_outcome.has_value() && (*hedge_outcome).ok();
-  if (hedge_ok && (hedge_resolved_first || !primary_ok)) {
-    out.status = Status::OK();
-    out.epoch = (*hedge_outcome).value().epoch;
-    out.hedge_won = true;
-    HedgeWonCounter()->Increment();
+  if (response.has_value() && (*response).ok()) {
+    out.epoch = (*response).value().epoch;
     ShardLatencyHistogram()->Observe(out.latency_ms);
-    return {out, std::move(*hedge_outcome).value()};
+    return {out, std::move(*response).value()};
   }
-  if (primary_ok) {
-    out.status = Status::OK();
-    out.epoch = (*primary_outcome).value().epoch;
-    ShardLatencyHistogram()->Observe(out.latency_ms);
-    return {out, std::move(*primary_outcome).value()};
-  }
-
-  // Miss. Prefer the primary's own error; a pure wait-timeout becomes a
-  // synthesized deadline miss.
-  if (primary_outcome.has_value()) {
-    out.status = (*primary_outcome).status();
-  } else if (hedge_outcome.has_value()) {
-    out.status = (*hedge_outcome).status();
-  } else {
-    out.status = Status::DeadlineExceeded(
-        "shard " + std::to_string(call.shard) +
-        " exhausted its deadline budget");
-  }
+  // Miss: the shard's own error, or a wait that outlasted the cluster
+  // deadline, which becomes a synthesized deadline miss.
+  out.status = response.has_value()
+                   ? (*response).status()
+                   : Status::DeadlineExceeded(
+                         "shard " + std::to_string(call.shard) +
+                         " exhausted its deadline budget");
   if (out.status.code() == StatusCode::kDeadlineExceeded) {
     ShardDeadlineMissCounter()->Increment();
   }
@@ -504,18 +359,10 @@ Result<uint64_t> ClusterQueryService::Append(
     if (routed.per_shard_rows[s].empty()) {
       continue;
     }
-    auto primary_result = primaries_[s]->Append(routed.per_shard_rows[s]);
-    if (!primary_result.ok()) {
+    auto appended = shards_[s]->Append(std::move(routed.per_shard_rows[s]));
+    if (!appended.ok()) {
       poisoned_.store(true, std::memory_order_seq_cst);
-      return primary_result.status();
-    }
-    if (options_.replicate) {
-      auto replica_result =
-          replicas_[s]->Append(std::move(routed.per_shard_rows[s]));
-      if (!replica_result.ok()) {
-        poisoned_.store(true, std::memory_order_seq_cst);
-        return replica_result.status();
-      }
+      return appended.status();
     }
   }
   return append_epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
@@ -523,15 +370,7 @@ Result<uint64_t> ClusterQueryService::Append(
 
 Status ClusterQueryService::Shutdown() {
   Status first_error = Status::OK();
-  for (auto& shard : primaries_) {
-    if (shard != nullptr) {
-      Status status = shard->Shutdown();
-      if (!status.ok() && first_error.ok()) {
-        first_error = status;
-      }
-    }
-  }
-  for (auto& shard : replicas_) {
+  for (auto& shard : shards_) {
     if (shard != nullptr) {
       Status status = shard->Shutdown();
       if (!status.ok() && first_error.ok()) {
@@ -540,15 +379,6 @@ Status ClusterQueryService::Shutdown() {
     }
   }
   return first_error;
-}
-
-double ClusterQueryService::CurrentHedgeDelayMs() const {
-  obs::Histogram* latency = ShardLatencyHistogram();
-  if (latency->TotalCount() < options_.hedge_warmup) {
-    return options_.hedge_max_delay_ms;
-  }
-  return std::clamp(latency->Quantile(0.99), options_.hedge_min_delay_ms,
-                    options_.hedge_max_delay_ms);
 }
 
 }  // namespace cluster

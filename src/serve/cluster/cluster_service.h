@@ -39,7 +39,7 @@ enum class PartialResultPolicy : uint8_t {
 
 /// Cluster-wide knobs, fixed at construction.
 struct ClusterOptions {
-  /// Number of primary QueryService shards.
+  /// Number of QueryService shards.
   size_t shards = 2;
   /// How rows map to shards.
   PartitionKind partition = PartitionKind::kHash;
@@ -50,44 +50,24 @@ struct ClusterOptions {
   std::string key_column;
   /// Per-shard service knobs (worker pool, queue depth, snapshots...).
   ServeOptions shard_options;
-  /// Run one replica QueryService per shard, fed the same appends in the
-  /// same order. Hedged requests land on it; without replicas hedging is
-  /// structurally off.
-  bool replicate = false;
-  /// Replica knobs; typically a smaller pool than the primary.
-  ServeOptions replica_options;
   /// Shard-miss behaviour.
   PartialResultPolicy partial_policy = PartialResultPolicy::kFail;
   /// Per-shard deadline budget as a fraction of the request's remaining
   /// cluster deadline: shards get remaining*fraction so the gather keeps
   /// headroom to merge and (under kPartial) to return what it has.
   double shard_deadline_fraction = 1.0;
-  /// Issue a duplicate request to the shard's replica when the primary
-  /// has not answered after the hedging delay (requires `replicate`).
-  bool hedge = false;
-  /// Clamp bounds for the p99-derived hedging delay.
-  double hedge_min_delay_ms = 1.0;
-  double hedge_max_delay_ms = 50.0;
-  /// Shard-latency samples required before the p99 is trusted; until
-  /// then the delay sits at hedge_max_delay_ms (hedge late, not eagerly,
-  /// while the estimate is noise).
-  uint64_t hedge_warmup = 64;
 };
 
 /// Per-shard view of one gathered cluster query.
 struct ShardOutcome {
   size_t shard = 0;
-  /// The status that entered the merge: the winning response's, or the
-  /// unavailability that made the shard a miss.
+  /// The status that entered the merge: the shard's response status, or
+  /// the unavailability that made the shard a miss.
   Status status = Status::OK();
-  /// Epoch the winning response ran against (0 on miss).
+  /// Epoch the response ran against (0 on miss).
   uint64_t epoch = 0;
   /// Submit-to-resolution latency as the gather saw it.
   double latency_ms = 0.0;
-  /// A hedged duplicate was issued to the replica.
-  bool hedged = false;
-  /// The hedge resolved the shard (its response was used).
-  bool hedge_won = false;
 };
 
 /// A merged scatter-gather selection. Row ids are *global* (cluster
@@ -115,8 +95,8 @@ struct ClusterResult {
 /// A sharded serving tier over N independent QueryService shards
 /// (DESIGN.md §14): routes appends by partition key, scatters selections
 /// to the owning shards with per-shard deadline budgets, gathers and
-/// merges the per-shard bitmaps into one global-row-id result, and
-/// optionally hedges slow shards to replicas after a p99-derived delay.
+/// merges the per-shard bitmaps into one global-row-id result. Shards
+/// are the tier's only fan-out: each runs on its own worker pool.
 ///
 /// Locking: append_mu_ (rank kClusterAppend) serializes the route +
 /// per-shard Append fan-out, so global row-id order equals publish order
@@ -133,23 +113,25 @@ class ClusterQueryService {
   ClusterQueryService& operator=(const ClusterQueryService&) = delete;
 
   /// Partitions `table` by ClusterOptions::key_column, starts every
-  /// shard (and replica) on its slice, and records the global row-id
-  /// maps. Must be called once before Select/Append. Rows keep their
+  /// shard on its slice, and records the global row-id maps. Must be
+  /// called once before Select/Append. Rows keep their
   /// original order as global ids, which is what makes cluster results
   /// comparable bit-for-bit with a single service started on `table`.
   /// Fails on tables with deleted rows (a void slot has no shard).
   Status Start(std::unique_ptr<Table> table, std::vector<IndexSpec> specs);
 
   /// Scatter-gather selection. `options.deadline_ms` bounds the whole
-  /// cluster query; expired-on-arrival requests are rejected before any
-  /// shard is contacted. Fan-out is pruned by partition-key predicates.
+  /// cluster query; expired-on-arrival requests (kDeadlineExceeded) and
+  /// budgets the clock cannot represent (kInvalidArgument, see
+  /// DeadlineAfter) are rejected before any shard is contacted. Fan-out
+  /// is pruned by partition-key predicates.
   Result<ClusterResult> Select(
       const std::vector<Predicate>& predicates,
       const RequestOptions& options = RequestOptions());
 
   /// Routes `rows` by partition key and appends each slice to its owning
-  /// shard (and replica). Blocks until every touched shard published.
-  /// Returns the cluster append epoch (count of completed appends).
+  /// shard. Blocks until every touched shard published. Returns the
+  /// cluster append epoch (count of completed appends).
   Result<uint64_t> Append(std::vector<std::vector<Value>> rows);
 
   /// Stops admission on every shard and blocks until all drained.
@@ -159,16 +141,7 @@ class ClusterQueryService {
   [[nodiscard]] size_t shards() const { return options_.shards; }
   [[nodiscard]] const ShardRouter& router() const { return *router_; }
   /// Direct shard access for tests (epochs, telemetry, fault drills).
-  QueryService& shard(size_t i) { return *primaries_[i]; }
-  /// The shard's replica, or nullptr when replication is off.
-  QueryService* replica(size_t i) {
-    return options_.replicate ? replicas_[i].get() : nullptr;
-  }
-
-  /// The hedging delay the next gather would use: the shard-latency
-  /// p99 clamped to [hedge_min_delay_ms, hedge_max_delay_ms], or the max
-  /// until hedge_warmup samples have been observed.
-  [[nodiscard]] double CurrentHedgeDelayMs() const;
+  QueryService& shard(size_t i) { return *shards_[i]; }
 
   /// Completed cluster appends (Start's initial load is epoch 0).
   [[nodiscard]] uint64_t AppendEpoch() const {
@@ -181,18 +154,16 @@ class ClusterQueryService {
   /// Scatter-side bookkeeping for one owning shard.
   struct ShardCall {
     size_t shard = 0;
-    std::shared_ptr<ServeTicket> primary;
-    /// Submit-time failure (e.g. shed at admission) when primary is null.
+    std::shared_ptr<ServeTicket> ticket;
+    /// Submit-time failure (e.g. shed at admission) when ticket is null.
     Status submit_status = Status::OK();
     TimePoint submitted{};
   };
 
-  /// Waits on `call`'s primary — hedging `predicates` to the replica per
-  /// policy — until resolution or `deadline`. Returns the ShardOutcome
-  /// plus the winning response (nullopt on miss).
-  std::pair<ShardOutcome, std::optional<ServeResult>> GatherShard(
-      const std::vector<Predicate>& predicates, ShardCall& call,
-      std::optional<TimePoint> deadline);
+  /// Waits on `call` until it resolves or `deadline` passes. Returns the
+  /// ShardOutcome plus the response (nullopt on miss).
+  static std::pair<ShardOutcome, std::optional<ServeResult>> GatherShard(
+      const ShardCall& call, std::optional<TimePoint> deadline);
 
   const ClusterOptions options_;
   std::unique_ptr<ShardRouter> router_
@@ -206,10 +177,8 @@ class ClusterQueryService {
   std::vector<Column::Type> schema_
       EBI_UNGUARDED("set once in Start, read-only after");
 
-  std::vector<std::unique_ptr<QueryService>> primaries_
+  std::vector<std::unique_ptr<QueryService>> shards_
       EBI_UNGUARDED("populated in Start before started_ flips");
-  std::vector<std::unique_ptr<QueryService>> replicas_
-      EBI_UNGUARDED("same lifecycle as primaries_");
 
   std::atomic<bool> started_{false};
   /// A shard Append failed after the placement was extended: global-id

@@ -1,6 +1,7 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -200,6 +201,35 @@ Status WriteFileAtomic(const std::string& path, const std::string& body) {
 
 }  // namespace
 
+Result<Clock::time_point> DeadlineAfter(double budget_ms,
+                                        Clock::time_point start) {
+  if (!std::isfinite(budget_ms)) {
+    return Status::InvalidArgument("deadline of " + std::to_string(budget_ms) +
+                                   " ms is not a finite budget");
+  }
+  if (budget_ms <= 0.0) {
+    return Status::DeadlineExceeded(
+        "deadline of " + std::to_string(budget_ms) +
+        " ms already expired on arrival; rejected at admission");
+  }
+  // Compare in clock ticks. The double bound keeps the cast defined; the
+  // integer bound catches the rounding of `headroom` to double, so
+  // start + ticks never overflows.
+  const Clock::duration headroom = Clock::time_point::max() - start;
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(
+                               budget_ms))
+                           .count();
+  if (!(ticks < static_cast<double>(headroom.count())) ||
+      static_cast<Clock::rep>(ticks) > headroom.count()) {
+    return Status::InvalidArgument("deadline of " +
+                                   std::to_string(budget_ms) +
+                                   " ms is past what the clock can "
+                                   "represent");
+  }
+  return start + Clock::duration(static_cast<Clock::rep>(ticks));
+}
+
 Result<ServeResult> ServeTicket::Wait() {
   MutexLock lock(mu_);
   while (!outcome_.has_value()) {
@@ -269,11 +299,8 @@ Status QueryService::Start(std::unique_ptr<Table> table,
       return recovered;
     }
   }
-  SnapshotOptions snapshot_options;
-  snapshot_options.segment_rows = options_.segment_rows;
-  snapshot_options.shard_pool = options_.shard_pool;
   Result<std::unique_ptr<DatabaseSnapshot>> snapshot = DatabaseSnapshot::Create(
-      std::move(table), std::move(specs), /*epoch=*/0, snapshot_options);
+      std::move(table), std::move(specs), /*epoch=*/0);
   if (!snapshot.ok()) {
     start_guard_.store(false, std::memory_order_seq_cst);
     return snapshot.status();
@@ -347,26 +374,26 @@ Result<std::shared_ptr<ServeTicket>> QueryService::Submit(
 
   const Clock::time_point submitted = Clock::now();
   std::optional<Clock::time_point> deadline;
-  const bool has_deadline =
-      options.deadline_ms.has_value() || options_.default_deadline_ms > 0;
-  if (has_deadline) {
-    const double limit_ms = options.deadline_ms.has_value()
-                                ? *options.deadline_ms
-                                : options_.default_deadline_ms;
-    // Expired on arrival: reject at admission, before the request costs a
-    // pool dispatch, a snapshot pin or a plan. Without this check a
-    // deadline_ms <= 0 request would occupy a queue slot only to be
-    // bounced by RunRequest's pre-pin deadline check.
-    if (limit_ms <= 0.0) {
+  // A default of 0 or below means none; a NaN default counts as set, so
+  // DeadlineAfter rejects it rather than serving without a bound.
+  std::optional<double> budget_ms = options.deadline_ms;
+  if (!budget_ms.has_value() && !(options_.default_deadline_ms <= 0.0)) {
+    budget_ms = options_.default_deadline_ms;
+  }
+  if (budget_ms.has_value()) {
+    // Expired on arrival or malformed: reject at admission, before the
+    // request costs a pool dispatch, a snapshot pin or a plan. Without
+    // this check a deadline_ms <= 0 request would occupy a queue slot only
+    // to be bounced by RunRequest's pre-pin deadline check.
+    Result<Clock::time_point> resolved = DeadlineAfter(*budget_ms, submitted);
+    if (!resolved.ok()) {
       FinishRequest();
-      DeadlineCounter()->Increment();
-      return Status::DeadlineExceeded(
-          "deadline of " + std::to_string(limit_ms) +
-          " ms already expired on arrival; rejected at admission");
+      if (resolved.status().code() == StatusCode::kDeadlineExceeded) {
+        DeadlineCounter()->Increment();
+      }
+      return resolved.status();
     }
-    deadline = submitted + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(
-                                   limit_ms));
+    deadline = resolved.value();
   }
 
   auto ticket = std::make_shared<ServeTicket>();

@@ -64,18 +64,12 @@ struct ServeOptions {
   /// Admission bound: selections queued or running. One past this and
   /// Submit sheds with kOverloaded instead of queueing.
   size_t queue_depth = 64;
-  /// Deadline applied to requests that do not carry their own; 0 = none.
+  /// Deadline applied to requests that do not carry their own; 0 (or
+  /// below) = none. Checked like a request's own deadline at admission.
   double default_deadline_ms = 0.0;
   /// Concurrent-reader capacity of the snapshot manager. Keep at least
   /// queue_depth + appenders; Acquire spins when all slots are claimed.
   size_t reader_slots = SnapshotManager::kDefaultReaderSlots;
-  /// Forwarded to SnapshotOptions: > 0 serves through sharded snapshots.
-  size_t segment_rows = 0;
-  /// Pool sharded evaluation fans out on. Must be a different pool from
-  /// the service's own (requests run on pool workers, and a nested
-  /// ParallelFor on the running pool deadlocks); required iff
-  /// segment_rows > 0.
-  exec::ThreadPool* shard_pool = nullptr;
   /// Production telemetry (sampled tracing, slow-query log, workload
   /// recorder, periodic exporter).
   ServeTelemetryOptions telemetry;
@@ -98,14 +92,23 @@ struct ServeOptions {
 struct RequestOptions {
   /// Deadline measured from submission. Unset: the service default
   /// applies. <= 0: already expired (tests use 0 for a deterministic
-  /// kDeadlineExceeded). The deadline is checked when a worker picks the
-  /// request up — a request that started in time is never cancelled
-  /// mid-query.
+  /// kDeadlineExceeded). NaN, infinite or unrepresentably large: rejected
+  /// with kInvalidArgument (see DeadlineAfter). The deadline is checked
+  /// when a worker picks the request up — a request that started in time
+  /// is never cancelled mid-query.
   std::optional<double> deadline_ms;
   /// When set, the request's serve.request span tree is recorded here
   /// (the EXPLAIN path through the service).
   obs::QueryTrace* trace = nullptr;
 };
+
+/// Converts a deadline budget of `budget_ms` from `start` into a
+/// steady-clock deadline: the one conversion QueryService::Submit and
+/// the cluster's Select share. kDeadlineExceeded when the budget is
+/// already spent (<= 0); kInvalidArgument when it is NaN, infinite, or
+/// later than the clock can represent from `start`.
+Result<std::chrono::steady_clock::time_point> DeadlineAfter(
+    double budget_ms, std::chrono::steady_clock::time_point start);
 
 /// What a completed selection hands back.
 struct ServeResult {
@@ -127,8 +130,8 @@ class ServeTicket {
 
   /// Bounded wait: the outcome if the request resolved within
   /// `timeout_ms`, nullopt on timeout (the request keeps running — the
-  /// cluster gather uses this to decide when to hedge, then comes back
-  /// for the straggler). A non-positive timeout polls.
+  /// cluster gather uses this to stop waiting on a shard at the cluster
+  /// deadline). A non-positive timeout polls.
   std::optional<Result<ServeResult>> WaitFor(double timeout_ms);
 
  private:

@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "index/sharded_index.h"
 #include "query/maintenance.h"
 
 namespace ebi {
@@ -14,13 +13,9 @@ namespace serve {
 
 Result<std::unique_ptr<DatabaseSnapshot>> DatabaseSnapshot::Create(
     std::unique_ptr<Table> table, std::vector<IndexSpec> specs,
-    uint64_t epoch, const SnapshotOptions& options) {
+    uint64_t epoch) {
   if (table == nullptr) {
     return Status::InvalidArgument("snapshot needs a table");
-  }
-  if (options.segment_rows > 0 && options.shard_pool == nullptr) {
-    return Status::InvalidArgument(
-        "sharded snapshots (segment_rows > 0) need a shard_pool");
   }
   for (size_t i = 0; i < specs.size(); ++i) {
     for (size_t j = i + 1; j < specs.size(); ++j) {
@@ -34,34 +29,19 @@ Result<std::unique_ptr<DatabaseSnapshot>> DatabaseSnapshot::Create(
 
   auto snapshot = std::make_unique<DatabaseSnapshot>(Passkey());
   snapshot->epoch_ = epoch;
-  snapshot->options_ = options;
   snapshot->specs_ = std::move(specs);
   snapshot->io_ = std::make_unique<IoAccountant>();
   snapshot->table_ = std::move(table);
-
-  if (options.segment_rows > 0) {
-    EBI_ASSIGN_OR_RETURN(
-        SegmentedTable segments,
-        SegmentedTable::Partition(*snapshot->table_, options.segment_rows));
-    snapshot->segments_ =
-        std::make_unique<SegmentedTable>(std::move(segments));
-  }
 
   const Table& built = *snapshot->table_;
   for (const IndexSpec& spec : snapshot->specs_) {
     EBI_ASSIGN_OR_RETURN(const Column* column, built.FindColumn(spec.column));
     Entry entry;
     entry.spec = spec;
-    if (snapshot->segments_ != nullptr) {
-      entry.index = std::make_unique<ShardedIndex>(
-          snapshot->segments_.get(), column, &built.existence(), spec.kind,
-          options.shard_pool, snapshot->io_.get());
-    } else {
-      entry.index = MakeSecondaryIndex(spec.kind, column, &built.existence(),
-                                       snapshot->io_.get());
-      if (entry.index == nullptr) {
-        return Status::Internal("unknown index kind in serving spec");
-      }
+    entry.index = MakeSecondaryIndex(spec.kind, column, &built.existence(),
+                                     snapshot->io_.get());
+    if (entry.index == nullptr) {
+      return Status::Internal("unknown index kind in serving spec");
     }
     EBI_RETURN_IF_ERROR(entry.index->Build());
     snapshot->entries_.push_back(std::move(entry));
@@ -73,18 +53,8 @@ Result<std::unique_ptr<DatabaseSnapshot>> DatabaseSnapshot::CloneWithRows(
     const std::vector<std::vector<Value>>& rows, uint64_t epoch) const {
   auto table = std::make_unique<Table>(table_->Clone());
 
-  if (segments_ != nullptr) {
-    // Sharded indexes snapshot their partition, so the successor
-    // re-partitions and rebuilds instead of extending copies.
-    for (const std::vector<Value>& values : rows) {
-      EBI_RETURN_IF_ERROR(table->AppendRow(values));
-    }
-    return Create(std::move(table), specs_, epoch, options_);
-  }
-
   auto snapshot = std::make_unique<DatabaseSnapshot>(Passkey());
   snapshot->epoch_ = epoch;
-  snapshot->options_ = options_;
   snapshot->specs_ = specs_;
   snapshot->io_ = std::make_unique<IoAccountant>(io_->page_size());
   snapshot->table_ = std::move(table);

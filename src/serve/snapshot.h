@@ -9,12 +9,10 @@
 #include <utility>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "index/index.h"
 #include "index/index_factory.h"
 #include "query/executor.h"
 #include "storage/io_accountant.h"
-#include "storage/segmented_table.h"
 #include "storage/table.h"
 #include "util/status.h"
 #include "util/sync.h"
@@ -27,18 +25,6 @@ namespace serve {
 struct IndexSpec {
   std::string column;
   IndexKind kind = IndexKind::kEncodedBitmap;
-};
-
-/// How snapshots are physically laid out.
-struct SnapshotOptions {
-  /// When > 0, each snapshot also materializes a SegmentedTable partition
-  /// of this many rows per segment and serves selections through one
-  /// ShardedIndex per spec, fanning out across `shard_pool`.
-  size_t segment_rows = 0;
-  /// The pool sharded evaluation borrows workers from. Must not be the
-  /// pool the requests themselves run on (a nested ParallelFor on the
-  /// same pool deadlocks); required iff segment_rows > 0.
-  exec::ThreadPool* shard_pool = nullptr;
 };
 
 /// An immutable, self-contained version of the database: a deep-copied
@@ -57,18 +43,16 @@ class DatabaseSnapshot {
 
  public:
   /// Builds a snapshot from scratch: takes ownership of `table`, builds
-  /// one index per spec (sharded when options.segment_rows > 0).
+  /// one index per spec.
   static Result<std::unique_ptr<DatabaseSnapshot>> Create(
       std::unique_ptr<Table> table, std::vector<IndexSpec> specs,
-      uint64_t epoch, const SnapshotOptions& options = SnapshotOptions());
+      uint64_t epoch);
 
   /// Copy-on-write successor: clones the table, clones every index that
   /// implements CloneRebound (factory-rebuilding the rest), then appends
   /// `rows` through the batched MaintenanceDriver path — so domain
   /// expansion coalesces into one rewrite per column. This snapshot is
-  /// never touched; the returned one carries `epoch`. In sharded mode
-  /// the partition is re-materialized instead (sharded indexes snapshot
-  /// their partition and cannot extend).
+  /// never touched; the returned one carries `epoch`.
   Result<std::unique_ptr<DatabaseSnapshot>> CloneWithRows(
       const std::vector<std::vector<Value>>& rows, uint64_t epoch) const;
 
@@ -103,12 +87,9 @@ class DatabaseSnapshot {
   };
 
   uint64_t epoch_ = 0;
-  SnapshotOptions options_;
   std::vector<IndexSpec> specs_;
   std::unique_ptr<IoAccountant> io_;
   std::unique_ptr<Table> table_;
-  /// Sharded mode only: the partition the sharded indexes are built over.
-  std::unique_ptr<SegmentedTable> segments_;
   std::vector<Entry> entries_;
 };
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -278,100 +280,104 @@ TEST(ClusterServiceTest, KeyPredicatesPruneFanout) {
   EXPECT_FALSE(empty->partial);
 }
 
+/// Expired deadlines fail with kDeadlineExceeded and malformed ones
+/// (NaN, infinite, past what the clock can represent) with
+/// kInvalidArgument, both before any shard sees the request.
 TEST(ClusterServiceTest, ExpiredDeadlineRejectedBeforeAnyShardContact) {
   ClusterOptions options;
   options.shards = 2;
   options.key_column = "k";
   ClusterQueryService clustered(options);
   ASSERT_TRUE(clustered.Start(FactTable(50), BothColumns()).ok());
+  obs::Counter* submitted =
+      obs::MetricsRegistry::Global().GetCounter(obs::kMetricServeSubmitted);
 
-  RequestOptions expired;
-  expired.deadline_ms = -1.0;
-  auto result = clustered.Select({Predicate::Eq("v", Value::Int(1))},
-                                 expired);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  const struct {
+    double deadline_ms;
+    StatusCode code;
+  } cases[] = {
+      {-1.0, StatusCode::kDeadlineExceeded},
+      {std::numeric_limits<double>::quiet_NaN(), StatusCode::kInvalidArgument},
+      {std::numeric_limits<double>::infinity(), StatusCode::kInvalidArgument},
+      {-std::numeric_limits<double>::infinity(),
+       StatusCode::kInvalidArgument},
+      {1e300, StatusCode::kInvalidArgument},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.deadline_ms);
+    const uint64_t submitted_before = submitted->Value();
+    RequestOptions request;
+    request.deadline_ms = c.deadline_ms;
+    auto result = clustered.Select({Predicate::Eq("v", Value::Int(1))},
+                                   request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), c.code);
+    EXPECT_EQ(submitted->Value(), submitted_before);  // No shard contact.
+  }
 }
 
-/// With a sub-microsecond budget every shard rejects the request as
-/// expired at admission; kFail surfaces that, kPartial converts it into
-/// an empty answer whose coverage mask vouches for nothing.
+/// Two ways every shard misses: a sub-microsecond budget (each shard
+/// rejects the request as expired at admission) and queue_depth 0 (each
+/// shard sheds at Submit). kFail surfaces the shard's status; kPartial
+/// converts it into an empty answer whose coverage mask vouches for
+/// nothing.
 TEST(ClusterServiceTest, PartialPolicyGovernsShardDeadlineMisses) {
-  for (PartialResultPolicy policy :
-       {PartialResultPolicy::kFail, PartialResultPolicy::kPartial}) {
-    ClusterOptions options;
-    options.shards = 2;
-    options.key_column = "k";
-    options.partial_policy = policy;
-    ClusterQueryService clustered(options);
-    ASSERT_TRUE(clustered.Start(FactTable(50), BothColumns()).ok());
+  const struct {
+    const char* name;
+    std::optional<double> deadline_ms;
+    size_t queue_depth;
+    StatusCode code;
+  } cases[] = {
+      // Positive at admission, gone at scatter.
+      {"tight deadline", 1e-4, ServeOptions().queue_depth,
+       StatusCode::kDeadlineExceeded},
+      {"shed at submit", std::nullopt, 0, StatusCode::kOverloaded},
+  };
+  obs::Counter* partials = obs::MetricsRegistry::Global().GetCounter(
+      obs::kMetricClusterPartialResults);
+  for (const auto& c : cases) {
+    for (PartialResultPolicy policy :
+         {PartialResultPolicy::kFail, PartialResultPolicy::kPartial}) {
+      SCOPED_TRACE(c.name);
+      ClusterOptions options;
+      options.shards = 2;
+      options.key_column = "k";
+      options.partial_policy = policy;
+      options.shard_options.queue_depth = c.queue_depth;
+      ClusterQueryService clustered(options);
+      ASSERT_TRUE(clustered.Start(FactTable(50), BothColumns()).ok());
 
-    RequestOptions tight;
-    tight.deadline_ms = 1e-4;  // Positive at admission, gone at scatter.
-    auto result =
-        clustered.Select({Predicate::Eq("v", Value::Int(1))}, tight);
-    if (policy == PartialResultPolicy::kFail) {
-      ASSERT_FALSE(result.ok());
-      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-    } else {
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_TRUE(result->partial);
-      EXPECT_EQ(result->missing_shards.size(), 2u);
-      EXPECT_EQ(result->selection.count, 0u);
-      EXPECT_EQ(result->coverage.Count(), 0u);  // Vouches for no row.
+      RequestOptions request;
+      request.deadline_ms = c.deadline_ms;
+      const uint64_t partials_before = partials->Value();
+      auto result =
+          clustered.Select({Predicate::Eq("v", Value::Int(1))}, request);
+      if (policy == PartialResultPolicy::kFail) {
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), c.code);
+        EXPECT_EQ(partials->Value(), partials_before);
+      } else {
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result->partial);
+        EXPECT_EQ(result->missing_shards, result->visited_shards);
+        EXPECT_EQ(result->missing_shards.size(), 2u);
+        EXPECT_EQ(result->selection.count, 0u);
+        EXPECT_EQ(result->coverage.Count(), 0u);  // Vouches for no row.
+        EXPECT_EQ(partials->Value(), partials_before + 1);
+      }
     }
   }
 }
 
-/// queue_depth 0 makes every primary shed at admission; with hedging on
-/// and instant hedge delay, the replicas answer every query. The merged
-/// result must equal the replica-backed truth, and every visited shard
-/// must record a hedge win.
-TEST(ClusterServiceTest, HedgeToReplicaRescuesShedPrimaries) {
-  obs::Counter* issued = obs::MetricsRegistry::Global().GetCounter(
-      obs::kMetricClusterHedgeIssued);
-  obs::Counter* won = obs::MetricsRegistry::Global().GetCounter(
-      obs::kMetricClusterHedgeWon);
-  const uint64_t issued_before = issued->Value();
-  const uint64_t won_before = won->Value();
-
-  ClusterOptions options;
-  options.shards = 2;
-  options.key_column = "k";
-  options.replicate = true;
-  options.hedge = true;
-  options.hedge_min_delay_ms = 0.0;
-  options.hedge_max_delay_ms = 0.0;
-  options.shard_options.queue_depth = 0;  // Primary sheds everything.
-  ClusterQueryService clustered(options);
-  ASSERT_TRUE(clustered.Start(FactTable(200), BothColumns()).ok());
-
-  ServeOptions single_options;
-  QueryService single(single_options);
-  ASSERT_TRUE(single.Start(FactTable(200), BothColumns()).ok());
-
-  auto expected = single.Select({Predicate::Between("k", 10, 90)});
-  auto actual = clustered.Select({Predicate::Between("k", 10, 90)});
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-  EXPECT_FALSE(actual->partial);
-  EXPECT_EQ(actual->selection.rows, expected->selection.rows);
-  for (const ShardOutcome& outcome : actual->outcomes) {
-    EXPECT_TRUE(outcome.hedged);
-    EXPECT_TRUE(outcome.hedge_won);
-    EXPECT_TRUE(outcome.status.ok());
-  }
-  EXPECT_GE(issued->Value() - issued_before, actual->outcomes.size());
-  EXPECT_GE(won->Value() - won_before, actual->outcomes.size());
-}
-
 TEST(ClusterServiceTest, StartValidatesConfiguration) {
-  {
-    // Hedging without replicas is structurally impossible.
+  // The shard deadline fraction must lie in (0, 1]; NaN is not in it.
+  for (double fraction : {0.0, -0.5, 1.5,
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(fraction);
     ClusterOptions options;
     options.shards = 2;
     options.key_column = "k";
-    options.hedge = true;
+    options.shard_deadline_fraction = fraction;
     ClusterQueryService clustered(options);
     EXPECT_EQ(clustered.Start(FactTable(10), BothColumns()).code(),
               StatusCode::kInvalidArgument);

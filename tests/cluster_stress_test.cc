@@ -27,17 +27,18 @@ std::unique_ptr<Table> SeedTable(size_t rows) {
   return table;
 }
 
-/// Concurrent cluster queries + appends + hedges, then a drain — the
-/// TSan leg of the cluster suite (wired into ci.yml's sanitize job and
-/// scripts/repro.sh). Hedging is forced eager (zero delay) and the
-/// replica pool is tiny so primary/replica races actually happen; the
-/// invariants checked are coarse on purpose: every successful selection
-/// is internally consistent (count == set bits, result sized to its
-/// placement) and the final placement tiles exactly. Data-race freedom
-/// is TSan's half of the bargain.
-TEST(ClusterStressTest, ConcurrentQueriesAppendsHedgesAndDrain) {
+/// Concurrent cluster queries + routed appends, then a drain — the TSan
+/// leg of the cluster suite (wired into ci.yml's sanitize job and
+/// scripts/repro.sh). There are more readers than a shard's queue holds,
+/// so some queries shed and come back as partial results while appends
+/// publish underneath them. The invariants checked are coarse on
+/// purpose: every successful selection is internally consistent (count
+/// == set bits, result and coverage sized to its placement) and the
+/// final placement tiles exactly. Data-race freedom is TSan's half of
+/// the bargain.
+TEST(ClusterStressTest, ConcurrentQueriesAppendsAndDrain) {
   constexpr size_t kSeedRows = 128;
-  constexpr size_t kReaders = 3;
+  constexpr size_t kReaders = 12;  // > queue_depth: sheds happen.
   constexpr size_t kQueriesPerReader = 30;
   constexpr size_t kAppendBatches = 20;
   constexpr size_t kRowsPerBatch = 4;
@@ -48,13 +49,7 @@ TEST(ClusterStressTest, ConcurrentQueriesAppendsHedgesAndDrain) {
   options.split_points = {31};
   options.key_column = "k";
   options.shard_options.worker_threads = 2;
-  options.shard_options.queue_depth = 8;  // Small: sheds happen.
-  options.replicate = true;
-  options.replica_options.worker_threads = 1;
-  options.replica_options.queue_depth = 8;
-  options.hedge = true;
-  options.hedge_min_delay_ms = 0.0;
-  options.hedge_max_delay_ms = 0.0;  // Hedge every slow primary.
+  options.shard_options.queue_depth = 8;
   options.partial_policy = PartialResultPolicy::kPartial;
 
   ClusterQueryService clustered(options);

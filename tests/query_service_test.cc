@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -17,7 +19,6 @@ namespace serve {
 namespace {
 
 using testing_util::ScanEquals;
-using testing_util::ScanRange;
 
 /// Deterministic two-column table: a = i % 5, b = i % 3.
 std::unique_ptr<Table> TwoColumnTable(size_t rows) {
@@ -91,27 +92,64 @@ TEST(QueryServiceTest, ZeroDeadlineIsDeterministicallyExceeded) {
 // rejected at admission — synchronously from Submit — not after burning
 // a queue slot, a pool dispatch, and a snapshot pin. Submit returning
 // the error directly (instead of a ticket that later resolves to it) is
-// the observable contract.
+// the observable contract. A deadline the clock cannot hold (NaN,
+// infinite, or too far out) is rejected the same way, as an invalid
+// argument, whether the request carries it or the service default does.
 TEST(QueryServiceTest, ExpiredOnArrivalIsRejectedAtAdmission) {
-  QueryService service;
-  ASSERT_TRUE(service.Start(TwoColumnTable(16), BothColumns()).ok());
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    std::optional<double> request_ms;
+    double default_ms;
+    StatusCode code;
+  } cases[] = {
+      {-5.0, 0.0, StatusCode::kDeadlineExceeded},  // Expired on arrival.
+      {kNaN, 0.0, StatusCode::kInvalidArgument},
+      {kInf, 0.0, StatusCode::kInvalidArgument},
+      {-kInf, 0.0, StatusCode::kInvalidArgument},
+      {1e300, 0.0, StatusCode::kInvalidArgument},
+      {std::nullopt, kNaN, StatusCode::kInvalidArgument},
+      {std::nullopt, kInf, StatusCode::kInvalidArgument},
+      {std::nullopt, 1e300, StatusCode::kInvalidArgument},
+  };
   obs::Counter* exceeded = obs::MetricsRegistry::Global().GetCounter(
       obs::kMetricServeDeadlineExceeded);
-  const uint64_t before = exceeded->Value();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.request_ms.value_or(c.default_ms));
+    ServeOptions serve_options;
+    serve_options.default_deadline_ms = c.default_ms;
+    QueryService service(serve_options);
+    ASSERT_TRUE(service.Start(TwoColumnTable(16), BothColumns()).ok());
+    const uint64_t before = exceeded->Value();
 
-  RequestOptions options;
-  options.deadline_ms = -5.0;  // Expired before it was even submitted.
-  const Result<std::shared_ptr<ServeTicket>> ticket =
-      service.Submit({Predicate::Eq("a", Value::Int(1))}, options);
-  ASSERT_FALSE(ticket.ok());  // No ticket: never entered the queue.
-  EXPECT_EQ(ticket.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(exceeded->Value(), before + 1);
-  EXPECT_EQ(service.InFlight(), 0u);  // Back out of the in-flight count.
+    RequestOptions options;
+    options.deadline_ms = c.request_ms;
+    const Result<std::shared_ptr<ServeTicket>> ticket =
+        service.Submit({Predicate::Eq("a", Value::Int(1))}, options);
+    ASSERT_FALSE(ticket.ok());  // No ticket: never entered the queue.
+    EXPECT_EQ(ticket.status().code(), c.code);
+    if (c.code == StatusCode::kDeadlineExceeded) {
+      EXPECT_GE(exceeded->Value(), before + 1);
+    }
+    EXPECT_EQ(service.InFlight(), 0u);  // Back out of the in-flight count.
+  }
 }
 
-// ServeTicket::WaitFor (the cluster gather's hedging primitive): times
-// out without consuming the outcome, then the outcome is still there for
-// a later bounded or unbounded wait.
+// A deadline just inside what the clock can represent is still served.
+TEST(QueryServiceTest, LargeFiniteDeadlineIsServed) {
+  QueryService service;
+  ASSERT_TRUE(service.Start(TwoColumnTable(16), BothColumns()).ok());
+  RequestOptions options;
+  options.deadline_ms = 1e12;  // About 32 years.
+  const Result<ServeResult> result =
+      service.Select({Predicate::Eq("a", Value::Int(1))}, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().selection.count, 3u);
+}
+
+// ServeTicket::WaitFor (the cluster gather's wait up to its deadline):
+// times out without consuming the outcome, then the outcome is still
+// there for a later bounded or unbounded wait.
 TEST(QueryServiceTest, WaitForTimesOutThenDeliversOutcome) {
   QueryService service;
   ASSERT_TRUE(service.Start(TwoColumnTable(64), BothColumns()).ok());
@@ -296,34 +334,6 @@ TEST(QueryServiceTest, RequestTraceRecordsServeSpan) {
   ASSERT_NE(span, nullptr);
   EXPECT_FALSE(span->attrs.empty());
   EXPECT_NE(trace.Find("executor.select"), nullptr);
-}
-
-TEST(QueryServiceTest, ShardedSnapshotsServeAndExtend) {
-  exec::ThreadPool shard_pool(2);
-  ServeOptions options;
-  options.segment_rows = 8;
-  options.shard_pool = &shard_pool;
-  QueryService service(options);
-  ASSERT_TRUE(service.Start(TwoColumnTable(30), BothColumns()).ok());
-
-  const Result<ServeResult> before =
-      service.Select({Predicate::Eq("a", Value::Int(3))});
-  ASSERT_TRUE(before.ok());
-  std::unique_ptr<Table> reference = TwoColumnTable(30);
-  EXPECT_EQ(before.value().selection.rows,
-            ScanEquals(*reference, reference->column(0), 3));
-
-  // Appends re-partition and rebuild; results stay scan-identical.
-  ASSERT_TRUE(service.Append({{Value::Int(3), Value::Int(0)},
-                              {Value::Int(9), Value::Int(1)}})
-                  .ok());
-  const Result<ServeResult> after =
-      service.Select({Predicate::Between("a", 3, 9)});
-  ASSERT_TRUE(after.ok());
-  ASSERT_TRUE(reference->AppendRow({Value::Int(3), Value::Int(0)}).ok());
-  ASSERT_TRUE(reference->AppendRow({Value::Int(9), Value::Int(1)}).ok());
-  EXPECT_EQ(after.value().selection.rows,
-            ScanRange(*reference, reference->column(0), 3, 9));
 }
 
 TEST(QueryServiceTest, ConcurrentAppendsAllLandExactlyOnce) {

@@ -12,8 +12,7 @@
 //
 // With --cluster, each <log> is the base workload_log_path of a
 // ClusterQueryService: the per-shard sets the cluster layer writes
-// (<log>.s0, <log>.s1, ... and replica sets <log>.s0r, ...) are
-// discovered and read instead, and `summary` prints a per-shard
+// (<log>.s0, <log>.s1, ...) are discovered and read instead, and `summary` prints a per-shard
 // breakdown ahead of the merged totals — the fan-in companion to the
 // serve tier's fan-out (DESIGN.md §14).
 
@@ -64,22 +63,16 @@ bool FileExists(const std::string& path) {
 }
 
 /// Expands a cluster base path into the per-shard log sets the serve
-/// tier writes: <base>.s0, <base>.s1, ... plus replica sets
-/// <base>.s<N>r when hedging was on. Shards are contiguous from 0, so
-/// discovery stops at the first missing primary.
+/// tier writes: <base>.s0, <base>.s1, ... Shards are contiguous from 0,
+/// so discovery stops at the first missing shard.
 std::vector<LogSource> ExpandCluster(const std::string& base) {
   std::vector<LogSource> sources;
   for (size_t s = 0; s < kMaxShards; ++s) {
-    const std::string primary = base + ".s" + std::to_string(s);
-    if (!FileExists(primary)) {
+    const std::string path = base + ".s" + std::to_string(s);
+    if (!FileExists(path)) {
       break;
     }
-    sources.push_back({"shard " + std::to_string(s), primary});
-    const std::string replica = primary + "r";
-    if (FileExists(replica)) {
-      sources.push_back({"shard " + std::to_string(s) + " (replica)",
-                         replica});
-    }
+    sources.push_back({"shard " + std::to_string(s), path});
   }
   return sources;
 }

@@ -136,5 +136,38 @@ void BM_ReduceConsecutiveInList(benchmark::State& state) {
 }
 BENCHMARK(BM_ReduceConsecutiveInList)->RangeMultiplier(4)->Range(4, 1024);
 
+void BM_ReduceWithUnusedCodes(benchmark::State& state) {
+  // The served shape: a sequential mapping of the smallest domain that
+  // needs k bits uses codes [0, 2^(k-1)] and leaves the rest of the code
+  // space as don't-cares; each selection takes delta random used codes.
+  const int k = static_cast<int>(state.range(0));
+  const size_t delta = static_cast<size_t>(state.range(1));
+  const uint64_t used = (uint64_t{1} << (k - 1)) + 1;
+  std::vector<uint64_t> dontcare;
+  for (uint64_t code = used; code < (uint64_t{1} << k); ++code) {
+    dontcare.push_back(code);
+  }
+  Rng rng(15);
+  std::vector<std::vector<uint64_t>> onsets(16);
+  for (std::vector<uint64_t>& onset : onsets) {
+    std::vector<uint64_t> codes(used);
+    for (uint64_t c = 0; c < used; ++c) {
+      codes[c] = c;
+    }
+    rng.Shuffle(&codes);
+    onset.assign(codes.begin(),
+                 codes.begin() + static_cast<std::ptrdiff_t>(delta));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    Cover cover =
+        ReduceRetrievalFunction(onsets[i++ % onsets.size()], dontcare, k);
+    benchmark::DoNotOptimize(cover);
+  }
+}
+BENCHMARK(BM_ReduceWithUnusedCodes)
+    ->ArgsProduct({{9, 10, 11}, {8, 32, 128}})
+    ->ArgNames({"k", "delta"});
+
 }  // namespace
 }  // namespace ebi

@@ -3,22 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <map>
-#include <unordered_set>
+#include <span>
+#include <tuple>
 #include <utility>
 
 namespace ebi {
 
 namespace {
-
-struct CubeHash {
-  size_t operator()(const Cube& c) const {
-    // 64-bit mix of the two fields.
-    uint64_t h = c.values * 0x9e3779b97f4a7c15ULL;
-    h ^= c.mask + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
 
 std::vector<uint64_t> DedupSorted(std::vector<uint64_t> xs) {
   std::sort(xs.begin(), xs.end());
@@ -26,73 +17,119 @@ std::vector<uint64_t> DedupSorted(std::vector<uint64_t> xs) {
   return xs;
 }
 
+/// Appends to `out` the prime implicants of the function whose ON ∪ DC set
+/// is `f`, read over its low `var` bits. `f` is sorted and distinct, and
+/// its codes agree on every bit at or above `var`, so the order of the full
+/// codes is the order of their low bits. The primes are cubes over those
+/// `var` variables.
+///
+/// Shannon cofactoring on the top variable x: with f0, f1 the halves of `f`
+/// on x' and x and g = f0 ∩ f1, primes(f) = primes(g) with x free, plus
+/// x·p for each p in primes(f1), and x'·p for each p in primes(f0), that no
+/// prime of g contains (such a p implies both halves, so x can be dropped
+/// from it). A prime q of g that contains a prime p of f1 implies f1 too,
+/// since g ⊆ f1, so p = q by p's primality: the check is a lookup.
+///
+/// `scratch` holds at least |f| codes and is disjoint from `f`: g (at most
+/// |f|/2 codes) is written at its front, and the recursion on g gets the
+/// rest; the recursions on f1 and f0 reuse all of it once g is done.
+void AppendPrimes(std::span<const uint64_t> f, int var,
+                  std::span<uint64_t> scratch, std::vector<Cube>* out) {
+  if (f.empty()) {
+    return;
+  }
+  if (var < 64 && f.size() == (uint64_t{1} << var)) {
+    out->push_back(Cube());  // Every assignment is in f.
+    return;
+  }
+  const uint64_t x = uint64_t{1} << (var - 1);
+  const uint64_t low = x - 1;
+  const size_t split = static_cast<size_t>(
+      std::partition_point(f.begin(), f.end(),
+                           [x](uint64_t c) { return (c & x) == 0; }) -
+      f.begin());
+  const std::span<const uint64_t> f0 = f.first(split);
+  const std::span<const uint64_t> f1 = f.subspan(split);
+
+  size_t g_size = 0;
+  for (size_t i = 0, j = 0; i < f0.size() && j < f1.size();) {
+    const uint64_t a = f0[i] & low;
+    const uint64_t b = f1[j] & low;
+    if (a < b) {
+      ++i;
+    } else if (b < a) {
+      ++j;
+    } else {
+      scratch[g_size++] = a;
+      ++i;
+      ++j;
+    }
+  }
+
+  const size_t g_begin = out->size();
+  AppendPrimes(scratch.first(g_size), var - 1, scratch.subspan(g_size), out);
+  const size_t g_end = out->size();
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(g_begin),
+            out->begin() + static_cast<std::ptrdiff_t>(g_end));
+
+  // Recurses into one half and keeps, with the x literal added, the primes
+  // that no prime of g contains. A half equal to g contributes nothing.
+  const auto add_half = [&](std::span<const uint64_t> half, uint64_t value) {
+    if (half.size() == g_size) {
+      return;
+    }
+    const size_t begin = out->size();
+    AppendPrimes(half, var - 1, scratch, out);
+    size_t kept = begin;
+    for (size_t i = begin; i < out->size(); ++i) {
+      const Cube p = (*out)[i];
+      if (!std::binary_search(
+              out->begin() + static_cast<std::ptrdiff_t>(g_begin),
+              out->begin() + static_cast<std::ptrdiff_t>(g_end), p)) {
+        (*out)[kept++] = Cube(p.values | value, p.mask | x);
+      }
+    }
+    out->resize(kept);
+  };
+  add_half(f1, x);
+  add_half(f0, 0);
+}
+
 }  // namespace
 
 std::vector<Cube> PrimeImplicants(const std::vector<uint64_t>& onset,
                                   const std::vector<uint64_t>& dontcare,
                                   int k) {
-  std::vector<uint64_t> all = onset;
-  all.insert(all.end(), dontcare.begin(), dontcare.end());
-  all = DedupSorted(std::move(all));
-
-  std::vector<Cube> current;
-  current.reserve(all.size());
-  for (uint64_t m : all) {
-    current.push_back(Cube::MinTerm(m, k));
+  k = std::clamp(k, 0, 64);
+  const uint64_t full = Cube::MinTerm(~uint64_t{0}, k).mask;
+  std::vector<uint64_t> codes;
+  codes.reserve(onset.size() + dontcare.size());
+  for (const std::vector<uint64_t>* part : {&onset, &dontcare}) {
+    for (uint64_t code : *part) {
+      codes.push_back(code & full);
+    }
   }
+  codes = DedupSorted(std::move(codes));
 
+  std::vector<uint64_t> scratch(codes.size());
   std::vector<Cube> primes;
-  while (!current.empty()) {
-    // Bucket cubes of the same mask by the popcount of their values; only
-    // cubes in adjacent buckets of the same mask can combine.
-    std::map<std::pair<uint64_t, int>, std::vector<size_t>> buckets;
-    for (size_t i = 0; i < current.size(); ++i) {
-      buckets[{current[i].mask, std::popcount(current[i].values)}].push_back(
-          i);
-    }
-
-    std::vector<bool> combined(current.size(), false);
-    std::unordered_set<Cube, CubeHash> next_set;
-    for (const auto& [key, indices] : buckets) {
-      const auto upper = buckets.find({key.first, key.second + 1});
-      if (upper == buckets.end()) {
-        continue;
-      }
-      for (size_t i : indices) {
-        for (size_t j : upper->second) {
-          const std::optional<Cube> merged =
-              TryCombine(current[i], current[j]);
-          if (merged.has_value()) {
-            combined[i] = true;
-            combined[j] = true;
-            next_set.insert(*merged);
-          }
-        }
-      }
-    }
-
-    for (size_t i = 0; i < current.size(); ++i) {
-      if (!combined[i]) {
-        primes.push_back(current[i]);
-      }
-    }
-    current.assign(next_set.begin(), next_set.end());
-  }
-
+  AppendPrimes(codes, k, scratch, &primes);
   std::sort(primes.begin(), primes.end());
-  primes.erase(std::unique(primes.begin(), primes.end()), primes.end());
   return primes;
 }
 
 Cover MinimizeQm(const std::vector<uint64_t>& onset,
                  const std::vector<uint64_t>& dontcare, int k,
-                 const MinimizeOptions& options) {
+                 const MinimizeOptions& options, size_t* num_primes) {
   const std::vector<uint64_t> need = DedupSorted(onset);
   if (need.empty()) {
     return Cover();
   }
 
   const std::vector<Cube> primes = PrimeImplicants(need, dontcare, k);
+  if (num_primes != nullptr) {
+    *num_primes = primes.size();
+  }
 
   // Prime implicant chart: which primes cover which required minterms.
   std::vector<std::vector<size_t>> covering(need.size());

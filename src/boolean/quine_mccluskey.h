@@ -26,15 +26,25 @@ struct MinimizeOptions {
 /// built from prime implicants: all essential primes plus a greedy
 /// selection for the remaining minterms.
 ///
-/// Complexity is exponential in k in the worst case (the paper discusses
-/// exactly this cost in Section 3.2); use `ReduceCover` from reduction.h
-/// for large instances.
+/// The number of prime implicants can be exponential in k, and so can the
+/// chart (the paper discusses exactly this cost in Section 3.2); use
+/// `ReduceCoverHeuristic` from reduction.h for large instances. When
+/// `num_primes` is set it receives the size of the prime chart.
 Cover MinimizeQm(const std::vector<uint64_t>& onset,
                  const std::vector<uint64_t>& dontcare, int k,
-                 const MinimizeOptions& options = MinimizeOptions());
+                 const MinimizeOptions& options = MinimizeOptions(),
+                 size_t* num_primes = nullptr);
 
 /// Computes all prime implicants of the function defined by onset ∪
-/// dontcare (exposed for tests and for the encoding optimizer).
+/// dontcare, sorted by (mask, values). Codes are read over their low `k`
+/// bits, as Cube::MinTerm does.
+///
+/// Primes come from recursive Shannon cofactoring (Brayton et al., "Logic
+/// Minimization Algorithms for VLSI Synthesis", 1984) on the sorted code
+/// list: a sub-list that is empty or holds its whole sub-space ends the
+/// recursion, so a large block of don't-cares — the free tail a
+/// sequential mapping leaves — costs about one branch per variable
+/// instead of one merge per sub-cube it contains.
 std::vector<Cube> PrimeImplicants(const std::vector<uint64_t>& onset,
                                   const std::vector<uint64_t>& dontcare,
                                   int k);

@@ -143,8 +143,13 @@ Cover ReduceRetrievalFunction(const std::vector<uint64_t>& onset,
   if (onset.size() + dc->size() <= options.exact_max_terms) {
     MinimizeOptions mo;
     mo.prefer_fewer_variables = options.prefer_fewer_variables;
+    size_t primes = 0;
+    Cover cover = MinimizeQm(onset, *dc, k, mo, &primes);
+    if (span.active()) {
+      span.Attr("primes", primes);
+    }
     return FinishReduction(&span, "exact", onset.size(), dc->size(), k,
-                           MinimizeQm(onset, *dc, k, mo));
+                           std::move(cover));
   }
 
   // Heuristic path: include don't-cares as mergeable min-terms, then strip

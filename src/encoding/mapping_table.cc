@@ -1,5 +1,8 @@
 #include "encoding/mapping_table.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "util/bit_util.h"
 
 namespace ebi {
@@ -8,6 +11,11 @@ namespace {
 
 bool FitsWidth(uint64_t code, int width) {
   return width >= 64 || code < (uint64_t{1} << width);
+}
+
+/// Largest codeword of a `width`-bit code space.
+uint64_t MaxCode(int width) {
+  return width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
 }
 
 }  // namespace
@@ -62,6 +70,20 @@ Result<MappingTable> MappingTable::Create(
     }
     table.code_of_value_.push_back(code);
   }
+
+  std::vector<uint64_t> used = table.code_of_value_;
+  for (const std::optional<uint64_t>& reserved_code : {void_code, null_code}) {
+    if (reserved_code.has_value()) {
+      used.push_back(*reserved_code);
+    }
+  }
+  // In ascending order every code is carved from the last range, so the
+  // ranges are built in O(n log n).
+  std::sort(used.begin(), used.end());
+  table.free_ranges_ = {{0, MaxCode(width)}};
+  for (uint64_t code : used) {
+    table.TakeFreeCode(code);
+  }
   return table;
 }
 
@@ -106,39 +128,64 @@ Status MappingTable::AddValue(ValueId id, uint64_t code) {
                                  " already assigned");
   }
   code_of_value_.push_back(code);
+  TakeFreeCode(code);
   return Status::OK();
+}
+
+void MappingTable::TakeFreeCode(uint64_t code) {
+  // Exactly one range holds a free code: the last one that starts at or
+  // below it.
+  auto range = std::prev(std::upper_bound(
+      free_ranges_.begin(), free_ranges_.end(), code,
+      [](uint64_t c, const CodeRange& r) { return c < r.first; }));
+  if (range->first == range->last) {
+    free_ranges_.erase(range);
+  } else if (code == range->first) {
+    ++range->first;
+  } else if (code == range->last) {
+    --range->last;
+  } else {
+    const CodeRange upper{code + 1, range->last};
+    range->last = code - 1;
+    free_ranges_.insert(std::next(range), upper);
+  }
 }
 
 Status MappingTable::ExpandWidth(int new_width) {
   if (new_width < width_) {
     return Status::InvalidArgument("cannot shrink mapping width");
   }
+  const uint64_t old_max = MaxCode(width_);
+  const uint64_t new_max = MaxCode(new_width);
+  if (new_max > old_max) {
+    if (!free_ranges_.empty() && free_ranges_.back().last == old_max) {
+      free_ranges_.back().last = new_max;
+    } else {
+      free_ranges_.push_back({old_max + 1, new_max});
+    }
+  }
   width_ = new_width;
   return Status::OK();
 }
 
 std::optional<uint64_t> MappingTable::FirstFreeCode() const {
-  const uint64_t limit =
-      width_ >= 64 ? ~uint64_t{0} : (uint64_t{1} << width_);
-  for (uint64_t code = 0; code < limit; ++code) {
-    const bool reserved = (void_code_.has_value() && code == *void_code_) ||
-                          (null_code_.has_value() && code == *null_code_);
-    if (!reserved && !value_of_code_.contains(code)) {
-      return code;
-    }
+  if (free_ranges_.empty()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return free_ranges_.front().first;
 }
 
 std::vector<uint64_t> MappingTable::UnusedCodes(size_t limit) const {
   std::vector<uint64_t> out;
-  const uint64_t end = width_ >= 64 ? ~uint64_t{0} : (uint64_t{1} << width_);
-  for (uint64_t code = 0; code < end && out.size() < limit; ++code) {
-    const bool used = value_of_code_.contains(code) ||
-                      (void_code_.has_value() && code == *void_code_) ||
-                      (null_code_.has_value() && code == *null_code_);
-    if (!used) {
+  for (const CodeRange& range : free_ranges_) {
+    for (uint64_t code = range.first; out.size() < limit; ++code) {
       out.push_back(code);
+      if (code == range.last) {
+        break;
+      }
+    }
+    if (out.size() >= limit) {
+      break;
     }
   }
   return out;

@@ -63,10 +63,11 @@ class MappingTable {
   Status ExpandWidth(int new_width);
 
   /// First codeword in [0, 2^width) not currently assigned; nullopt if the
-  /// code space is full.
+  /// code space is full. O(1).
   std::optional<uint64_t> FirstFreeCode() const;
 
-  /// Unused codewords (don't-cares for logical reduction), at most `limit`.
+  /// Unused codewords (don't-cares for logical reduction) in ascending
+  /// order, at most `limit`. O(limit).
   std::vector<uint64_t> UnusedCodes(size_t limit) const;
 
   /// All assigned (value, code) pairs in ValueId order; for inspection.
@@ -80,6 +81,18 @@ class MappingTable {
   std::unordered_map<uint64_t, ValueId> value_of_code_;
   std::optional<uint64_t> void_code_;
   std::optional<uint64_t> null_code_;
+
+  /// Removes `code`, which must be free, from `free_ranges_`.
+  void TakeFreeCode(uint64_t code);
+
+  /// The unassigned codewords of [0, 2^width) as sorted, disjoint,
+  /// non-adjacent inclusive ranges. A sequential mapping leaves one range
+  /// (its free tail); there are never more than NumCodes() + 1.
+  struct CodeRange {
+    uint64_t first;
+    uint64_t last;
+  };
+  std::vector<CodeRange> free_ranges_ = {{0, 0}};  // Width 0: code 0 free.
 };
 
 }  // namespace ebi

@@ -315,6 +315,8 @@ TEST(ExplainTest, EncodedSelectionReportsReductionAndVectorsRead) {
   const uint64_t terms_out = reduce->AttrUint("terms_out", 999);
   EXPECT_GE(terms_out, 1u);
   EXPECT_LT(terms_out, 8u);
+  // The cover is drawn from the prime chart.
+  EXPECT_GE(reduce->AttrUint("primes"), terms_out);
 
   // Vectors actually read by cover evaluation == the accountant's delta.
   const obs::TraceSpan* cover = trace.Find("cover.eval");

@@ -2,8 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
+#include "util/random.h"
+
 namespace ebi {
 namespace {
+
+/// The unused codewords of `table`, found by scanning its whole code space.
+std::vector<uint64_t> ScanUnusedCodes(const MappingTable& table) {
+  std::unordered_set<uint64_t> used(table.codes().begin(),
+                                    table.codes().end());
+  for (const std::optional<uint64_t>& reserved :
+       {table.void_code(), table.null_code()}) {
+    if (reserved.has_value()) {
+      used.insert(*reserved);
+    }
+  }
+  std::vector<uint64_t> unused;
+  for (uint64_t code = 0; code < (uint64_t{1} << table.width()); ++code) {
+    if (!used.contains(code)) {
+      unused.push_back(code);
+    }
+  }
+  return unused;
+}
+
+/// Checks FirstFreeCode and UnusedCodes (at several limits) against a scan.
+void ExpectFreeCodesMatchScan(const MappingTable& table,
+                              const std::string& context) {
+  const std::vector<uint64_t> unused = ScanUnusedCodes(table);
+  EXPECT_EQ(table.FirstFreeCode(),
+            unused.empty() ? std::nullopt
+                           : std::optional<uint64_t>(unused.front()))
+      << context;
+  EXPECT_EQ(table.UnusedCodes(unused.size() + 5), unused) << context;
+  for (size_t limit : {size_t{0}, size_t{1}, unused.size() / 2}) {
+    const std::vector<uint64_t> prefix(
+        unused.begin(),
+        unused.begin() +
+            static_cast<std::ptrdiff_t>(std::min(limit, unused.size())));
+    EXPECT_EQ(table.UnusedCodes(limit), prefix)
+        << context << " limit=" << limit;
+  }
+}
 
 TEST(MappingTableTest, CreateAndLookup) {
   const auto table = MappingTable::Create(2, {0b00, 0b01, 0b10});
@@ -113,6 +156,85 @@ TEST(MappingTableTest, UnusedCodesHonorsLimit) {
   const auto table = MappingTable::Create(4, {0});
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->UnusedCodes(3).size(), 3u);
+}
+
+TEST(MappingTableTest, DefaultTableHasCodeZeroFree) {
+  MappingTable table;
+  ExpectFreeCodesMatchScan(table, "default");
+  EXPECT_TRUE(table.AddValue(0, 0).ok());
+  ExpectFreeCodesMatchScan(table, "after add");
+}
+
+TEST(MappingTableTest, FreeCodesMatchScanUnderRandomUpdates) {
+  // Random initial codes, then random AddValue (free, taken and reserved
+  // codes) and ExpandWidth steps; the free-range bookkeeping must agree
+  // with a scan of the code space after every step.
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    const int width = 1 + static_cast<int>(rng.UniformInt(5));  // 1..5.
+    const uint64_t space = uint64_t{1} << width;
+    std::vector<uint64_t> all(space);
+    for (uint64_t c = 0; c < space; ++c) {
+      all[c] = c;
+    }
+    rng.Shuffle(&all);
+    size_t next = 0;
+    std::optional<uint64_t> void_code;
+    std::optional<uint64_t> null_code;
+    if (seed % 4 == 1 || seed % 4 == 3) {
+      void_code = all[next++];
+    }
+    if ((seed % 4 == 2 || seed % 4 == 3) && next < space) {
+      null_code = all[next++];
+    }
+    const size_t initial = rng.UniformInt(space - next + 1);
+    std::vector<uint64_t> codes(all.begin() + static_cast<std::ptrdiff_t>(next),
+                                all.begin() + static_cast<std::ptrdiff_t>(
+                                                  next + initial));
+    auto table = MappingTable::Create(width, codes, void_code, null_code);
+    ASSERT_TRUE(table.ok()) << "seed=" << seed;
+    const std::string base = "seed=" + std::to_string(seed);
+    ExpectFreeCodesMatchScan(*table, base + " create");
+
+    for (int step = 0; step < 40 && table->width() <= 9; ++step) {
+      const std::string context = base + " step=" + std::to_string(step);
+      const uint64_t roll = rng.UniformInt(10);
+      if (roll == 0) {
+        ASSERT_TRUE(
+            table->ExpandWidth(table->width() + static_cast<int>(
+                                                    rng.UniformInt(2)))
+                .ok());
+      } else {
+        const uint64_t code =
+            roll < 4 && table->FirstFreeCode().has_value()
+                ? *table->FirstFreeCode()
+                : rng.UniformInt(uint64_t{1} << table->width());
+        const bool was_free = table->ValueOfCode(code) == std::nullopt &&
+                              code != void_code && code != null_code;
+        const ValueId id = static_cast<ValueId>(table->NumValues());
+        EXPECT_EQ(table->AddValue(id, code).ok(), was_free) << context;
+      }
+      ExpectFreeCodesMatchScan(*table, context);
+    }
+  }
+}
+
+TEST(MappingTableTest, FullCodeSpaceHasNoFreeCodes) {
+  auto table = MappingTable::Create(2, {0b01, 0b11}, 0b00, 0b10);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->FirstFreeCode(), std::nullopt);
+  EXPECT_TRUE(table->UnusedCodes(10).empty());
+  EXPECT_TRUE(table->ExpandWidth(3).ok());
+  ExpectFreeCodesMatchScan(*table, "expanded");
+}
+
+TEST(MappingTableTest, WidestCodeSpaceFreeTail) {
+  auto table = MappingTable::Create(64, {0, 2, ~uint64_t{0}});
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->FirstFreeCode(), std::optional<uint64_t>(1));
+  EXPECT_EQ(table->UnusedCodes(3), (std::vector<uint64_t>{1, 3, 4}));
+  EXPECT_TRUE(table->AddValue(3, 1).ok());
+  EXPECT_EQ(table->FirstFreeCode(), std::optional<uint64_t>(3));
 }
 
 TEST(MappingTableTest, CodeOfUnknownValueFails) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/random.h"
 
 namespace ebi {
@@ -186,6 +188,192 @@ TEST_P(QmRandomPropertyTest, CoverIsEquivalentAndIrredundant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QmRandomPropertyTest,
                          ::testing::Range(0, 25));
+
+/// The ON ∪ DC set of a function over k <= 16 variables as a truth table.
+class Implicants {
+ public:
+  Implicants(const std::vector<uint64_t>& onset,
+             const std::vector<uint64_t>& dontcare, int k)
+      : k_(k), in_f_(uint64_t{1} << k, false) {
+    for (const std::vector<uint64_t>* part : {&onset, &dontcare}) {
+      for (uint64_t code : *part) {
+        in_f_[code & ((uint64_t{1} << k) - 1)] = true;
+      }
+    }
+  }
+
+  /// True iff every assignment the cube covers is in ON ∪ DC.
+  bool IsImplicant(const Cube& cube) const {
+    const uint64_t free = ((uint64_t{1} << k_) - 1) & ~cube.mask;
+    for (uint64_t sub = free;; sub = (sub - 1) & free) {
+      if (!in_f_[cube.values | sub]) {
+        return false;
+      }
+      if (sub == 0) {
+        return true;
+      }
+    }
+  }
+
+  /// True iff the cube is an implicant that stops being one when any of
+  /// its literals is dropped.
+  bool IsPrime(const Cube& cube) const {
+    if (!IsImplicant(cube)) {
+      return false;
+    }
+    for (uint64_t bits = cube.mask; bits != 0; bits &= bits - 1) {
+      const uint64_t literal = bits & -bits;
+      if (IsImplicant(Cube(cube.values, cube.mask & ~literal))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Brute-force oracle: every one of the 3^k cubes that is prime, sorted
+  /// like PrimeImplicants' output.
+  std::vector<Cube> AllPrimes() const {
+    std::vector<Cube> primes;
+    const uint64_t full = (uint64_t{1} << k_) - 1;
+    for (uint64_t mask = 0; mask <= full; ++mask) {
+      for (uint64_t values = mask;; values = (values - 1) & mask) {
+        if (IsPrime(Cube(values, mask))) {
+          primes.emplace_back(values, mask);
+        }
+        if (values == 0) {
+          break;
+        }
+      }
+    }
+    std::sort(primes.begin(), primes.end());
+    return primes;
+  }
+
+ private:
+  int k_;
+  std::vector<bool> in_f_;
+};
+
+/// Every returned cube is a prime implicant and every ON minterm is
+/// covered by one.
+void ExpectPrimeCover(const std::vector<uint64_t>& onset,
+                      const std::vector<uint64_t>& dontcare, int k) {
+  const std::vector<Cube> primes = PrimeImplicants(onset, dontcare, k);
+  const Implicants f(onset, dontcare, k);
+  for (const Cube& p : primes) {
+    EXPECT_TRUE(f.IsPrime(p)) << p.ToString(k) << " k=" << k;
+  }
+  for (uint64_t m : onset) {
+    EXPECT_TRUE(CoverCovers(primes, m)) << "minterm " << m << " k=" << k;
+  }
+}
+
+TEST(PrimeImplicantsOracleTest, RandomSplitsMatchBruteForce) {
+  for (uint64_t seed = 0; seed < 400; ++seed) {
+    Rng rng(seed);
+    const int k = static_cast<int>(seed % 9);  // 0..8 variables.
+    const double on_share = rng.UniformDouble();
+    const double dc_share = rng.UniformDouble() * (1.0 - on_share);
+    std::vector<uint64_t> onset;
+    std::vector<uint64_t> dc;
+    for (uint64_t m = 0; m < (uint64_t{1} << k); ++m) {
+      const double roll = rng.UniformDouble();
+      if (roll < on_share) {
+        onset.push_back(m);
+      } else if (roll < on_share + dc_share) {
+        dc.push_back(m);
+      }
+    }
+    rng.Shuffle(&onset);
+    EXPECT_EQ(PrimeImplicants(onset, dc, k),
+              Implicants(onset, dc, k).AllPrimes())
+        << "seed=" << seed << " k=" << k;
+  }
+}
+
+TEST(PrimeImplicantsOracleTest, EmptyFunctionHasNoPrimes) {
+  for (int k : {0, 1, 5, 64}) {
+    EXPECT_TRUE(PrimeImplicants({}, {}, k).empty()) << "k=" << k;
+  }
+}
+
+TEST(PrimeImplicantsOracleTest, FullFunctionIsTheConstantCube) {
+  for (int k = 0; k <= 8; ++k) {
+    std::vector<uint64_t> all;
+    for (uint64_t m = 0; m < (uint64_t{1} << k); ++m) {
+      all.push_back(m);
+    }
+    EXPECT_EQ(PrimeImplicants(all, {}, k), std::vector<Cube>{Cube()})
+        << "all ON, k=" << k;
+    EXPECT_EQ(PrimeImplicants({}, all, k), std::vector<Cube>{Cube()})
+        << "all DC, k=" << k;
+  }
+}
+
+TEST(PrimeImplicantsOracleTest, ZeroAndOneVariable) {
+  EXPECT_EQ(PrimeImplicants({0}, {}, 0), std::vector<Cube>{Cube()});
+  EXPECT_EQ(PrimeImplicants({1}, {}, 1),
+            std::vector<Cube>{Cube::MinTerm(1, 1)});
+  EXPECT_EQ(PrimeImplicants({0}, {}, 1),
+            std::vector<Cube>{Cube::MinTerm(0, 1)});
+  EXPECT_EQ(PrimeImplicants({0}, {1}, 1), std::vector<Cube>{Cube()});
+}
+
+TEST(PrimeImplicantsOracleTest, SingleMintermAtSixtyFourVariables) {
+  const uint64_t code = 0x8000'0000'dead'beefULL;
+  EXPECT_EQ(PrimeImplicants({code}, {}, 64),
+            std::vector<Cube>{Cube::MinTerm(code, 64)});
+  // Two codes one bit apart merge into one 63-literal prime.
+  EXPECT_EQ(PrimeImplicants({code, code ^ 1}, {}, 64),
+            std::vector<Cube>{Cube(code & ~uint64_t{1}, ~uint64_t{1})});
+}
+
+TEST(PrimeImplicantsOracleTest, CodesWiderThanKAreMasked) {
+  // Bits at or above k are ignored, as in Cube::MinTerm: 0b1101 and
+  // 0b0101 are both 0b101 over 3 variables.
+  const std::vector<uint64_t> onset = {0b1101, 0b0101, 0b11100};
+  const std::vector<uint64_t> dc = {0b1000, 0b110};
+  const std::vector<uint64_t> masked_onset = {0b101, 0b100};
+  const std::vector<uint64_t> masked_dc = {0b000, 0b110};
+  EXPECT_EQ(PrimeImplicants(onset, dc, 3),
+            PrimeImplicants(masked_onset, masked_dc, 3));
+  EXPECT_EQ(PrimeImplicants(onset, dc, 3),
+            Implicants(masked_onset, masked_dc, 3).AllPrimes());
+}
+
+/// A sequential mapping of `used` codes over k bits leaves [used, 2^k) as
+/// don't-cares; the selection takes `delta` random used codes.
+void ExpectServedShape(int k, uint64_t used, size_t delta, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> onset;
+  for (size_t i = 0; i < delta; ++i) {
+    onset.push_back(rng.UniformInt(used));
+  }
+  std::vector<uint64_t> dc;
+  for (uint64_t code = used; code < (uint64_t{1} << k); ++code) {
+    dc.push_back(code);
+  }
+  ExpectPrimeCover(onset, dc, k);
+}
+
+TEST(PrimeImplicantsOracleTest, SequentialMappingDontCareTails) {
+  for (int k : {9, 10, 11}) {
+    const uint64_t half = uint64_t{1} << (k - 1);
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      ExpectServedShape(k, half + 1 + seed * (half / 4), 32, seed);
+    }
+  }
+}
+
+TEST(PrimeImplicantsOracleTest, SixteenVariablesWithLargeDontCareTail) {
+  // About 25k unused codewords as don't-cares. Level-by-level merging
+  // enumerates every sub-cube of that tail (seconds per call); cofactoring
+  // does not (about a millisecond). Four calls keep a regression past the
+  // ctest TIMEOUT on this binary, so it fails by name.
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    ExpectServedShape(16, 40536, 32, seed);
+  }
+}
 
 }  // namespace
 }  // namespace ebi

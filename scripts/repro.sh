@@ -44,16 +44,16 @@ cmake --build build-asan
 ctest --test-dir build-asan 2>&1 | tee -a test_output.txt
 
 # ThreadSanitizer pass over the concurrency surface: the thread pool, the
-# segmented/sharded execution path, the shared atomic accountant, the
-# serving layer (snapshot pins + combining appends under real races), the
-# sharded cluster tier (scatter-gather + routed appends + sheds), and
-# the storage engine (buffer-pool pins + concurrent WAL appends).
+# lock-rank registry, the shared atomic accountant, the serving layer
+# (snapshot pins + combining appends under real races), the sharded
+# cluster tier (scatter-gather + routed appends + sheds), and the storage
+# engine (buffer-pool pins + concurrent WAL appends).
 # TSan and ASan cannot share a build, hence the third tree.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Debug \
   -DEBI_SANITIZE=thread
 cmake --build build-tsan
 ctest --test-dir build-tsan \
-  -R 'thread_pool|lock_rank|segmented_table|sharded_index|parallel_executor|io_accountant|query_service|serve_stress|cluster_service|cluster_stress|telemetry|workload_recorder|storage_engine|wal_recovery' \
+  -R 'thread_pool|lock_rank|io_accountant|query_service|serve_stress|cluster_service|cluster_stress|telemetry|workload_recorder|storage_engine|wal_recovery' \
   2>&1 | tee -a test_output.txt
 
 # Compile-time thread-safety pass: when a clang is available, rebuild

@@ -44,8 +44,6 @@ const char* ViolationKindName(ViolationKind kind) {
       return "EwahFormatMismatch";
     case ViolationKind::kPersistedBitmapCorrupt:
       return "PersistedBitmapCorrupt";
-    case ViolationKind::kShardPartitionMismatch:
-      return "ShardPartitionMismatch";
     case ViolationKind::kClusterPartitionMismatch:
       return "ClusterPartitionMismatch";
   }
@@ -344,31 +342,6 @@ AuditReport InvariantAuditor::AuditIndex(SecondaryIndex& index,
       }
       report.Merge(AuditBitVector(slice.value(), expected_rows, i));
     }
-  }
-  return report;
-}
-
-AuditReport InvariantAuditor::AuditShardedIndex(ShardedIndex& index,
-                                                size_t expected_rows) {
-  AuditReport report;
-  size_t rows_covered = 0;
-  for (size_t i = 0; i < index.NumShards(); ++i) {
-    SecondaryIndex* shard = index.shard(i);
-    const size_t shard_rows = shard->column().size();
-    rows_covered += shard_rows;
-    AuditReport shard_report = AuditIndex(*shard, shard_rows);
-    // Re-anchor shard-local violations so the report names the shard.
-    for (Violation& v : shard_report.violations) {
-      v.detail = "shard " + std::to_string(i) + ": " + v.detail;
-    }
-    report.Merge(std::move(shard_report));
-  }
-  ++report.checks_run;
-  if (rows_covered != expected_rows) {
-    report.violations.push_back(
-        {ViolationKind::kShardPartitionMismatch, index.NumShards(),
-         "shard segments cover " + std::to_string(rows_covered) +
-             " rows, source table has " + std::to_string(expected_rows)});
   }
   return report;
 }

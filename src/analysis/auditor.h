@@ -10,7 +10,6 @@
 
 #include "encoding/mapping_table.h"
 #include "index/index.h"
-#include "index/sharded_index.h"
 #include "storage/column.h"
 #include "util/bitvector.h"
 #include "util/stored_bitmap.h"
@@ -31,8 +30,6 @@ namespace ebi {
 ///     to the declared word count, and (kBitmapTailDirty) no padding bit
 ///     above size() is set — the tail invariant Count()/IsZero() rely on
 ///     to skip masking;
-///   * kShardPartitionMismatch — a ShardedIndex's segments must tile the
-///     source table exactly;
 ///   * kClusterPartitionMismatch — a cluster placement's per-shard
 ///     global-row-id maps must tile [0, total_rows) exactly: every row
 ///     owned by exactly one shard, in append order.
@@ -47,7 +44,6 @@ enum class ViolationKind : uint8_t {
   kBitmapTailDirty,
   kEwahFormatMismatch,
   kPersistedBitmapCorrupt,
-  kShardPartitionMismatch,
   kClusterPartitionMismatch,
 };
 
@@ -84,11 +80,11 @@ struct AuditReport {
 
 /// Debug/verify-mode structural auditor for the paper's invariants.
 ///
-/// The high-level entry points (AuditIndex, AuditShardedIndex,
-/// AuditMapping) walk real structures through the SecondaryIndex audit
-/// hooks; the raw-part overloads (AuditMappingParts, AuditEwahWords,
-/// AuditPersistedBitmap) exist so tests can seed known-bad inputs that the
-/// constructing APIs themselves reject.
+/// The high-level entry points (AuditIndex, AuditMapping) walk real
+/// structures through the SecondaryIndex audit hooks; the raw-part
+/// overloads (AuditMappingParts, AuditEwahWords, AuditPersistedBitmap)
+/// exist so tests can seed known-bad inputs that the constructing APIs
+/// themselves reject.
 class InvariantAuditor {
  public:
   /// Audits raw mapping parts: codeword distinctness (including the
@@ -150,12 +146,6 @@ class InvariantAuditor {
   /// back from the backing store. `expected_rows` is the table's row
   /// count. Non-const because cold-store fetches go through the LRU pool.
   static AuditReport AuditIndex(SecondaryIndex& index, size_t expected_rows);
-
-  /// Audits a ShardedIndex: each shard as a full index against its own
-  /// segment's row count, plus the partition contract that the shard row
-  /// counts sum to `expected_rows` of the source table.
-  static AuditReport AuditShardedIndex(ShardedIndex& index,
-                                       size_t expected_rows);
 
   /// Audits a cluster placement's raw global-row-id maps
   /// (serve/cluster's ShardRouter::Placement::shard_rows, passed as raw

@@ -40,7 +40,6 @@
 #include "index/join_index.h"
 #include "index/projection_index.h"
 #include "index/range_based_bitmap_index.h"
-#include "index/sharded_index.h"
 #include "index/simple_bitmap_index.h"
 #include "index/value_list_index.h"
 #include "obs/explain.h"
@@ -52,7 +51,6 @@
 #include "query/index_manager.h"
 #include "query/maintenance.h"
 #include "query/materialize.h"
-#include "query/parallel_executor.h"
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "query/reencode_advisor.h"
@@ -61,7 +59,6 @@
 #include "storage/column.h"
 #include "storage/csv.h"
 #include "storage/io_accountant.h"
-#include "storage/segmented_table.h"
 #include "storage/table.h"
 #include "util/bit_util.h"
 #include "util/bitvector.h"

@@ -70,11 +70,6 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   }
 }
 
-size_t ThreadPool::DefaultThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -13,13 +13,13 @@
 namespace ebi {
 namespace exec {
 
-/// A fixed-size worker pool for data-parallel query execution.
+/// A fixed-size worker pool.
 ///
-/// The execution engine partitions work by row range (one task per table
-/// segment) and the pool is the only place threads are created: segments,
-/// shards and executors all borrow it, so total parallelism is bounded by
-/// one knob. Tasks are plain closures; results travel through caller-owned
-/// slots, never through the pool.
+/// The pool is the only place the library creates threads: each serve
+/// tier service runs its workers on one and the buffer pool's async
+/// prefetch borrows one, so thread counts stay bounded by pool sizes.
+/// Tasks are plain closures; results travel through caller-owned slots,
+/// never through the pool.
 ///
 /// Shutdown is graceful: the destructor lets every already-submitted task
 /// finish before joining the workers, so a caller blocked in ParallelFor
@@ -45,19 +45,15 @@ class ThreadPool {
 
   /// Runs `body(i)` for every i in [begin, end) on the pool and blocks
   /// until all iterations finish. Iterations may run in any order and
-  /// concurrently; callers that need a deterministic result must merge
-  /// per-iteration outputs by index after the call returns (the pattern
-  /// ShardedIndex and ParallelSelectionExecutor use).
+  /// concurrently; callers that need a deterministic result must write
+  /// one output slot per iteration and merge the slots by index after
+  /// the call returns.
   ///
   /// Must not be called from inside a pool task: the caller blocks on the
   /// barrier and with every worker blocked the same way the pool would
   /// deadlock.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body);
-
-  /// The hardware thread count, or 1 when it cannot be determined — the
-  /// default pool size for benches and tools.
-  static size_t DefaultThreads();
 
  private:
   void WorkerLoop();

@@ -10,9 +10,8 @@
 namespace ebi {
 
 /// Index families the library can instantiate by name. Lives in the index
-/// layer so both the DBA surface (IndexManager) and the partitioned
-/// execution engine (ShardedIndex builds one shard per table segment)
-/// construct indexes through the same path.
+/// layer so both the DBA surface (IndexManager) and the serve tier's
+/// snapshots (serve/snapshot.h) construct indexes through the same path.
 enum class IndexKind {
   kSimpleBitmap,
   kSimpleBitmapEwah,

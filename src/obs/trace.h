@@ -213,19 +213,6 @@ class ScopedSpan {
     }
   }
 
-  /// Appends an already-built span subtree as a child of this span —
-  /// how spans recorded on worker threads (each into its own per-segment
-  /// QueryTrace) are re-parented into the caller's trace after a
-  /// parallel fan-out joins. Only call while this span is the innermost
-  /// open span of its trace: appending to an outer span could reallocate
-  /// the children vector an open descendant pointer lives in. No-op when
-  /// inactive.
-  void AddChild(TraceSpan child) {
-    if (trace_ != nullptr) {
-      span_->children.push_back(std::move(child));
-    }
-  }
-
   /// Adds the four IoStats counters as vectors/pages/bytes(/nodes when
   /// nonzero) attributes — the per-span I/O delta.
   void AttrIo(const IoStats& io) {

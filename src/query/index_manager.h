@@ -16,9 +16,8 @@
 namespace ebi {
 
 // IndexKind, IndexKindFromName, IndexKindName and MakeSecondaryIndex
-// moved to index/index_factory.h so the index layer (ShardedIndex) can
-// build shards through the same path; this include keeps the old names
-// visible to existing users of this header.
+// live in index/index_factory.h, shared with the serve tier's snapshots;
+// this include keeps them visible to users of this header.
 
 /// Owns every index of one table and keeps the moving parts wired
 /// together: CREATE INDEX builds the structure and registers it with both

@@ -78,13 +78,12 @@ struct IoStats {
 /// Storage is in-memory; only the accounting is "disk-shaped". Page size
 /// defaults to the 4 KB the paper assumes in its Section 2.1 cost analysis.
 ///
-/// Thread-safe: the counters are relaxed atomics, so index shards running
-/// on pool workers can charge one shared accountant without tearing.
-/// stats() snapshots the four counters individually — under concurrent
-/// charging the snapshot is per-counter consistent, not cross-counter;
-/// code that needs an exact delta (IoScope) should read at points where
-/// the accountant is quiescent, as the parallel executor does (it gives
-/// every segment a private accountant and merges after the barrier).
+/// Thread-safe: the counters are relaxed atomics, so queries running on
+/// pool workers can charge one shared accountant (a serve snapshot's)
+/// without tearing. stats() snapshots the counters individually — under
+/// concurrent charging the snapshot is per-counter consistent, not
+/// cross-counter; code that needs an exact delta (IoScope) should read at
+/// points where the accountant is quiescent.
 class IoAccountant {
  public:
   static constexpr size_t kDefaultPageSize = 4096;
@@ -147,19 +146,6 @@ class IoAccountant {
   /// already charged individually via ChargePageRead).
   void ChargeVectorTouch() {
     vectors_read_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Charges a whole pre-aggregated delta — how per-segment accountant
-  /// deltas are merged back into the query's accountant after a parallel
-  /// fan-out. Pages are taken as counted by the segment accountants, not
-  /// recomputed from bytes.
-  void ChargeStats(const IoStats& stats) {
-    vectors_read_.fetch_add(stats.vectors_read, std::memory_order_relaxed);
-    pages_read_.fetch_add(stats.pages_read, std::memory_order_relaxed);
-    bytes_read_.fetch_add(stats.bytes_read, std::memory_order_relaxed);
-    nodes_read_.fetch_add(stats.nodes_read, std::memory_order_relaxed);
-    bytes_written_.fetch_add(stats.bytes_written, std::memory_order_relaxed);
-    pages_written_.fetch_add(stats.pages_written, std::memory_order_relaxed);
   }
 
   IoStats stats() const {

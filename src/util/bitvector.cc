@@ -193,33 +193,6 @@ BitVector& BitVector::AndWithMany(
   return *this;
 }
 
-void BitVector::BlitFrom(const BitVector& src, size_t offset) {
-  assert(offset + src.size_ <= size_ && "BlitFrom range exceeds destination");
-  if (src.size_ == 0) {
-    return;
-  }
-  const size_t word0 = offset >> 6;
-  const size_t shift = offset & 63;
-  if (shift == 0 && word0 + src.words_.size() <= words_.size()) {
-    // Word-aligned segment concat (the ShardedIndex fan-out fast path):
-    // one fused bulk OR instead of a shift-and-carry loop.
-    K().or_words(words_.data() + word0, src.words_.data(),
-                 src.words_.size());
-  } else {
-    for (size_t i = 0; i < src.words_.size(); ++i) {
-      const uint64_t w = src.words_[i];
-      if (word0 + i < words_.size()) {
-        words_[word0 + i] |= shift == 0 ? w : (w << shift);
-      }
-      if (shift != 0 && word0 + i + 1 < words_.size()) {
-        words_[word0 + i + 1] |= w >> (64 - shift);
-      }
-    }
-  }
-  MaskTail();
-  DebugCheckTail();
-}
-
 void BitVector::SetWord(size_t w, uint64_t bits) {
   words_[w] = bits;
   if (w + 1 == words_.size()) {

@@ -140,15 +140,6 @@ class BitVector {
   /// the InvariantAuditor can verify it.
   [[nodiscard]] bool TailIsClean() const;
 
-  /// ORs all bits of `src` into positions [offset, offset + src.size())
-  /// — the segment-order concatenation of per-segment result bitmaps.
-  /// The destination must already span the range (asserted in debug
-  /// builds; out-of-range source bits are dropped otherwise). Works
-  /// word-at-a-time with shifts, so unaligned offsets cost one extra OR
-  /// per word, not per bit. Not safe for concurrent calls that share a
-  /// destination word: merge serially, in segment order.
-  void BlitFrom(const BitVector& src, size_t offset);
-
   friend bool operator==(const BitVector& a, const BitVector& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;
   }

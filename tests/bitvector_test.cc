@@ -286,70 +286,6 @@ TEST(BitVectorTailTest, ManyOpsWithEmptyOperandListAreIdentity) {
   EXPECT_EQ(v, before);
 }
 
-// --- BlitFrom boundary regressions -------------------------------------
-
-TEST(BitVectorBlitTest, ZeroLengthSourceIsNoOpAtAnyOffset) {
-  BitVector dst(100);
-  dst.Set(7);
-  const BitVector empty;
-  for (size_t offset : {size_t{0}, size_t{1}, size_t{63}, size_t{100}}) {
-    BitVector v = dst;
-    v.BlitFrom(empty, offset);
-    EXPECT_EQ(v, dst) << "offset=" << offset;
-  }
-}
-
-TEST(BitVectorBlitTest, WordAlignedFastPathMatchesShiftPath) {
-  Rng rng(73);
-  BitVector src(130);
-  for (size_t i = 0; i < src.size(); ++i) {
-    if (rng.Bernoulli(0.4)) {
-      src.Set(i);
-    }
-  }
-  // Aligned offset (multiple of 64) takes the fused-OR fast path; the
-  // result must be identical to bit-by-bit placement.
-  BitVector dst(300);
-  dst.BlitFrom(src, 64);
-  BitVector expect(300);
-  src.ForEachSetBit([&expect](size_t i) { expect.Set(64 + i); });
-  EXPECT_EQ(dst, expect);
-}
-
-TEST(BitVectorBlitTest, FuzzEveryOffsetMod64) {
-  // Sweep offset mod 64 exhaustively with ragged source sizes so the
-  // carry into the following word, the word-aligned fast path, and the
-  // destination tail are all exercised.
-  Rng rng(74);
-  for (size_t offset = 0; offset < 64; ++offset) {
-    const size_t src_bits = 65 + offset % 7;
-    BitVector src(src_bits);
-    for (size_t i = 0; i < src_bits; ++i) {
-      if (rng.Bernoulli(0.5)) {
-        src.Set(i);
-      }
-    }
-    BitVector dst(offset + src_bits + 3);
-    dst.Set(0);
-    BitVector expect = dst;
-    src.ForEachSetBit([&expect, offset](size_t i) {
-      expect.Set(offset + i);
-    });
-    dst.BlitFrom(src, offset);
-    EXPECT_EQ(dst, expect) << "offset=" << offset;
-    EXPECT_TRUE(dst.TailIsClean()) << "offset=" << offset;
-  }
-}
-
-TEST(BitVectorBlitTest, BlitIntoExactTailKeepsPaddingClean) {
-  // Source lands exactly against the destination's partial last word.
-  BitVector src(10, true);
-  BitVector dst(74);
-  dst.BlitFrom(src, 64);
-  EXPECT_EQ(dst.Count(), 10u);
-  EXPECT_TRUE(dst.TailIsClean());
-}
-
 class BitVectorPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(BitVectorPropertyTest, OpsMatchBitwiseReference) {

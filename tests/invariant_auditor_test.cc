@@ -6,11 +6,8 @@
 #include <sstream>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "index/cold_encoded_bitmap_index.h"
 #include "index/index_factory.h"
-#include "index/sharded_index.h"
-#include "storage/segmented_table.h"
 #include "test_util.h"
 #include "util/stored_bitmap_io.h"
 
@@ -261,53 +258,6 @@ TEST(InvariantAuditorTest, DetectsStaleIndexAfterTableGrows) {
   const AuditReport report =
       InvariantAuditor::AuditIndex(*index, table->NumRows());
   EXPECT_TRUE(report.Has(ViolationKind::kBitmapLengthMismatch))
-      << report.ToString();
-}
-
-// ---------------------------------------------------------------------------
-// Sharded indexes: per-shard audits plus the partition contract.
-
-struct ShardedHarness {
-  std::unique_ptr<Table> table;
-  std::unique_ptr<SegmentedTable> segments;
-  std::unique_ptr<exec::ThreadPool> pool;
-  std::unique_ptr<IoAccountant> io = std::make_unique<IoAccountant>();
-  std::unique_ptr<ShardedIndex> index;
-};
-
-ShardedHarness MakeSharded(IndexKind kind, size_t rows,
-                           size_t segment_rows) {
-  ShardedHarness h;
-  h.table = RandomIntTable(rows, 20, 42, 0.1);
-  auto parts = SegmentedTable::Partition(*h.table, segment_rows);
-  EXPECT_TRUE(parts.ok());
-  h.segments = std::make_unique<SegmentedTable>(std::move(parts).value());
-  h.pool = std::make_unique<exec::ThreadPool>(3);
-  h.index = std::make_unique<ShardedIndex>(
-      h.segments.get(), &h.table->column(0), &h.table->existence(), kind,
-      h.pool.get(), h.io.get());
-  EXPECT_TRUE(h.index->Build().ok());
-  return h;
-}
-
-TEST(InvariantAuditorTest, CleanAuditOnShardedIndexes) {
-  for (const IndexKind kind :
-       {IndexKind::kSimpleBitmapEwah, IndexKind::kEncodedBitmap,
-        IndexKind::kBitSliced, IndexKind::kRangeBasedBitmap}) {
-    ShardedHarness h = MakeSharded(kind, 400, 64);
-    const AuditReport report =
-        InvariantAuditor::AuditShardedIndex(*h.index, h.table->NumRows());
-    EXPECT_TRUE(report.clean())
-        << IndexKindName(kind) << ": " << report.ToString();
-    EXPECT_GT(report.checks_run, 0u);
-  }
-}
-
-TEST(InvariantAuditorTest, DetectsShardPartitionMismatch) {
-  ShardedHarness h = MakeSharded(IndexKind::kEncodedBitmap, 300, 50);
-  const AuditReport report =
-      InvariantAuditor::AuditShardedIndex(*h.index, h.table->NumRows() + 5);
-  EXPECT_TRUE(report.Has(ViolationKind::kShardPartitionMismatch))
       << report.ToString();
 }
 

@@ -66,6 +66,12 @@ Enforces structural conventions the compiler cannot:
                     constants everywhere else. A quoted "ebi.*" literal
                     anywhere else is a typo waiting to split a time
                     series.
+  ctest-filter      Every alternative of a `ctest ... -R '<a|b|...>'`
+                    filter in .github/workflows/*.yml and scripts/*.sh
+                    must match at least one ebi_add_test(<name>) in
+                    tests/CMakeLists.txt. A filter naming a deleted test
+                    otherwise matches nothing and the suite it meant to
+                    run silently drops out.
 
 Exceptions live in tools/ebi_lint_allow.txt as `<rule> <path>` lines
 (rule `nolint` entries are consumed by scripts/lint.sh's NOLINT audit).
@@ -87,6 +93,9 @@ FIXTURES = os.path.join(ROOT, "tools", "lint_fixtures")
 
 SCAN_DIRS = ("src", "tests", "examples", "bench")
 EXTENSIONS = (".h", ".cc", ".cpp")
+# CI workflows and scripts: only the ctest-filter rule reads these.
+SCRIPT_DIRS = (".github/workflows", "scripts")
+SCRIPT_EXTENSIONS = (".yml", ".yaml", ".sh")
 
 
 def strip_code(text):
@@ -481,6 +490,51 @@ def rule_metric_name_literal(path, text, stripped):
             "reference the kMetric* constant instead")
 
 
+def registered_tests():
+    """The ctest names tests/CMakeLists.txt registers via ebi_add_test."""
+    with open(os.path.join(ROOT, "tests", "CMakeLists.txt"),
+              encoding="utf-8") as f:
+        return re.findall(r"^\s*ebi_add_test\((\w+)\)", f.read(), re.M)
+
+
+CTEST_R_RE = re.compile(
+    r"""(?:^|\s)-R\s+(?:'([^']*)'|"([^"]*)"|([^\s'"]+))""")
+# A flag on its own line continues the command above it (YAML folded
+# scalars); `- name:` list items have a space after the dash and do not.
+FLAG_LINE_RE = re.compile(r"^\s*-[A-Za-z-]")
+
+
+def ctest_filters(text):
+    """Yields (lineno, pattern) for each -R argument of a ctest command,
+    following backslash continuations and flag-only continuation lines."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if line.lstrip().startswith("#") or not re.search(r"\bctest\b", line):
+            continue
+        end = i
+        while end + 1 < len(lines) and (
+                lines[end].rstrip().endswith("\\")
+                or FLAG_LINE_RE.match(lines[end + 1])):
+            end += 1
+        for lineno in range(i, end + 1):
+            for match in CTEST_R_RE.finditer(lines[lineno]):
+                pattern = next(g for g in match.groups() if g is not None)
+                yield lineno + 1, pattern
+
+
+def rule_ctest_filter(path, text):
+    names = registered_tests()
+    for lineno, pattern in ctest_filters(text):
+        # The filters are flat name lists, so every `|` separates two
+        # alternatives.
+        for alt in pattern.split("|"):
+            if not any(re.search(alt, n) for n in names):
+                yield Finding("ctest-filter", path, lineno,
+                              f"ctest -R alternative '{alt}' matches no "
+                              "ebi_add_test(...) in tests/CMakeLists.txt")
+
+
+# The C++ source rules; script files get rule_ctest_filter alone.
 RULES = (
     rule_raw_bit_words,
     rule_simd_intrinsics,
@@ -511,6 +565,7 @@ RULE_NAMES = (
     "include-path",
     "test-registered",
     "metric-name-literal",
+    "ctest-filter",
 )
 
 
@@ -533,6 +588,8 @@ def load_allowlist():
 
 
 def lint_file(path, text, cmake_text=None):
+    if path.endswith(SCRIPT_EXTENSIONS):
+        return list(rule_ctest_filter(path, text))
     stripped = strip_code(text)
     findings = []
     for rule in RULES:
@@ -552,6 +609,10 @@ def repo_files():
                 if name.endswith(EXTENSIONS):
                     full = os.path.join(dirpath, name)
                     yield os.path.relpath(full, ROOT)
+    for top in SCRIPT_DIRS:
+        for name in sorted(os.listdir(os.path.join(ROOT, top))):
+            if name.endswith(SCRIPT_EXTENSIONS):
+                yield os.path.join(top, name)
 
 
 def run_lint():
@@ -595,7 +656,7 @@ def run_selftest():
     checked = 0
     for name in sorted(os.listdir(FIXTURES)):
         full = os.path.join(FIXTURES, name)
-        if not name.endswith(EXTENSIONS):
+        if not name.endswith(EXTENSIONS + SCRIPT_EXTENSIONS):
             continue
         with open(full, encoding="utf-8") as f:
             text = f.read()

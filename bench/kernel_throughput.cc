@@ -8,13 +8,20 @@
 // Density does not change the work these word-parallel ops do; the sweep
 // is kept anyway to show exactly that (and to catch a backend that
 // accidentally branches on data).
+//
+// A second section times EvaluateCover, the blocked cover pass built
+// from these primitives, on every backend: 1M rows, 10 slices, covers of
+// 4/10/20 cubes x 6 literals. Its GB/s counts referenced-slice bytes
+// (c_e x n/8), the bytes the paper's cost model charges per evaluation.
 
+#include <bit>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "boolean/cover.h"
 #include "util/kernels/kernels.h"
 #include "util/random.h"
 
@@ -53,11 +60,11 @@ double MeasureGbps(const std::function<void()>& body, double bytes_per_pass,
   return bytes_per_pass * passes / seconds / 1e9;
 }
 
-// Sink for popcount results so the measured loop cannot be elided.
+// Sink for popcount and cover results so the measured loop cannot be
+// elided.
 volatile size_t g_popcount_sink = 0;
 
-void RunGrid() {
-  bench::BenchReport report("kernel_throughput");
+void RunGrid(bench::BenchReport* report) {
   const size_t n = size_t{1} << 18;  // 2 MiB spans: larger than L1/L2.
   const int passes = 24;
   const double word_bytes = static_cast<double>(n) * 8.0;
@@ -128,12 +135,71 @@ void RunGrid() {
             scalar_gbps[c] > 0.0 ? gbps / scalar_gbps[c] : 0.0;
         std::printf("%-8s %-10s %-9.2f %12.2f %9.2fx\n", k.name,
                     cells[c].op, density, gbps, speedup);
-        report.BeginRun(std::string(k.name) + "/" + cells[c].op +
-                        "/density=" + std::to_string(density));
-        report.Metric("gb_per_s", gbps);
-        report.Metric("speedup_vs_scalar", speedup);
-        report.Metric("words", n);
+        report->BeginRun(std::string(k.name) + "/" + cells[c].op +
+                         "/density=" + std::to_string(density));
+        report->Metric("gb_per_s", gbps);
+        report->Metric("speedup_vs_scalar", speedup);
+        report->Metric("words", n);
       }
+    }
+  }
+}
+
+/// A cover of `cubes` cubes, each over `literals` distinct variables of
+/// `k` with random polarity.
+Cover RandomCover(size_t cubes, int literals, int k, Rng* rng) {
+  Cover cover;
+  for (size_t c = 0; c < cubes; ++c) {
+    uint64_t mask = 0;
+    while (std::popcount(mask) < literals) {
+      mask |= uint64_t{1} << rng->UniformInt(k);
+    }
+    cover.push_back(Cube(rng->Next(), mask));
+  }
+  return cover;
+}
+
+void RunCoverEval(bench::BenchReport* report) {
+  const size_t rows = size_t{1} << 20;
+  const int k = 10;
+  const int literals = 6;
+  const int passes = 40;
+  Rng rng(20261017);
+  std::vector<BitVector> slices;
+  for (int i = 0; i < k; ++i) {
+    slices.push_back(
+        BitVector::FromWords(rows, RandomWords(rows / 64, 0.5, &rng)));
+  }
+  std::printf("\ncover evaluation: %zu rows, %d slices, %d-literal cubes\n",
+              rows, k, literals);
+  std::printf("%-8s %-6s %5s %10s %12s %10s\n", "backend", "cubes", "c_e",
+              "ms/eval", "GB/s", "vs scalar");
+  for (const size_t cubes : {size_t{4}, size_t{10}, size_t{20}}) {
+    const Cover cover = RandomCover(cubes, literals, k, &rng);
+    const int ce = DistinctVariables(cover);
+    const double slice_bytes = static_cast<double>(ce) * rows / 8.0;
+    double scalar_gbps = 0.0;
+    for (const kernels::BitmapKernels* backend : kernels::Supported()) {
+      const double gbps = MeasureGbps(
+          [backend, &cover, &slices, rows] {
+            g_popcount_sink =
+                EvaluateCoverWith(*backend, cover, slices, rows).NumWords();
+          },
+          slice_bytes, passes);
+      if (backend == kernels::Supported().front()) {
+        scalar_gbps = gbps;
+      }
+      const double ms = gbps > 0.0 ? slice_bytes / gbps / 1e6 : 0.0;
+      const double speedup = scalar_gbps > 0.0 ? gbps / scalar_gbps : 0.0;
+      std::printf("%-8s %-6zu %5d %10.3f %12.2f %9.2fx\n", backend->name,
+                  cubes, ce, ms, gbps, speedup);
+      report->BeginRun(std::string(backend->name) + "/cover_eval/cubes=" +
+                       std::to_string(cubes));
+      report->Metric("ms_per_eval", ms);
+      report->Metric("gb_per_s", gbps);
+      report->Metric("speedup_vs_scalar", speedup);
+      report->Metric("vectors_read", ce);
+      report->Metric("rows", rows);
     }
   }
 }
@@ -142,6 +208,8 @@ void RunGrid() {
 }  // namespace ebi
 
 int main() {
-  ebi::RunGrid();
+  ebi::bench::BenchReport report("kernel_throughput");
+  ebi::RunGrid(&report);
+  ebi::RunCoverEval(&report);
   return 0;
 }

@@ -1,8 +1,34 @@
 #include "boolean/cover.h"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
+
+#include "util/kernels/kernels.h"
 
 namespace ebi {
+
+namespace {
+
+// Words per evaluation block: 2 KB, so the block accumulator, the cube's
+// AND buffer and the blocks of the ~8 slices a star-schema cover
+// references all stay L1-resident.
+constexpr size_t kBlockWords = 256;
+
+// EvaluateCover's precondition: every slice the cover references exists
+// and has exactly `n` bits. Unreferenced slices may have any size.
+[[maybe_unused]] bool ReferencedSlicesMatch(
+    const Cover& cover, const std::vector<BitVector>& slices, size_t n) {
+  for (uint64_t vars = VariablesOf(cover); vars != 0; vars &= vars - 1) {
+    const size_t i = static_cast<size_t>(std::countr_zero(vars));
+    if (i >= slices.size() || slices[i].size() != n) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 uint64_t VariablesOf(const Cover& cover) {
   uint64_t vars = 0;
@@ -49,57 +75,64 @@ std::string CoverToString(const Cover& cover, int k) {
 
 BitVector EvaluateCover(const Cover& cover,
                         const std::vector<BitVector>& slices, size_t n) {
+  return EvaluateCoverWith(kernels::Active(), cover, slices, n);
+}
+
+BitVector EvaluateCoverWith(const kernels::BitmapKernels& k,
+                            const Cover& cover,
+                            const std::vector<BitVector>& slices, size_t n) {
+  assert(ReferencedSlicesMatch(cover, slices, n) &&
+         "EvaluateCover referenced slice size mismatch");
   BitVector result(n, false);
-  // Evaluate each cube to a term, then OR all terms in one fused pass
-  // instead of a chain of binary ORs. Cubes that are a single positive
-  // literal alias their slice directly and need no materialized term.
-  std::vector<BitVector> terms;
-  terms.reserve(cover.size());
-  std::vector<const BitVector*> operands;
-  operands.reserve(cover.size());
   for (const Cube& cube : cover) {
     if (cube.mask == 0) {
       // Constant-true cube: the whole expression is a tautology.
       result.SetAll();
       return result;
     }
-    if (std::has_single_bit(cube.mask) && (cube.values & cube.mask) != 0) {
-      const size_t i = static_cast<size_t>(std::countr_zero(cube.mask));
-      if (i < slices.size() && slices[i].size() == n) {
-        operands.push_back(&slices[i]);
+  }
+  // One pass over the words in L1-resident blocks. Per block, each cube's
+  // AND chain is built in `term` and ORed into `acc`; a slice's block is
+  // read from memory once and re-read from cache by every later literal
+  // that uses it, so the pass moves c_e slices, not one per literal.
+  alignas(64) uint64_t acc[kBlockWords];
+  alignas(64) uint64_t term[kBlockWords];
+  const size_t words = result.NumWords();
+  for (size_t first = 0; first < words; first += kBlockWords) {
+    const size_t count = std::min(kBlockWords, words - first);
+    k.fill_words(acc, 0, count);
+    for (const Cube& cube : cover) {
+      // Lead with a positive literal when the cube has one, so the chain
+      // needs no complement pass.
+      const uint64_t positives = cube.values & cube.mask;
+      const size_t lead = static_cast<size_t>(
+          std::countr_zero(positives != 0 ? positives : cube.mask));
+      uint64_t literals = cube.mask & ~(uint64_t{1} << lead);
+      const uint64_t* lead_words = slices[lead].words().data() + first;
+      const bool lead_positive = ((cube.values >> lead) & 1) != 0;
+      if (literals == 0 && lead_positive) {
+        k.or_words(acc, lead_words, count);
         continue;
       }
-    }
-    BitVector term;
-    bool first = true;
-    for (size_t i = 0; i < slices.size(); ++i) {
-      const uint64_t bit = uint64_t{1} << i;
-      if ((cube.mask & bit) == 0) {
-        continue;
+      k.copy_words(term, lead_words, count);
+      if (!lead_positive) {
+        k.not_words(term, count);
       }
-      const bool positive = (cube.values & bit) != 0;
-      if (first) {
-        term = slices[i];
-        if (!positive) {
-          term.FlipAll();
+      for (; literals != 0; literals &= literals - 1) {
+        const size_t i = static_cast<size_t>(std::countr_zero(literals));
+        const uint64_t* slice_words = slices[i].words().data() + first;
+        if (((cube.values >> i) & 1) != 0) {
+          k.and_words(term, slice_words, count);
+        } else {
+          k.andnot_words(term, slice_words, count);
         }
-        first = false;
-      } else if (positive) {
-        term.AndWith(slices[i]);
-      } else {
-        term.AndNotWith(slices[i]);
       }
+      k.or_words(acc, term, count);
     }
-    if (!first) {
-      terms.push_back(std::move(term));
-    }
+    // A negated lead literal sets padding bits in the last word;
+    // SetWordRange masks them off.
+    result.SetWordRange(first, acc, count);
   }
-  // `terms` is fully built before any pointer into it is taken, so the
-  // vector cannot reallocate under the operand list.
-  for (const BitVector& term : terms) {
-    operands.push_back(&term);
-  }
-  result.OrWithMany(operands);
   return result;
 }
 

@@ -10,6 +10,10 @@
 
 namespace ebi {
 
+namespace kernels {
+struct BitmapKernels;
+}  // namespace kernels
+
 /// A sum-of-products Boolean expression: the disjunction of its cubes.
 /// Retrieval expressions for IN-list selections are Covers; logical
 /// reduction rewrites a Cover into an equivalent one referencing fewer
@@ -34,13 +38,27 @@ bool CoverCovers(const Cover& cover, uint64_t minterm);
 std::string CoverToString(const Cover& cover, int k);
 
 /// Evaluates the expression over bitmap slices: slice[i] is the bitmap
-/// vector for variable B_i; all slices must have equal length `n`. Returns
-/// the result bitmap (bit j set iff the expression is 1 on tuple j's code).
+/// vector for variable B_i. Returns the result bitmap (bit j set iff the
+/// expression is 1 on tuple j's code).
 ///
-/// Evaluation uses one negation-aware AND chain per cube and ORs cube
-/// results together, exactly the plan a bitmap executor would run.
+/// Precondition: every slice the cover references has exactly `n` bits
+/// (asserted in debug builds). Slices the cover does not reference are
+/// never read and may be empty.
+///
+/// Evaluation is one cache-blocked pass: per 256-word block, each cube's
+/// negation-aware AND chain is built in an L1-resident buffer and ORed
+/// into a block accumulator. Each referenced slice is streamed from memory
+/// once per call, so a call reads DistinctVariables(cover) * n/8 bytes of
+/// slices (the paper's c_e vectors) and allocates only the result.
 BitVector EvaluateCover(const Cover& cover,
                         const std::vector<BitVector>& slices, size_t n);
+
+/// EvaluateCover on an explicit kernel backend (EvaluateCover uses
+/// kernels::Active()), so tests and benches can cover every backend the
+/// CPU supports in one process.
+BitVector EvaluateCoverWith(const kernels::BitmapKernels& k,
+                            const Cover& cover,
+                            const std::vector<BitVector>& slices, size_t n);
 
 /// True iff the two covers denote the same Boolean function over k
 /// variables (exhaustive check; intended for tests and small k).

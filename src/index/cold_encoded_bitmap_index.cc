@@ -154,13 +154,12 @@ Result<BitVector> ColdEncodedBitmapIndex::EvaluateCoverCold(
     store_->Prefetch(referenced);
   }
   uint64_t vectors_read = 0;
+  // Unreferenced slices stay empty: EvaluateCover never reads them.
   std::vector<BitVector> slices(slice_ids_.size());
   for (size_t i = 0; i < slice_ids_.size(); ++i) {
     if ((vars >> i) & 1) {
       EBI_ASSIGN_OR_RETURN(slices[i], store_->Get(slice_ids_[i]));
       ++vectors_read;
-    } else {
-      slices[i] = BitVector(rows_indexed_);  // Never read by the cover.
     }
   }
   if (span.active()) {

@@ -77,8 +77,11 @@ Result<SelectionResult> SelectionExecutor::Select(
   obs::ScopedSpan span("executor.select");
   const auto started = std::chrono::steady_clock::now();
   const IoScope scope(io_);
-  BitVector rows(table_->NumRows(), true);
+  // With no predicate every live row qualifies; otherwise `rows` is
+  // replaced by the first evaluated predicate below.
+  BitVector rows;
   if (predicates.empty()) {
+    rows = BitVector(table_->NumRows(), true);
     rows.AndWith(table_->existence());
   }
   // Evaluate every predicate first, then intersect all result vectors in

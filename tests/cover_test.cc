@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/kernels/kernels.h"
+#include "util/random.h"
+
 namespace ebi {
 namespace {
 
@@ -92,6 +97,106 @@ TEST(CoverTest, EvaluateMatchesCoverCoversOnAllCodes) {
   const BitVector result = EvaluateCover(cover, slices, n);
   for (size_t row = 0; row < n; ++row) {
     EXPECT_EQ(result.Get(row), CoverCovers(cover, row)) << row;
+  }
+}
+
+TEST(CoverTest, UnreferencedSlicesMayBeEmpty) {
+  // Only B1 is referenced; B0 and B2 are never read and may be empty.
+  const std::vector<BitVector> slices = {
+      BitVector(), BitVector::FromString("0110100"), BitVector()};
+  const Cover cover = {Cube(0b000, 0b010)};  // B1'.
+  EXPECT_EQ(EvaluateCover(cover, slices, 7).ToString(), "1001011");
+}
+
+TEST(CoverDeathTest, ReferencedSliceSizeMismatchAsserts) {
+  const std::vector<BitVector> slices = {BitVector(70), BitVector(64)};
+#ifdef NDEBUG
+  // Release builds do not check the precondition; a mis-sized referenced
+  // slice is a caller bug, so only the correctly sized call is exercised.
+  EXPECT_TRUE(EvaluateCover({Cube(0b01, 0b01)}, slices, 70).IsZero());
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Cover short_b1 = {Cube(0b01, 0b11)};  // B1'B0; B1 has 64 bits.
+  EXPECT_DEATH(EvaluateCover(short_b1, slices, 70),
+               "EvaluateCover referenced slice size mismatch");
+  // A literal on a variable with no slice at all is the same bug.
+  EXPECT_DEATH(EvaluateCover({Cube(0b100, 0b100)}, slices, 70),
+               "EvaluateCover referenced slice size mismatch");
+#endif
+}
+
+// A random cover over k variables mixing the shapes the blocked pass
+// special-cases: single positive literals, negated lead literals,
+// duplicate cubes and (rarely) the constant-true cube.
+Cover RandomCover(int k, Rng* rng) {
+  const uint64_t all = (uint64_t{1} << k) - 1;
+  Cover cover;
+  const size_t cubes = rng->UniformInt(21);
+  for (size_t c = 0; c < cubes; ++c) {
+    const uint64_t shape = rng->UniformInt(10);
+    if (shape == 0 && !cover.empty()) {
+      cover.push_back(cover[rng->UniformInt(cover.size())]);  // Duplicate.
+    } else if (shape == 1) {
+      const uint64_t bit = uint64_t{1} << rng->UniformInt(k);
+      cover.push_back(Cube(bit, bit));  // Single positive literal.
+    } else if (shape == 2) {
+      const uint64_t bit = uint64_t{1} << rng->UniformInt(k);
+      cover.push_back(Cube(0, bit));  // Single negative literal.
+    } else if (shape == 3 && rng->Bernoulli(0.05)) {
+      cover.push_back(Cube(0, 0));  // Tautology.
+    } else {
+      uint64_t mask = rng->Next() & all;
+      if (mask == 0) {
+        mask = all;
+      }
+      cover.push_back(Cube(rng->Next(), mask));
+    }
+  }
+  return cover;
+}
+
+TEST(CoverTest, BlockedEvaluationMatchesRowOracle) {
+  // Word counts around the 256-word block edge and the 64-bit word edge.
+  const size_t kBlockBits = 256 * 64;
+  const size_t sizes[] = {0,         1,         63,
+                          64,        65,        kBlockBits - 1,
+                          kBlockBits, kBlockBits + 1, 3 * kBlockBits + 17};
+  Rng rng(20261017);
+  for (const size_t n : sizes) {
+    for (int k = 1; k <= 12; ++k) {
+      std::vector<BitVector> slices(k, BitVector(n));
+      const double density = rng.UniformDouble();
+      for (BitVector& slice : slices) {
+        for (size_t row = 0; row < n; ++row) {
+          slice.Assign(row, rng.Bernoulli(density));
+        }
+      }
+      std::vector<uint64_t> code_of_row(n, 0);
+      for (size_t row = 0; row < n; ++row) {
+        for (int i = 0; i < k; ++i) {
+          code_of_row[row] |= uint64_t{slices[i].Get(row)} << i;
+        }
+      }
+      for (int trial = 0; trial < 6; ++trial) {
+        const Cover cover = trial == 0 ? Cover{} : RandomCover(k, &rng);
+        BitVector expected(n);
+        for (size_t row = 0; row < n; ++row) {
+          expected.Assign(row, CoverCovers(cover, code_of_row[row]));
+        }
+        const BitVector active = EvaluateCover(cover, slices, n);
+        EXPECT_TRUE(active.TailIsClean());
+        EXPECT_EQ(active, expected)
+            << "n=" << n << " k=" << k << " " << CoverToString(cover, k);
+        for (const kernels::BitmapKernels* backend : kernels::Supported()) {
+          const BitVector result =
+              EvaluateCoverWith(*backend, cover, slices, n);
+          EXPECT_TRUE(result.TailIsClean()) << backend->name;
+          EXPECT_EQ(result, expected)
+              << backend->name << " n=" << n << " k=" << k << " "
+              << CoverToString(cover, k);
+        }
+      }
+    }
   }
 }
 

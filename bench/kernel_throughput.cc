@@ -13,8 +13,13 @@
 // from these primitives, on every backend: 1M rows, 10 slices, covers of
 // 4/10/20 cubes x 6 literals. Its GB/s counts referenced-slice bytes
 // (c_e x n/8), the bytes the paper's cost model charges per evaluation.
+//
+// A third section times the crc32 entry on every backend over 4,072-byte
+// payloads, the checksummed unit of a 4 KB storage-engine page: 299 of
+// them are what one cold_scan query verifies.
 
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -204,6 +209,48 @@ void RunCoverEval(bench::BenchReport* report) {
   }
 }
 
+// Sink for CRC results so the measured loop cannot be elided.
+volatile uint32_t g_crc_sink = 0;
+
+void RunCrc32(bench::BenchReport* report) {
+  const size_t payload = 4072;
+  const size_t pages = 299;
+  const int passes = 40;
+  Rng rng(20261018);
+  std::vector<uint8_t> bytes(payload * pages);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const double total = static_cast<double>(bytes.size());
+  std::printf("\ncrc32: %zu payloads of %zu bytes\n", pages, payload);
+  std::printf("%-8s %14s %12s %10s\n", "backend", "ms/299 pages", "GB/s",
+              "vs scalar");
+  double scalar_gbps = 0.0;
+  for (const kernels::BitmapKernels* backend : kernels::Supported()) {
+    const double gbps = MeasureGbps(
+        [backend, &bytes, payload] {
+          uint32_t crc = 0;
+          for (size_t at = 0; at < bytes.size(); at += payload) {
+            crc ^= backend->crc32(bytes.data() + at, payload, 0);
+          }
+          g_crc_sink = crc;
+        },
+        total, passes);
+    if (backend == kernels::Supported().front()) {
+      scalar_gbps = gbps;
+    }
+    const double ms = gbps > 0.0 ? total / gbps / 1e6 : 0.0;
+    const double speedup = scalar_gbps > 0.0 ? gbps / scalar_gbps : 0.0;
+    std::printf("%-8s %14.3f %12.2f %9.2fx\n", backend->name, ms, gbps,
+                speedup);
+    report->BeginRun(std::string(backend->name) + "/crc32/payload=" +
+                     std::to_string(payload));
+    report->Metric("gb_per_s", gbps);
+    report->Metric("ms_per_299_pages", ms);
+    report->Metric("speedup_vs_scalar", speedup);
+  }
+}
+
 }  // namespace
 }  // namespace ebi
 
@@ -211,5 +258,6 @@ int main() {
   ebi::bench::BenchReport report("kernel_throughput");
   ebi::RunGrid(&report);
   ebi::RunCoverEval(&report);
+  ebi::RunCrc32(&report);
   return 0;
 }

@@ -23,8 +23,10 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Forced-backend sweep: re-run the bitmap substrate + query suites once
-# per kernel backend this CPU supports, with EBI_FORCE_KERNEL pinned.
+# Forced-backend sweep: re-run the bitmap substrate, query and storage
+# suites (the storage checksums run on the backend's crc32) once per
+# kernel backend this CPU supports, with EBI_FORCE_KERNEL pinned; the
+# filter matches the CI kernel-backends legs.
 # The differential test's ForcedBackendIsActive asserts each pin took
 # effect; an unsupported name would degrade to auto-detection with a
 # stderr warning instead of failing, so only supported backends are
@@ -32,7 +34,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 for backend in scalar avx2 avx512 neon; do
   echo "=== EBI_FORCE_KERNEL=$backend ===" | tee -a test_output.txt
   EBI_FORCE_KERNEL="$backend" ctest --test-dir build \
-    -R 'kernel_differential|bitvector|ewah|rle|stored_bitmap|bitmap_kernel_edge|cover|executor|simple_bitmap_index' \
+    -R 'kernel_differential|bitvector|ewah|rle|stored_bitmap|bitmap_kernel_edge|cover|executor|simple_bitmap_index|encoded_bitmap_index|invariant_auditor|storage_engine|wal_recovery|cold_encoded_bitmap_index' \
     2>&1 | tee -a test_output.txt
 done
 

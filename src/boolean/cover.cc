@@ -10,10 +10,24 @@ namespace ebi {
 
 namespace {
 
-// Words per evaluation block: 2 KB, so the block accumulator, the cube's
-// AND buffer and the blocks of the ~8 slices a star-schema cover
-// references all stay L1-resident.
-constexpr size_t kBlockWords = 256;
+// The in-memory word source: pointers straight into the slices.
+class SliceWords final : public CoverWordSource {
+ public:
+  explicit SliceWords(const std::vector<BitVector>& slices)
+      : slices_(slices) {}
+
+  Status Block(uint64_t vars, size_t first, size_t /*count*/,
+               const uint64_t** words) override {
+    for (; vars != 0; vars &= vars - 1) {
+      const size_t v = static_cast<size_t>(std::countr_zero(vars));
+      words[v] = slices_[v].words().data() + first;
+    }
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<BitVector>& slices_;
+};
 
 // EvaluateCover's precondition: every slice the cover references exists
 // and has exactly `n` bits. Unreferenced slices may have any size.
@@ -83,6 +97,14 @@ BitVector EvaluateCoverWith(const kernels::BitmapKernels& k,
                             const std::vector<BitVector>& slices, size_t n) {
   assert(ReferencedSlicesMatch(cover, slices, n) &&
          "EvaluateCover referenced slice size mismatch");
+  SliceWords source(slices);
+  // The in-memory source cannot fail.
+  return EvaluateCoverFrom(k, cover, n, source).value();
+}
+
+Result<BitVector> EvaluateCoverFrom(const kernels::BitmapKernels& k,
+                                    const Cover& cover, size_t n,
+                                    CoverWordSource& source) {
   BitVector result(n, false);
   for (const Cube& cube : cover) {
     if (cube.mask == 0) {
@@ -95,11 +117,14 @@ BitVector EvaluateCoverWith(const kernels::BitmapKernels& k,
   // AND chain is built in `term` and ORed into `acc`; a slice's block is
   // read from memory once and re-read from cache by every later literal
   // that uses it, so the pass moves c_e slices, not one per literal.
-  alignas(64) uint64_t acc[kBlockWords];
-  alignas(64) uint64_t term[kBlockWords];
+  const uint64_t vars = VariablesOf(cover);
+  const uint64_t* block[64] = {};
+  alignas(64) uint64_t acc[kCoverBlockWords];
+  alignas(64) uint64_t term[kCoverBlockWords];
   const size_t words = result.NumWords();
-  for (size_t first = 0; first < words; first += kBlockWords) {
-    const size_t count = std::min(kBlockWords, words - first);
+  for (size_t first = 0; first < words; first += kCoverBlockWords) {
+    const size_t count = std::min(kCoverBlockWords, words - first);
+    EBI_RETURN_IF_ERROR(source.Block(vars, first, count, block));
     k.fill_words(acc, 0, count);
     for (const Cube& cube : cover) {
       // Lead with a positive literal when the cube has one, so the chain
@@ -108,23 +133,21 @@ BitVector EvaluateCoverWith(const kernels::BitmapKernels& k,
       const size_t lead = static_cast<size_t>(
           std::countr_zero(positives != 0 ? positives : cube.mask));
       uint64_t literals = cube.mask & ~(uint64_t{1} << lead);
-      const uint64_t* lead_words = slices[lead].words().data() + first;
       const bool lead_positive = ((cube.values >> lead) & 1) != 0;
       if (literals == 0 && lead_positive) {
-        k.or_words(acc, lead_words, count);
+        k.or_words(acc, block[lead], count);
         continue;
       }
-      k.copy_words(term, lead_words, count);
+      k.copy_words(term, block[lead], count);
       if (!lead_positive) {
         k.not_words(term, count);
       }
       for (; literals != 0; literals &= literals - 1) {
         const size_t i = static_cast<size_t>(std::countr_zero(literals));
-        const uint64_t* slice_words = slices[i].words().data() + first;
         if (((cube.values >> i) & 1) != 0) {
-          k.and_words(term, slice_words, count);
+          k.and_words(term, block[i], count);
         } else {
-          k.andnot_words(term, slice_words, count);
+          k.andnot_words(term, block[i], count);
         }
       }
       k.or_words(acc, term, count);

@@ -1,12 +1,14 @@
 #ifndef EBI_BOOLEAN_COVER_H_
 #define EBI_BOOLEAN_COVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "boolean/cube.h"
 #include "util/bitvector.h"
+#include "util/status.h"
 
 namespace ebi {
 
@@ -59,6 +61,33 @@ BitVector EvaluateCover(const Cover& cover,
 BitVector EvaluateCoverWith(const kernels::BitmapKernels& k,
                             const Cover& cover,
                             const std::vector<BitVector>& slices, size_t n);
+
+/// Words per block of EvaluateCover's pass: 2 KB, so the block
+/// accumulator, the cube's AND buffer and the blocks of the ~8 slices a
+/// star-schema cover references all stay L1-resident.
+inline constexpr size_t kCoverBlockWords = 256;
+
+/// Where the blocked pass gets slice words from. In memory they are the
+/// slices themselves (EvaluateCover, zero-copy); the cold index streams
+/// them from pages (ColdEncodedBitmapIndex).
+class CoverWordSource {
+ public:
+  virtual ~CoverWordSource() = default;
+
+  /// Points words[v], for every variable v set in `vars`, at `count` <=
+  /// kCoverBlockWords words of slice v starting at word `first`. Called
+  /// once per block, in increasing `first` order; the pointers stay valid
+  /// until the next call. An error aborts the pass.
+  virtual Status Block(uint64_t vars, size_t first, size_t count,
+                       const uint64_t** words) = 0;
+};
+
+/// EvaluateCover's pass over words from `source`: the same blocked loop,
+/// so a disk-resident index never assembles whole slices. Returns the
+/// source's first error, never a partial result.
+Result<BitVector> EvaluateCoverFrom(const kernels::BitmapKernels& k,
+                                    const Cover& cover, size_t n,
+                                    CoverWordSource& source);
 
 /// True iff the two covers denote the same Boolean function over k
 /// variables (exhaustive check; intended for tests and small k).

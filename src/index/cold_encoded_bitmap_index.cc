@@ -1,11 +1,44 @@
 #include "index/cold_encoded_bitmap_index.h"
 
+#include <array>
+#include <utility>
+
 #include "encoding/encoders.h"
 #include "obs/trace.h"
+#include "util/kernels/kernels.h"
 
 namespace ebi {
 
 namespace {
+
+/// The cold pass's word source: one streaming reader per referenced
+/// slice, each filling its own block buffer, so a query holds c_e pages
+/// and c_e blocks instead of c_e whole slices.
+class SliceStreams final : public CoverWordSource {
+ public:
+  explicit SliceStreams(size_t count) { streams_.reserve(count); }
+
+  void Add(size_t var, VectorReader reader) {
+    streams_.push_back({var, std::move(reader), {}});
+  }
+
+  Status Block(uint64_t /*vars*/, size_t /*first*/, size_t count,
+               const uint64_t** words) override {
+    for (Stream& s : streams_) {
+      EBI_RETURN_IF_ERROR(s.reader.ReadWords(s.block.data(), count));
+      words[s.var] = s.block.data();
+    }
+    return Status::OK();
+  }
+
+ private:
+  struct Stream {
+    size_t var;
+    VectorReader reader;
+    std::array<uint64_t, kCoverBlockWords> block;
+  };
+  std::vector<Stream> streams_;
+};
 
 /// Unique-ish temp file name per index instance.
 std::string BackingPath(const std::string& directory, const void* self) {
@@ -140,36 +173,37 @@ Result<BitVector> ColdEncodedBitmapIndex::EvaluateCoverCold(
     const Cover& cover) {
   obs::ScopedSpan span("cover.eval");
   const IoScope scope(io_);
-  // Fault in only the slices the reduced expression references.
+  // Read only the slices the reduced expression references.
   const uint64_t vars = VariablesOf(cover);
-  if (options_.prefetch_pool != nullptr) {
-    // Overlap the page faults of every referenced slice with the first
-    // blocking read: async prefetch warms the pool ahead of the Gets.
-    std::vector<BitmapStore::VectorId> referenced;
-    for (size_t i = 0; i < slice_ids_.size(); ++i) {
-      if ((vars >> i) & 1) {
-        referenced.push_back(slice_ids_[i]);
-      }
-    }
-    store_->Prefetch(referenced);
-  }
-  uint64_t vectors_read = 0;
-  // Unreferenced slices stay empty: EvaluateCover never reads them.
-  std::vector<BitVector> slices(slice_ids_.size());
+  std::vector<BitmapStore::VectorId> referenced;
   for (size_t i = 0; i < slice_ids_.size(); ++i) {
     if ((vars >> i) & 1) {
-      EBI_ASSIGN_OR_RETURN(slices[i], store_->Get(slice_ids_[i]));
-      ++vectors_read;
+      referenced.push_back(slice_ids_[i]);
     }
   }
+  if (options_.prefetch_pool != nullptr) {
+    // Overlap the page faults of every referenced slice with the pass:
+    // async prefetch warms the pool ahead of the streaming reads.
+    store_->Prefetch(referenced);
+  }
+  SliceStreams streams(referenced.size());
+  for (size_t i = 0; i < slice_ids_.size(); ++i) {
+    if ((vars >> i) & 1) {
+      EBI_ASSIGN_OR_RETURN(VectorReader reader,
+                           store_->Read(slice_ids_[i], rows_indexed_));
+      streams.Add(i, std::move(reader));
+    }
+  }
+  Result<BitVector> result =
+      EvaluateCoverFrom(kernels::Active(), cover, rows_indexed_, streams);
   if (span.active()) {
     span.Attr("minterms", cover.size());
-    span.Attr("vectors_read", vectors_read);
+    span.Attr("vectors_read", static_cast<uint64_t>(referenced.size()));
     span.Attr("slices_held", slice_ids_.size());
     span.Attr("existence_and", !mapping_.void_code().has_value());
     span.AttrIo(scope.Delta());
   }
-  return EvaluateCover(cover, slices, rows_indexed_);
+  return result;
 }
 
 Result<BitVector> ColdEncodedBitmapIndex::EvaluateEquals(

@@ -36,9 +36,15 @@ struct ColdEncodedBitmapIndexOptions {
 /// A disk-resident encoded bitmap index: the k = ceil(log2 m) slice
 /// vectors live in a file-backed BitmapStore with an LRU buffer pool, so
 /// only the slices a reduced retrieval expression actually references are
-/// faulted in. This is the deployment shape the paper's I/O accounting
+/// read. This is the deployment shape the paper's I/O accounting
 /// assumes — vectors on disk, reads counted per vector — while
 /// EncodedBitmapIndex is the all-in-memory hot path.
+///
+/// A selection streams: the blocked cover pass (EvaluateCoverFrom) takes
+/// each referenced slice's words block by block from its pages, so a
+/// query holds c_e pages and c_e 2 KB blocks, never a whole slice, and
+/// works at any pool size. Every page, codec and padding check of a
+/// whole-slice read still applies; a failed check fails the selection.
 ///
 /// Maintenance is rebuild-oriented (appends rewrite the touched slices
 /// through the store); use the in-memory index for update-heavy phases and
@@ -69,6 +75,8 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
   /// Buffer-pool behaviour of the backing store.
   BitmapStoreStats store_stats() const { return store_->stats(); }
   void ResetStoreStats() { store_->ResetStats(); }
+  /// The backing store; Build stores slice i as vector i.
+  BitmapStore* store() { return store_.get(); }
 
   /// Section 3.1 cost model against *real* extents: c_e <= k slice
   /// reads, each costing the pages its stored form actually spans.
@@ -88,8 +96,10 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
 
  private:
   Result<Cover> CoverForIds(const std::vector<ValueId>& ids) const;
-  /// Fetches the referenced slices from the store and evaluates the
-  /// cover; pool misses charge vector reads through the store.
+  /// Evaluates the cover in one blocked pass whose slice words stream
+  /// from the store's pages (BitmapStore::Read): no slice is assembled,
+  /// and each referenced slice's pages are looked up once, charged as a
+  /// Get would charge them.
   Result<BitVector> EvaluateCoverCold(const Cover& cover);
   Result<uint64_t> CodeForRow(size_t row) const;
 

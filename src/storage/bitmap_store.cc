@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "util/stored_bitmap_io.h"
 
 namespace ebi {
 
@@ -40,22 +41,69 @@ Result<BitVector> BitmapStore::Get(VectorId id) {
   size_t pages_faulted = 0;
   EBI_ASSIGN_OR_RETURN(StoredBitmap stored,
                        engine_->GetSlice(id, &pages_faulted));
-  if (pages_faulted == 0) {
-    ++gets_hit_;
-  } else {
-    ++gets_missed_;
-    // The faulted pages already charged their bytes; the Get itself is
-    // one logical vector read on top.
-    if (io_ != nullptr) {
-      io_->ChargeVectorTouch();
-    }
-  }
+  CountRead(pages_faulted);
   if (span.active()) {
     span.Attr("id", static_cast<uint64_t>(id));
     span.Attr("hit", pages_faulted == 0);
     span.Attr("pages_faulted", static_cast<uint64_t>(pages_faulted));
   }
-  return stored.ToBitVector();
+  return std::move(stored).ToBitVector();
+}
+
+void BitmapStore::CountRead(size_t pages_faulted) {
+  if (pages_faulted == 0) {
+    ++gets_hit_;
+    return;
+  }
+  ++gets_missed_;
+  // The faulted pages already charged their bytes; the read itself is
+  // one logical vector read on top.
+  if (io_ != nullptr) {
+    io_->ChargeVectorTouch();
+  }
+}
+
+Result<VectorReader> BitmapStore::Read(VectorId id, size_t bits) {
+  EBI_ASSIGN_OR_RETURN(engine::SliceReader bytes, engine_->ReadSlice(id));
+  uint8_t header[kPlainStoredHeaderBytes];
+  EBI_RETURN_IF_ERROR(bytes.Read(header, sizeof(header)));
+  EBI_ASSIGN_OR_RETURN(const uint64_t declared, ParsePlainStoredHeader(header));
+  if (declared != bits) {
+    return Status::Internal("BitmapStore: vector " + std::to_string(id) +
+                            " declares " + std::to_string(declared) +
+                            " bits, expected " + std::to_string(bits));
+  }
+  VectorReader reader(this, std::move(bytes), bits);
+  if (bits == 0) {
+    EBI_RETURN_IF_ERROR(reader.Finish());
+  }
+  return reader;
+}
+
+Status VectorReader::ReadWords(uint64_t* dst, size_t count) {
+  const size_t total = (bits_ + 63) / 64;
+  if (count > total - words_read_) {
+    return Status::OutOfRange("VectorReader: read past the last word");
+  }
+  EBI_RETURN_IF_ERROR(bytes_.Read(dst, count * sizeof(uint64_t)));
+  WordsFromLittleEndian(dst, count);
+  words_read_ += count;
+  if (words_read_ == total && count > 0) {
+    // Bits past the declared size must be zero, as LoadBitVector checks.
+    const size_t tail = bits_ % 64;
+    if (tail != 0 && (dst[count - 1] >> tail) != 0) {
+      return Status::InvalidArgument(
+          "BitVector: set padding bits past the declared size");
+    }
+    return Finish();
+  }
+  return Status::OK();
+}
+
+Status VectorReader::Finish() {
+  EBI_RETURN_IF_ERROR(bytes_.Finish());
+  store_->CountRead(bytes_.pages_faulted());
+  return Status::OK();
 }
 
 void BitmapStore::Prefetch(const std::vector<VectorId>& ids) {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "storage/engine/storage_engine.h"
 #include "storage/io_accountant.h"
@@ -27,6 +29,38 @@ struct BitmapStoreStats {
                       : static_cast<double>(hits) /
                             static_cast<double>(total);
   }
+};
+
+class BitmapStore;
+
+/// Streams the words of one stored vector in order, without assembling
+/// it — the cold cover pass's word source (DESIGN.md §12). Holds only the
+/// engine reader's one-page staging buffer. Opening reads and validates
+/// the vector's header (magic, plain tag, declared size); the read of the
+/// last word also checks its padding bits and that the pages held
+/// exactly the extent's bytes, then counts the read like a Get: a hit
+/// when no page faulted, else a miss and one vector read charged. The
+/// store must outlive the reader.
+class VectorReader {
+ public:
+  VectorReader(VectorReader&&) noexcept = default;
+  VectorReader& operator=(VectorReader&&) noexcept = default;
+
+  /// Copies the next `count` words into `dst`. Fails, and never returns
+  /// a partial vector, on any page, size or padding error.
+  [[nodiscard]] Status ReadWords(uint64_t* dst, size_t count);
+
+ private:
+  friend class BitmapStore;
+  VectorReader(BitmapStore* store, engine::SliceReader bytes, size_t bits)
+      : store_(store), bytes_(std::move(bytes)), bits_(bits) {}
+  /// Validates the end of the stream and counts the read with the store.
+  [[nodiscard]] Status Finish();
+
+  BitmapStore* store_;
+  engine::SliceReader bytes_;
+  size_t bits_;
+  size_t words_read_ = 0;
 };
 
 /// A file-backed store for bitmap vectors — the disk-resident storage DW
@@ -73,6 +107,11 @@ class BitmapStore {
   /// logical vector read for the Get itself.
   Result<BitVector> Get(VectorId id);
 
+  /// Opens a streaming reader over vector `id`, which must hold exactly
+  /// `bits` bits: the same page lookups and charges as Get, but the
+  /// vector is never assembled.
+  Result<VectorReader> Read(VectorId id, size_t bits);
+
   /// Warms the pool with the pages of the given vectors (asynchronous
   /// when the engine has a prefetch pool).
   void Prefetch(const std::vector<VectorId>& ids);
@@ -98,7 +137,10 @@ class BitmapStore {
   void ResetStats();
 
  private:
+  friend class VectorReader;
   BitmapStore() = default;
+  /// Counts one completed vector read (Get or VectorReader).
+  void CountRead(size_t pages_faulted);
 
   std::unique_ptr<engine::StorageEngine> engine_;
   IoAccountant* io_ = nullptr;

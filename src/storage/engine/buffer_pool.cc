@@ -45,10 +45,10 @@ void PageRef::Release() {
 }
 
 const uint8_t* PageRef::data() const {
-  return pool_->frames_[frame_].payload.data();
+  return pool_->frames_[frame_].page.data() + PageFile::kHeaderBytes;
 }
 
-size_t PageRef::size() const { return pool_->frames_[frame_].payload.size(); }
+size_t PageRef::size() const { return pool_->frames_[frame_].payload_bytes; }
 
 uint32_t PageRef::slice() const { return pool_->frames_[frame_].slice; }
 
@@ -151,10 +151,10 @@ Status BufferPool::WritebackLocked(size_t frame) {
     return Status::OK();
   }
   PageFile* file = files_[f.file_id];
-  EBI_RETURN_IF_ERROR(
-      file->WritePage(f.page_no, f.slice, f.payload.data(), f.payload.size()));
+  EBI_RETURN_IF_ERROR(file->WritePageInPlace(f.page_no, f.slice,
+                                             f.page.data(), f.payload_bytes));
   if (options_.io != nullptr) {
-    options_.io->ChargePageWrite(f.payload.size());
+    options_.io->ChargePageWrite(f.payload_bytes);
   }
   f.dirty = false;
   ++stats_.writebacks;
@@ -181,7 +181,6 @@ Result<size_t> BufferPool::FreeFrameLocked() {
   Frame& f = frames_[victim];
   table_.erase(FrameKey(f.file_id, f.page_no));
   f.occupied = false;
-  f.payload.clear();
   ++stats_.evictions;
   static obs::Counter* evictions =
       obs::MetricsRegistry::Global().GetCounter(obs::kMetricBufferPoolEvictions);
@@ -195,17 +194,20 @@ Result<size_t> BufferPool::FaultLocked(uint32_t file_id, uint32_t page_no) {
                                    std::to_string(file_id));
   }
   EBI_ASSIGN_OR_RETURN(const size_t frame, FreeFrameLocked());
-  Frame& f = frames_[frame];
   PageFile* file = files_[file_id];
-  const Status read = file->ReadPage(page_no, &f.payload, &f.slice);
+  SizeFrameLocked(frame, *file);
+  Frame& f = frames_[frame];
+  const Status read = file->ReadPage(page_no, f.page.data());
   if (!read.ok()) {
     free_frames_.push_back(frame);
     return read;
   }
+  f.payload_bytes = PageFile::PayloadBytes(f.page.data());
+  f.slice = PageFile::SliceTag(f.page.data());
   if (options_.io != nullptr) {
     // One physical page, exactly the stored payload bytes: faulting a
     // whole extent therefore sums to the slice's StoredBytes.
-    options_.io->ChargePageRead(f.payload.size());
+    options_.io->ChargePageRead(f.payload_bytes);
   }
   f.occupied = true;
   f.dirty = false;
@@ -222,6 +224,17 @@ Result<size_t> BufferPool::FaultLocked(uint32_t file_id, uint32_t page_no) {
       obs::MetricsRegistry::Global().GetCounter(obs::kMetricBufferPoolMisses);
   misses->Increment();
   return frame;
+}
+
+void BufferPool::SizeFrameLocked(size_t frame, const PageFile& file) {
+  std::vector<uint8_t>& page = frames_[frame].page;
+  if (page.size() < file.page_size()) {
+    page.resize(file.page_size());
+  }
+}
+
+const uint8_t* BufferPool::PayloadLocked(size_t frame) const {
+  return frames_[frame].page.data() + PageFile::kHeaderBytes;
 }
 
 Result<size_t> BufferPool::LookupLocked(uint32_t file_id, uint32_t page_no) {
@@ -252,14 +265,24 @@ Status BufferPool::ReadRange(uint32_t file_id, uint32_t first_page,
   for (uint32_t p = 0; p < count; ++p) {
     EBI_ASSIGN_OR_RETURN(const size_t frame,
                          LookupLocked(file_id, first_page + p));
-    const Frame& f = frames_[frame];
-    out->append(reinterpret_cast<const char*>(f.payload.data()),
-                f.payload.size());
+    out->append(reinterpret_cast<const char*>(PayloadLocked(frame)),
+                frames_[frame].payload_bytes);
   }
   if (pages_faulted != nullptr) {
     *pages_faulted = static_cast<size_t>(stats_.misses - misses_before);
   }
   return Status::OK();
+}
+
+Result<size_t> BufferPool::CopyPage(uint32_t file_id, uint32_t page_no,
+                                    uint8_t* dst, bool* faulted) {
+  const MutexLock lock(mu_);
+  const uint64_t misses_before = stats_.misses;
+  EBI_ASSIGN_OR_RETURN(const size_t frame, LookupLocked(file_id, page_no));
+  const size_t bytes = frames_[frame].payload_bytes;
+  std::memcpy(dst, PayloadLocked(frame), bytes);
+  *faulted = stats_.misses != misses_before;
+  return bytes;
 }
 
 Status BufferPool::WriteThrough(uint32_t file_id, uint32_t page_no,
@@ -289,9 +312,13 @@ Status BufferPool::WriteThrough(uint32_t file_id, uint32_t page_no,
     LruPushBackLocked(frame);
     table_[FrameKey(file_id, page_no)] = frame;
   }
+  SizeFrameLocked(frame, *files_[file_id]);
   Frame& f = frames_[frame];
   f.slice = slice;
-  f.payload.assign(data, data + bytes);
+  if (bytes > 0) {
+    std::memcpy(f.page.data() + PageFile::kHeaderBytes, data, bytes);
+  }
+  f.payload_bytes = static_cast<uint32_t>(bytes);
   f.dirty = true;
   return Status::OK();
 }
@@ -365,7 +392,6 @@ Status BufferPool::Evict(uint32_t file_id) {
     }
     table_.erase(FrameKey(f.file_id, f.page_no));
     f.occupied = false;
-    f.payload.clear();
     free_frames_.push_back(i);
   }
   return Status::OK();

@@ -118,6 +118,15 @@ class BufferPool {
                                  uint32_t count, std::string* out,
                                  size_t* pages_faulted = nullptr);
 
+  /// Copies the payload of one page into `dst` (room for the file's
+  /// PayloadCapacity() bytes) under a single lock acquisition — the
+  /// streaming read path (StorageEngine::SliceReader). The page is a hit
+  /// or a fault exactly as through Pin, but nothing stays pinned, so it
+  /// works at any capacity. Returns the payload length; `*faulted` says
+  /// whether the page missed.
+  [[nodiscard]] Result<size_t> CopyPage(uint32_t file_id, uint32_t page_no,
+                                        uint8_t* dst, bool* faulted);
+
   /// Installs fresh payload bytes for (file_id, page_no) directly into a
   /// dirty frame — the write path. The bytes reach disk on eviction or
   /// Flush, not before.
@@ -158,7 +167,12 @@ class BufferPool {
     uint32_t page_no = 0;
     uint32_t slice = 0;
     uint32_t pins = 0;
-    std::vector<uint8_t> payload;
+    /// The whole page, header included, allocated on the frame's first
+    /// use and reused by every page it holds after: a fault preads
+    /// straight into it and a writeback writes it in place. The payload
+    /// is payload_bytes bytes at page + PageFile::kHeaderBytes.
+    std::vector<uint8_t> page;
+    uint32_t payload_bytes = 0;
     /// Intrusive LRU links (frame indices); valid iff in_lru. An
     /// index-linked list instead of std::list<size_t> keeps every LRU
     /// touch allocation-free — hot-path Pin/Unpin never hits the heap.
@@ -170,6 +184,11 @@ class BufferPool {
 
   Result<size_t> FaultLocked(uint32_t file_id, uint32_t page_no)
       EBI_REQUIRES(mu_);
+  /// Sizes frame `frame`'s page buffer for `file` (a no-op after the
+  /// frame's first use).
+  void SizeFrameLocked(size_t frame, const PageFile& file) EBI_REQUIRES(mu_);
+  /// Frame `frame`'s payload bytes.
+  const uint8_t* PayloadLocked(size_t frame) const EBI_REQUIRES(mu_);
   Result<size_t> FreeFrameLocked() EBI_REQUIRES(mu_);
   Status WritebackLocked(size_t frame) EBI_REQUIRES(mu_);
   void TouchLocked(size_t frame) EBI_REQUIRES(mu_);

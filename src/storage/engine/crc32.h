@@ -4,36 +4,25 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/kernels/kernels.h"
+
 namespace ebi {
 namespace engine {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte range. Every
 /// checksummed unit the storage engine persists — page headers, WAL
 /// records, the extent-map sidecar — goes through this one function, so
-/// the on-disk format has exactly one checksum definition.
+/// the on-disk format has exactly one checksum definition. The work runs
+/// on the active kernel backend (kernels::BitmapKernels::crc32:
+/// slicing-by-8 tables or PCLMULQDQ folding), which every backend
+/// computes bit-identically — tests/kernel_differential_test.cc holds
+/// each one to a bitwise reference.
 ///
 /// `seed` chains partial computations: Crc32(b, n2, Crc32(a, n1)) equals
 /// Crc32 over the concatenation of a and b.
 inline uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0) {
-  static const auto table = [] {
-    struct Table {
-      uint32_t entry[256];
-    } t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      t.entry[i] = crc;
-    }
-    return t;
-  }();
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table.entry[(crc ^ bytes[i]) & 0xFFu];
-  }
-  return ~crc;
+  return kernels::Active().crc32(static_cast<const uint8_t*>(data), size,
+                                 seed);
 }
 
 }  // namespace engine

@@ -1,12 +1,15 @@
 #include "storage/engine/page_file.h"
 
+#include <cerrno>
 #include <cstring>
 #include <utility>
 
 #include "storage/engine/crc32.h"
 
-// The page file is the raw-I/O floor of the storage engine: POSIX fsync
-// gives Sync() its durability meaning, everything else is portable stdio.
+// The page file is the raw-I/O floor of the storage engine: positioned
+// POSIX reads and writes on one descriptor, and fsync for Sync().
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace ebi {
@@ -29,6 +32,44 @@ uint32_t GetU32(const uint8_t* at) {
   return v;
 }
 
+/// preads until `bytes` arrived, the file ended or an error other than
+/// EINTR; returns the bytes read, -1 on error.
+ssize_t ReadFully(int fd, uint8_t* buf, size_t bytes, uint64_t offset) {
+  size_t done = 0;
+  while (done < bytes) {
+    const ssize_t got = ::pread(fd, buf + done, bytes - done,
+                                static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got < 0) {
+      return -1;
+    }
+    if (got == 0) {
+      break;
+    }
+    done += static_cast<size_t>(got);
+  }
+  return static_cast<ssize_t>(done);
+}
+
+/// pwrites all `bytes`, retrying on EINTR and short writes.
+bool WriteFully(int fd, const uint8_t* buf, size_t bytes, uint64_t offset) {
+  size_t done = 0;
+  while (done < bytes) {
+    const ssize_t put = ::pwrite(fd, buf + done, bytes - done,
+                                 static_cast<off_t>(offset + done));
+    if (put < 0 && errno == EINTR) {
+      continue;
+    }
+    if (put <= 0) {
+      return false;
+    }
+    done += static_cast<size_t>(put);
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<PageFile> PageFile::Open(const std::string& path,
@@ -42,49 +83,46 @@ Result<PageFile> PageFile::Open(const std::string& path,
   PageFile file;
   file.path_ = path;
   file.options_ = options;
-  // The file is private to this factory until returned; the guarded
-  // fields are still initialized under its mutex so the capability
-  // analysis can verify every access uniformly.
-  const MutexLock lock(*file.mu_);
-  file.file_ = std::fopen(path.c_str(), options.truncate ? "w+b" : "r+b");
-  if (file.file_ == nullptr && !options.truncate) {
-    // Recovery of a file that never existed: start empty.
-    file.file_ = std::fopen(path.c_str(), "w+b");
-  }
-  if (file.file_ == nullptr) {
+  // Recovery of a file that never existed starts empty, hence O_CREAT in
+  // both modes.
+  const int flags =
+      O_RDWR | O_CREAT | O_CLOEXEC | (options.truncate ? O_TRUNC : 0);
+  file.fd_ = ::open(path.c_str(), flags, 0644);
+  if (file.fd_ < 0) {
     return Status::Internal("PageFile: cannot open " + path);
   }
   if (!options.truncate) {
-    if (std::fseek(file.file_, 0, SEEK_END) != 0) {
-      return Status::Internal("PageFile: seek-to-end failed on " + path);
-    }
-    const long size = std::ftell(file.file_);
-    if (size < 0) {
-      return Status::Internal("PageFile: ftell failed on " + path);
+    struct stat st {};
+    if (::fstat(file.fd_, &st) != 0) {
+      return Status::Internal("PageFile: fstat failed on " + path);
     }
     // A torn final page (crash mid-write) rounds down: the partial page
-    // is unreachable and will be reused by the next Allocate.
+    // is unreachable and will be reused by the next Allocate. The file
+    // is private to this factory until returned; the page count is
+    // still set under its mutex so the capability analysis can verify
+    // every access uniformly.
+    const MutexLock lock(*file.mu_);
     file.next_page_ = static_cast<uint32_t>(
-        static_cast<size_t>(size) / options.page_size);
+        static_cast<size_t>(st.st_size) / options.page_size);
   }
   return file;
 }
 
-// Moves transfer the mutex along with the stream, so they cannot lock it
-// through the analysis; by contract they only run before the file is
+// Moves transfer the mutex along with the descriptor, so they cannot lock
+// it through the analysis; by contract they only run before the file is
 // shared (factory return, engine construction).
 PageFile::PageFile(PageFile&& other) noexcept { *this = std::move(other); }
 
 PageFile& PageFile::operator=(PageFile&& other) noexcept {
   if (this != &other) {
-    if (file_ != nullptr) {
-      std::fclose(file_);
+    if (fd_ >= 0) {
+      ::close(fd_);
     }
     path_ = std::move(other.path_);
     options_ = other.options_;
     mu_ = std::move(other.mu_);
-    file_ = other.file_;
-    other.file_ = nullptr;
+    fd_ = other.fd_;
+    other.fd_ = -1;
     next_page_ = other.next_page_;
     pages_written_ = other.pages_written_;
   }
@@ -92,13 +130,8 @@ PageFile& PageFile::operator=(PageFile&& other) noexcept {
 }
 
 PageFile::~PageFile() {
-  // A moved-from file has surrendered its mutex; it also has no stream.
-  if (mu_ == nullptr) {
-    return;
-  }
-  const MutexLock lock(*mu_);
-  if (file_ != nullptr) {
-    std::fclose(file_);
+  if (fd_ >= 0) {
+    ::close(fd_);
   }
 }
 
@@ -119,6 +152,12 @@ uint32_t PageFile::Allocate(uint32_t count) {
   return first;
 }
 
+uint32_t PageFile::PayloadBytes(const uint8_t* page) {
+  return GetU32(page + 12);
+}
+
+uint32_t PageFile::SliceTag(const uint8_t* page) { return GetU32(page + 8); }
+
 Status PageFile::WritePage(uint32_t page_no, uint32_t slice,
                            const uint8_t* data, size_t bytes) {
   if (bytes > PayloadCapacity()) {
@@ -127,106 +166,117 @@ Status PageFile::WritePage(uint32_t page_no, uint32_t slice,
         " bytes exceeds page capacity " +
         std::to_string(PayloadCapacity()));
   }
-  std::vector<uint8_t> page(options_.page_size, 0);
-  PutU32(page.data(), kPageMagic);
-  PutU32(page.data() + 4, page_no);
-  PutU32(page.data() + 8, slice);
-  PutU32(page.data() + 12, static_cast<uint32_t>(bytes));
-  PutU32(page.data() + 16, Crc32(data, bytes));
-  // Bytes 20..23 reserved (zero).
+  std::vector<uint8_t> page(options_.page_size);
   if (bytes > 0) {
     std::memcpy(page.data() + kHeaderBytes, data, bytes);
   }
-  // Seek and write are one critical section: the stream position is
-  // shared with every other reader/writer of this file.
-  const MutexLock lock(*mu_);
+  return WritePageInPlace(page_no, slice, page.data(), bytes);
+}
+
+Status PageFile::WritePageInPlace(uint32_t page_no, uint32_t slice,
+                                  uint8_t* page, size_t bytes) {
+  if (bytes > PayloadCapacity()) {
+    return Status::InvalidArgument(
+        "PageFile: payload of " + std::to_string(bytes) +
+        " bytes exceeds page capacity " +
+        std::to_string(PayloadCapacity()));
+  }
+  uint8_t* payload = page + kHeaderBytes;
+  PutU32(page, kPageMagic);
+  PutU32(page + 4, page_no);
+  PutU32(page + 8, slice);
+  PutU32(page + 12, static_cast<uint32_t>(bytes));
+  PutU32(page + 16, Crc32(payload, bytes));
+  PutU32(page + 20, 0);  // Reserved.
+  std::memset(payload + bytes, 0, PayloadCapacity() - bytes);
+  bool torn = false;
+  {
+    const MutexLock lock(*mu_);
+    ++pages_written_;
+    torn = options_.fail_after_page_writes > 0 &&
+           pages_written_ >= options_.fail_after_page_writes;
+  }
   const uint64_t offset =
       static_cast<uint64_t>(page_no) * options_.page_size;
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::Internal("PageFile: seek to page " +
-                            std::to_string(page_no) + " failed");
-  }
-  ++pages_written_;
-  if (options_.fail_after_page_writes > 0 &&
-      pages_written_ >= options_.fail_after_page_writes) {
+  if (torn) {
     // Fault injection: persist a torn page — the header and half the
     // payload — exactly what a crash mid-write leaves behind. The
     // checksum then fails on the next read, which is the property the
     // recovery tests assert.
-    const size_t torn = kHeaderBytes + bytes / 2;
-    if (std::fwrite(page.data(), 1, torn, file_) != torn) {
+    if (!WriteFully(fd_, page, kHeaderBytes + bytes / 2, offset)) {
       return Status::Internal("PageFile: torn write failed");
     }
-    std::fflush(file_);
     return Status::Internal(
         "PageFile: fault injection tore the write of page " +
         std::to_string(page_no));
   }
-  if (std::fwrite(page.data(), 1, page.size(), file_) != page.size()) {
+  if (!WriteFully(fd_, page, options_.page_size, offset)) {
     return Status::Internal("PageFile: write of page " +
                             std::to_string(page_no) + " failed");
   }
   return Status::OK();
 }
 
-Status PageFile::ReadPage(uint32_t page_no, std::vector<uint8_t>* out,
-                          uint32_t* slice) {
-  const MutexLock lock(*mu_);
-  if (page_no >= next_page_) {
-    return Status::OutOfRange("PageFile: page " + std::to_string(page_no) +
-                              " of " + std::to_string(next_page_));
+Status PageFile::ReadPage(uint32_t page_no, uint8_t* page) {
+  {
+    const MutexLock lock(*mu_);
+    if (page_no >= next_page_) {
+      return Status::OutOfRange("PageFile: page " + std::to_string(page_no) +
+                                " of " + std::to_string(next_page_));
+    }
   }
   const uint64_t offset =
       static_cast<uint64_t>(page_no) * options_.page_size;
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::Internal("PageFile: seek to page " +
+  const ssize_t read = ReadFully(fd_, page, options_.page_size, offset);
+  if (read < 0) {
+    return Status::Internal("PageFile: read of page " +
                             std::to_string(page_no) + " failed");
   }
-  std::vector<uint8_t> page(options_.page_size);
-  const size_t got = std::fread(page.data(), 1, page.size(), file_);
+  const size_t got = static_cast<size_t>(read);
   if (got < kHeaderBytes) {
     return Status::Internal("PageFile: short read of page " +
                             std::to_string(page_no) + " (" +
                             std::to_string(got) + " bytes)");
   }
-  if (GetU32(page.data()) != kPageMagic) {
+  if (GetU32(page) != kPageMagic) {
     return Status::Internal("PageFile: bad magic on page " +
                             std::to_string(page_no));
   }
-  if (GetU32(page.data() + 4) != page_no) {
+  if (GetU32(page + 4) != page_no) {
     return Status::Internal(
         "PageFile: page " + std::to_string(page_no) +
-        " self-identifies as " + std::to_string(GetU32(page.data() + 4)) +
+        " self-identifies as " + std::to_string(GetU32(page + 4)) +
         " (misdirected write)");
   }
-  const uint32_t payload_bytes = GetU32(page.data() + 12);
+  const uint32_t payload_bytes = PayloadBytes(page);
   if (payload_bytes > PayloadCapacity() ||
       kHeaderBytes + payload_bytes > got) {
     return Status::Internal("PageFile: page " + std::to_string(page_no) +
                             " declares " + std::to_string(payload_bytes) +
                             " payload bytes beyond the page (torn write)");
   }
-  const uint32_t want_crc = GetU32(page.data() + 16);
-  const uint32_t got_crc = Crc32(page.data() + kHeaderBytes, payload_bytes);
-  if (want_crc != got_crc) {
+  if (GetU32(page + 16) != Crc32(page + kHeaderBytes, payload_bytes)) {
     return Status::Internal("PageFile: checksum mismatch on page " +
                             std::to_string(page_no) +
                             " (torn or corrupt write)");
   }
+  return Status::OK();
+}
+
+Status PageFile::ReadPage(uint32_t page_no, std::vector<uint8_t>* out,
+                          uint32_t* slice) {
+  std::vector<uint8_t> page(options_.page_size);
+  EBI_RETURN_IF_ERROR(ReadPage(page_no, page.data()));
   if (slice != nullptr) {
-    *slice = GetU32(page.data() + 8);
+    *slice = SliceTag(page.data());
   }
-  out->assign(page.begin() + kHeaderBytes,
-              page.begin() + kHeaderBytes + payload_bytes);
+  const auto payload = page.begin() + kHeaderBytes;
+  out->assign(payload, payload + PayloadBytes(page.data()));
   return Status::OK();
 }
 
 Status PageFile::Sync() {
-  const MutexLock lock(*mu_);
-  if (std::fflush(file_) != 0) {
-    return Status::Internal("PageFile: fflush failed on " + path_);
-  }
-  if (fsync(fileno(file_)) != 0) {
+  if (::fsync(fd_) != 0) {
     return Status::Internal("PageFile: fsync failed on " + path_);
   }
   return Status::OK();

@@ -2,7 +2,6 @@
 #define EBI_STORAGE_ENGINE_PAGE_FILE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,23 +31,25 @@ struct PageFileOptions {
 /// A file of fixed-size, checksummed pages — the raw I/O floor of the
 /// storage engine (DESIGN.md §12). Everything above it (buffer pool,
 /// slice extents) deals in page numbers; this class owns the only
-/// fopen/fread/fwrite/fsync calls on the data path, which the raw-file-io
+/// open/pread/pwrite/fsync calls on the data path, which the raw-file-io
 /// lint rule enforces.
 ///
 /// Page layout: a 24-byte header {magic, page_no, slice, payload_bytes,
 /// crc32(payload), reserved} followed by up to page_size - 24 payload
-/// bytes. ReadPage verifies the magic, the self-identifying page number
-/// (catches misdirected writes) and the payload checksum (catches torn
-/// writes), so a page either reads back exactly as written or fails with
-/// a descriptive kInternal — never silently returns garbage.
+/// bytes (zero-filled past the payload). ReadPage verifies the magic, the
+/// self-identifying page number (catches misdirected writes) and the
+/// payload checksum (catches torn writes), so a page either reads back
+/// exactly as written or fails with a descriptive kInternal — never
+/// silently returns garbage.
 ///
-/// Thread-safe: every page operation serializes on an internal mutex.
-/// The stdio stream position is shared state — a seek and the read/write
-/// that follows it must be one critical section, so concurrent callers
-/// (the buffer pool writing back under its own lock while the engine's
-/// verify path reads directly) cannot interleave mid-sequence. Moving a
-/// PageFile is NOT thread-safe; moves happen only before the file is
-/// shared (factory returns, engine construction).
+/// Thread-safe. All I/O is pread/pwrite at page_no * page_size on one
+/// file descriptor, so there is no shared stream position and no lock is
+/// held across I/O: the mutex guards only the page count and the write
+/// counter. Concurrent reads and writes of *different* pages are safe;
+/// the pages of one file are written only by the buffer pool, which
+/// serializes a page's I/O under its own lock. Moving a PageFile is NOT
+/// thread-safe; moves happen only before the file is shared (factory
+/// returns, engine construction).
 class PageFile {
  public:
   static constexpr size_t kHeaderBytes = 24;
@@ -87,14 +88,31 @@ class PageFile {
   [[nodiscard]] Status WritePage(uint32_t page_no, uint32_t slice,
                                  const uint8_t* data, size_t bytes);
 
-  /// Reads page `page_no`, validates header + checksum, and returns the
-  /// payload in `out` (resized to the stored payload length). When
-  /// `slice` is non-null the owning slice tag is returned too.
+  /// WritePage without the copy: `page` is a page_size() buffer whose
+  /// payload already sits at page + kHeaderBytes. Stamps the header and
+  /// zero-fills past the payload in place, then writes the whole page —
+  /// the buffer pool's writeback path.
+  [[nodiscard]] Status WritePageInPlace(uint32_t page_no, uint32_t slice,
+                                        uint8_t* page, size_t bytes);
+
+  /// Reads page `page_no` whole into `page` (a caller-owned buffer of
+  /// page_size() bytes) and validates header + checksum in place. On
+  /// success the payload is PayloadBytes(page) bytes at
+  /// page + kHeaderBytes.
+  [[nodiscard]] Status ReadPage(uint32_t page_no, uint8_t* page);
+
+  /// ReadPage into a temporary page, returning a copy of the payload in
+  /// `out` (resized to the stored payload length). When `slice` is
+  /// non-null the owning slice tag is returned too.
   [[nodiscard]] Status ReadPage(uint32_t page_no, std::vector<uint8_t>* out,
                                 uint32_t* slice = nullptr);
 
-  /// Flushes userspace buffers and fsyncs the file descriptor — after
-  /// Sync returns OK the pages written so far survive a crash.
+  /// Header fields of a page ReadPage verified.
+  static uint32_t PayloadBytes(const uint8_t* page);
+  static uint32_t SliceTag(const uint8_t* page);
+
+  /// fsyncs the file descriptor — after Sync returns OK the pages
+  /// written so far survive a crash.
   [[nodiscard]] Status Sync();
 
   /// Pages physically written over the file's lifetime (fault-hook and
@@ -108,11 +126,13 @@ class PageFile {
       EBI_UNGUARDED("set once in Open before the file is shared");
   PageFileOptions options_
       EBI_UNGUARDED("set once in Open before the file is shared");
+  /// pread/pwrite carry their own offsets, so the descriptor is shared
+  /// without a lock.
+  int fd_ EBI_UNGUARDED("set once in Open before the file is shared") = -1;
   /// Behind unique_ptr because PageFile is movable and a mutex is not;
   /// the mutex travels with the moved-to object.
   std::unique_ptr<Mutex> mu_ =
       std::make_unique<Mutex>(lock_rank::kPageFile, "PageFile::mu_");
-  std::FILE* file_ EBI_GUARDED_BY(*mu_) = nullptr;
   uint32_t next_page_ EBI_GUARDED_BY(*mu_) = 0;
   uint64_t pages_written_ EBI_GUARDED_BY(*mu_) = 0;
 };

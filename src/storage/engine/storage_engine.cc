@@ -1,5 +1,6 @@
 #include "storage/engine/storage_engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -43,6 +44,14 @@ uint64_t GetU64(const uint8_t* at) {
     v |= static_cast<uint64_t>(at[i]) << (8 * i);
   }
   return v;
+}
+
+/// Pages an extent's payload occupies (an empty payload still owns one).
+uint32_t PagesUsed(const SliceExtent& extent, size_t capacity) {
+  return static_cast<uint32_t>(
+      extent.payload_bytes == 0
+          ? 1
+          : (extent.payload_bytes + capacity - 1) / capacity);
 }
 
 std::string MapPath(const std::string& path) { return path + ".map"; }
@@ -157,22 +166,22 @@ Status StorageEngine::UpdateSlice(SliceId id, const StoredBitmap& bitmap) {
   return Status::OK();
 }
 
+Status StorageEngine::ExtentOf(SliceId id, SliceExtent* extent,
+                               uint32_t* pages_used) const {
+  const MutexLock lock(mu_);
+  if (id >= extents_.size()) {
+    return Status::OutOfRange("StorageEngine: slice id out of range");
+  }
+  *extent = extents_[id];
+  *pages_used = PagesUsed(*extent, file_.PayloadCapacity());
+  return Status::OK();
+}
+
 Result<StoredBitmap> StorageEngine::GetSlice(SliceId id,
                                              size_t* pages_faulted) {
   SliceExtent extent;
-  {
-    const MutexLock lock(mu_);
-    if (id >= extents_.size()) {
-      return Status::OutOfRange("StorageEngine: slice id out of range");
-    }
-    extent = extents_[id];
-  }
-  const size_t capacity = file_.PayloadCapacity();
-  const uint32_t pages_used = static_cast<uint32_t>(
-      extent.payload_bytes == 0
-          ? 1
-          : (extent.payload_bytes + capacity - 1) / capacity);
-
+  uint32_t pages_used = 0;
+  EBI_RETURN_IF_ERROR(ExtentOf(id, &extent, &pages_used));
   // One ReadRange call assembles the whole extent under a single pool
   // lock acquisition, and the buffer overload of LoadStoredBitmap
   // parses it without an istringstream copy — together the warm-path
@@ -191,6 +200,71 @@ Result<StoredBitmap> StorageEngine::GetSlice(SliceId id,
       reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
 }
 
+Result<SliceReader> StorageEngine::ReadSlice(SliceId id) {
+  SliceExtent extent;
+  uint32_t pages_used = 0;
+  EBI_RETURN_IF_ERROR(ExtentOf(id, &extent, &pages_used));
+  return SliceReader(pool_.get(), pool_file_id_, id, extent, pages_used,
+                     file_.PayloadCapacity());
+}
+
+SliceReader::SliceReader(BufferPool* pool, uint32_t file_id, uint32_t slice,
+                         const SliceExtent& extent, uint32_t pages_used,
+                         size_t page_capacity)
+    : pool_(pool),
+      file_id_(file_id),
+      slice_(slice),
+      next_page_(extent.first_page),
+      end_page_(extent.first_page + pages_used),
+      extent_bytes_(extent.payload_bytes),
+      staging_(page_capacity) {}
+
+Status SliceReader::Stage() {
+  if (next_page_ == end_page_) {
+    return Status::Internal("StorageEngine: slice " + std::to_string(slice_) +
+                            " pages end after " +
+                            std::to_string(staged_total_) +
+                            " bytes, short of the read");
+  }
+  bool faulted = false;
+  EBI_ASSIGN_OR_RETURN(staged_, pool_->CopyPage(file_id_, next_page_,
+                                                 staging_.data(), &faulted));
+  ++next_page_;
+  offset_ = 0;
+  staged_total_ += staged_;
+  pages_faulted_ += faulted ? 1 : 0;
+  return Status::OK();
+}
+
+Status SliceReader::Read(void* dst, size_t bytes) {
+  auto* out = static_cast<uint8_t*>(dst);
+  while (bytes > 0) {
+    if (offset_ == staged_) {
+      EBI_RETURN_IF_ERROR(Stage());
+    }
+    const size_t chunk = std::min(bytes, staged_ - offset_);
+    std::memcpy(out, staging_.data() + offset_, chunk);
+    out += chunk;
+    offset_ += chunk;
+    bytes -= chunk;
+  }
+  return Status::OK();
+}
+
+Status SliceReader::Finish() const {
+  if (offset_ != staged_ || next_page_ != end_page_) {
+    return Status::Internal("StorageEngine: slice " + std::to_string(slice_) +
+                            " pages hold bytes past the end of the read");
+  }
+  if (staged_total_ != extent_bytes_) {
+    return Status::Internal(
+        "StorageEngine: slice " + std::to_string(slice_) + " pages hold " +
+        std::to_string(staged_total_) + " bytes, extent map says " +
+        std::to_string(extent_bytes_));
+  }
+  return Status::OK();
+}
+
 Result<size_t> StorageEngine::SliceBytes(SliceId id) const {
   const MutexLock lock(mu_);
   if (id >= extents_.size()) {
@@ -200,16 +274,10 @@ Result<size_t> StorageEngine::SliceBytes(SliceId id) const {
 }
 
 Result<uint32_t> StorageEngine::SlicePages(SliceId id) const {
-  const MutexLock lock(mu_);
-  if (id >= extents_.size()) {
-    return Status::OutOfRange("StorageEngine: slice id out of range");
-  }
-  const size_t capacity = file_.PayloadCapacity();
-  const SliceExtent& extent = extents_[id];
-  return static_cast<uint32_t>(
-      extent.payload_bytes == 0
-          ? 1
-          : (extent.payload_bytes + capacity - 1) / capacity);
+  SliceExtent extent;
+  uint32_t pages_used = 0;
+  EBI_RETURN_IF_ERROR(ExtentOf(id, &extent, &pages_used));
+  return pages_used;
 }
 
 void StorageEngine::PrefetchSlices(const std::vector<SliceId>& ids) {
@@ -222,10 +290,7 @@ void StorageEngine::PrefetchSlices(const std::vector<SliceId>& ids) {
         continue;
       }
       const SliceExtent& extent = extents_[id];
-      const uint32_t pages_used = static_cast<uint32_t>(
-          extent.payload_bytes == 0
-              ? 1
-              : (extent.payload_bytes + capacity - 1) / capacity);
+      const uint32_t pages_used = PagesUsed(extent, capacity);
       for (uint32_t p = 0; p < pages_used; ++p) {
         pages.push_back(extent.first_page + p);
       }
@@ -241,30 +306,23 @@ Status StorageEngine::VerifySlice(SliceId id) {
   // the file first.
   EBI_RETURN_IF_ERROR(pool_->Flush(pool_file_id_));
   SliceExtent extent;
-  {
-    const MutexLock lock(mu_);
-    if (id >= extents_.size()) {
-      return Status::OutOfRange("StorageEngine: slice id out of range");
-    }
-    extent = extents_[id];
-  }
-  const size_t capacity = file_.PayloadCapacity();
-  const uint32_t pages_used = static_cast<uint32_t>(
-      extent.payload_bytes == 0
-          ? 1
-          : (extent.payload_bytes + capacity - 1) / capacity);
+  uint32_t pages_used = 0;
+  EBI_RETURN_IF_ERROR(ExtentOf(id, &extent, &pages_used));
+  std::vector<uint8_t> page(file_.page_size());
   std::string payload;
+  payload.reserve(extent.payload_bytes);
   for (uint32_t p = 0; p < pages_used; ++p) {
-    std::vector<uint8_t> bytes;
-    uint32_t slice = 0;
-    EBI_RETURN_IF_ERROR(file_.ReadPage(extent.first_page + p, &bytes, &slice));
+    EBI_RETURN_IF_ERROR(file_.ReadPage(extent.first_page + p, page.data()));
+    const uint32_t slice = PageFile::SliceTag(page.data());
     if (slice != id) {
       return Status::Internal("StorageEngine: page " +
                               std::to_string(extent.first_page + p) +
                               " is tagged for slice " + std::to_string(slice) +
                               ", expected " + std::to_string(id));
     }
-    payload.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+    payload.append(
+        reinterpret_cast<const char*>(page.data() + PageFile::kHeaderBytes),
+        PageFile::PayloadBytes(page.data()));
   }
   if (payload.size() != extent.payload_bytes) {
     return Status::Internal("StorageEngine: slice " + std::to_string(id) +

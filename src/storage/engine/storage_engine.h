@@ -50,6 +50,51 @@ struct SliceExtent {
   uint64_t payload_bytes = 0;
 };
 
+/// Streams one slice's payload bytes in page order without assembling
+/// the slice — the cold cover pass's read path (DESIGN.md §12). Each page
+/// of the extent is looked up in the pool exactly once, as GetSlice
+/// would, and its payload copied once, under the pool lock, into a
+/// staging buffer of one page; nothing stays pinned, so a reader works at
+/// any pool capacity. Obtained from StorageEngine::ReadSlice; the engine
+/// must outlive it.
+class SliceReader {
+ public:
+  SliceReader(SliceReader&&) noexcept = default;
+  SliceReader& operator=(SliceReader&&) noexcept = default;
+
+  /// Copies the next `bytes` payload bytes into `dst`. Fails with
+  /// kInternal when the slice's pages end first.
+  [[nodiscard]] Status Read(void* dst, size_t bytes);
+
+  /// Fails with kInternal unless every payload byte was read and the
+  /// pages held exactly the extent map's byte count.
+  [[nodiscard]] Status Finish() const;
+
+  /// Pages of the slice that missed the pool so far.
+  size_t pages_faulted() const { return pages_faulted_; }
+
+ private:
+  friend class StorageEngine;
+  SliceReader(BufferPool* pool, uint32_t file_id, uint32_t slice,
+              const SliceExtent& extent, uint32_t pages_used,
+              size_t page_capacity);
+  /// Copies the next page's payload into the staging buffer.
+  [[nodiscard]] Status Stage();
+
+  BufferPool* pool_;
+  uint32_t file_id_;
+  uint32_t slice_;
+  uint32_t next_page_;
+  uint32_t end_page_;
+  uint64_t extent_bytes_;
+  /// Payload bytes of the pages staged so far.
+  uint64_t staged_total_ = 0;
+  std::vector<uint8_t> staging_;
+  size_t staged_ = 0;
+  size_t offset_ = 0;
+  size_t pages_faulted_ = 0;
+};
+
 /// The tiered storage engine (DESIGN.md §12): StoredBitmap slices
 /// chunked over fixed-size checksummed pages in one PageFile, cached by
 /// a shared BufferPool, located by a per-slice extent map persisted in a
@@ -83,9 +128,15 @@ class StorageEngine {
   [[nodiscard]] Status UpdateSlice(SliceId id, const StoredBitmap& bitmap);
 
   /// Reconstructs slice `id` from its pages (pool hits are free; misses
-  /// charge one page read each). When `pages_faulted` is non-null it
-  /// receives the number of pages that missed the pool.
+  /// charge one page read each) — the whole-slice read path. When
+  /// `pages_faulted` is non-null it receives the number of pages that
+  /// missed the pool.
   Result<StoredBitmap> GetSlice(SliceId id, size_t* pages_faulted = nullptr);
+
+  /// Opens a streaming reader over slice `id`'s payload bytes: the same
+  /// page lookups and charges as GetSlice, but the slice is never
+  /// assembled.
+  Result<SliceReader> ReadSlice(SliceId id);
 
   /// Serialized bytes slice `id` occupies (the sum its cold read charges).
   Result<size_t> SliceBytes(SliceId id) const;
@@ -118,6 +169,10 @@ class StorageEngine {
                                         SliceId id, SliceExtent* reuse)
       EBI_REQUIRES(mu_);
   [[nodiscard]] Status PersistMapLocked() EBI_REQUIRES(mu_);
+  /// Extent of slice `id` and the pages its payload occupies.
+  [[nodiscard]] Status ExtentOf(SliceId id, SliceExtent* extent,
+                                uint32_t* pages_used) const
+      EBI_EXCLUDES(mu_);
   [[nodiscard]] Status LoadMap() EBI_EXCLUDES(mu_);
 
   std::string path_

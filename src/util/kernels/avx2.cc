@@ -1,18 +1,22 @@
-// AVX2 backend: 256-bit lanes, 4 words per vector op. This translation
-// unit is compiled with -mavx2 (see src/CMakeLists.txt); nothing in it
-// may run before Avx2IfSupported() has confirmed the CPU, which is why
-// the kernel table is reached only through that accessor.
+// AVX2 backend: 256-bit lanes, 4 words per vector op, and a PCLMULQDQ
+// CRC-32. This translation unit is compiled with -mavx2 -mpclmul (see
+// src/CMakeLists.txt); nothing in it may run before Avx2IfSupported()
+// has confirmed the CPU, which is why the kernel table is reached only
+// through that accessor.
 
 #include "util/kernels/backends.h"
 #include "util/kernels/kernels.h"
 
-#if defined(__AVX2__) && (defined(__x86_64__) || defined(__i386__))
+#if defined(__AVX2__) && defined(__PCLMUL__) && \
+    (defined(__x86_64__) || defined(__i386__))
 
 #include <immintrin.h>
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/kernels/crc32_pclmul.h"
 
 namespace ebi {
 namespace kernels {
@@ -195,19 +199,22 @@ void AndMany(uint64_t* dst, const uint64_t* const* srcs, size_t k,
 constexpr BitmapKernels kAvx2Kernels = {
     "avx2",     AndWords,  OrWords,   XorWords, AndNotWords,
     NotWords,   FillWords, CopyWords, PopcountWords,
-    OrMany,     AndMany,
+    OrMany,     AndMany,   Crc32Pclmul,
 };
 
 }  // namespace
 
 const BitmapKernels* Avx2IfSupported() {
-  return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
+  return (__builtin_cpu_supports("avx2") &&
+          __builtin_cpu_supports("pclmul"))
+             ? &kAvx2Kernels
+             : nullptr;
 }
 
 }  // namespace kernels
 }  // namespace ebi
 
-#else  // !(__AVX2__ && x86)
+#else  // !(__AVX2__ && __PCLMUL__ && x86)
 
 namespace ebi {
 namespace kernels {

@@ -1,19 +1,22 @@
-// AVX-512 backend: 512-bit lanes, 8 words per vector op. Compiled with
-// -mavx512f -mavx512bw (see src/CMakeLists.txt); selected at runtime only
-// when the CPU reports both features, so the table is never reachable on
-// hardware that would fault.
+// AVX-512 backend: 512-bit lanes, 8 words per vector op, and a PCLMULQDQ
+// CRC-32. Compiled with -mavx512f -mavx512bw -mpclmul (see
+// src/CMakeLists.txt); selected at runtime only when the CPU reports all
+// three features, so the table is never reachable on hardware that would
+// fault.
 
 #include "util/kernels/backends.h"
 #include "util/kernels/kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && \
-    (defined(__x86_64__) || defined(__i386__))
+    defined(__PCLMUL__) && (defined(__x86_64__) || defined(__i386__))
 
 #include <immintrin.h>
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/kernels/crc32_pclmul.h"
 
 namespace ebi {
 namespace kernels {
@@ -180,14 +183,15 @@ void AndMany(uint64_t* dst, const uint64_t* const* srcs, size_t k,
 constexpr BitmapKernels kAvx512Kernels = {
     "avx512",   AndWords,  OrWords,   XorWords, AndNotWords,
     NotWords,   FillWords, CopyWords, PopcountWords,
-    OrMany,     AndMany,
+    OrMany,     AndMany,   Crc32Pclmul,
 };
 
 }  // namespace
 
 const BitmapKernels* Avx512IfSupported() {
   return (__builtin_cpu_supports("avx512f") &&
-          __builtin_cpu_supports("avx512bw"))
+          __builtin_cpu_supports("avx512bw") &&
+          __builtin_cpu_supports("pclmul"))
              ? &kAvx512Kernels
              : nullptr;
 }
@@ -195,7 +199,7 @@ const BitmapKernels* Avx512IfSupported() {
 }  // namespace kernels
 }  // namespace ebi
 
-#else  // !(__AVX512F__ && __AVX512BW__ && x86)
+#else  // !(__AVX512F__ && __AVX512BW__ && __PCLMUL__ && x86)
 
 namespace ebi {
 namespace kernels {

@@ -15,6 +15,11 @@ const BitmapKernels* Avx2IfSupported();
 const BitmapKernels* Avx512IfSupported();
 const BitmapKernels* NeonIfSupported();
 
+/// Slicing-by-8 CRC-32 (the scalar backend's crc32 entry). Shared by the
+/// neon table and by the PCLMULQDQ backends, which fold whole 16-byte
+/// lanes and hand it the inputs too short to fold and the final tail.
+uint32_t Crc32Slicing8(const uint8_t* data, size_t n, uint32_t seed);
+
 }  // namespace kernels
 }  // namespace ebi
 

@@ -58,6 +58,14 @@ struct BitmapKernels {
   /// dst[i] = srcs[0][i] & ... & srcs[k-1][i], k >= 1.
   void (*and_many)(uint64_t* dst, const uint64_t* const* srcs, size_t k,
                    size_t n);
+  /// CRC-32 (IEEE 802.3 polynomial, reflected) of `n` bytes — the one
+  /// checksum of the storage engine's pages, WAL frames and extent-map
+  /// sidecar. Unlike the word entries, `data` has no alignment. `seed`
+  /// chains partial computations: crc32(b, nb, crc32(a, na, 0)) equals
+  /// crc32 over the concatenation of a and b. scalar and neon use
+  /// slicing-by-8 tables; avx2 and avx512 fold 4x128 bits per step with
+  /// PCLMULQDQ and finish with a Barrett reduction.
+  uint32_t (*crc32)(const uint8_t* data, size_t n, uint32_t seed);
 };
 
 /// The backend the running CPU supports best, selected exactly once (on

@@ -144,7 +144,7 @@ void AndMany(uint64_t* dst, const uint64_t* const* srcs, size_t k,
 constexpr BitmapKernels kNeonKernels = {
     "neon",     AndWords,  OrWords,   XorWords, AndNotWords,
     NotWords,   FillWords, CopyWords, PopcountWords,
-    OrMany,     AndMany,
+    OrMany,     AndMany,   Crc32Slicing8,
 };
 
 }  // namespace

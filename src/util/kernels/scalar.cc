@@ -1,7 +1,9 @@
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
+#include "util/kernels/backends.h"
 #include "util/kernels/kernels.h"
 
 namespace ebi {
@@ -85,13 +87,62 @@ void AndMany(uint64_t* dst, const uint64_t* const* srcs, size_t k,
   }
 }
 
+// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0] is
+// the classic byte table, kCrcTables[k][b] the CRC of byte b followed by k
+// zero bytes, so one step folds 8 input bytes with 8 independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
+    }
+    t[0][i] = crc;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+/// Little-endian 32-bit load from unaligned bytes.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
 constexpr BitmapKernels kScalarKernels = {
     "scalar",    AndWords, OrWords,        XorWords, AndNotWords,
     NotWords,    FillWords, CopyWords,     PopcountWords,
-    OrMany,      AndMany,
+    OrMany,      AndMany,  Crc32Slicing8,
 };
 
 }  // namespace
+
+uint32_t Crc32Slicing8(const uint8_t* data, size_t n, uint32_t seed) {
+  const CrcTables& t = kCrcTables;
+  uint32_t crc = ~seed;
+  for (; n >= 8; data += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(data) ^ crc;
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
+  }
+  return ~crc;
+}
 
 const BitmapKernels& Scalar() { return kScalarKernels; }
 

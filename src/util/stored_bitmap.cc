@@ -44,9 +44,16 @@ double StoredBitmap::Sparsity() const {
          static_cast<double>(Count()) / static_cast<double>(n);
 }
 
-BitVector StoredBitmap::ToBitVector() const {
+BitVector StoredBitmap::ToBitVector() const& {
   if (const BitVector* plain = std::get_if<BitVector>(&rep_)) {
     return *plain;
+  }
+  return std::get<EwahBitmap>(rep_).Decompress();
+}
+
+BitVector StoredBitmap::ToBitVector() && {
+  if (BitVector* plain = std::get_if<BitVector>(&rep_)) {
+    return std::move(*plain);
   }
   return std::get<EwahBitmap>(rep_).Decompress();
 }

@@ -48,7 +48,10 @@ class StoredBitmap {
   [[nodiscard]] double Sparsity() const;
 
   /// Expands to a plain bit vector (a copy even for plain storage).
-  [[nodiscard]] BitVector ToBitVector() const;
+  [[nodiscard]] BitVector ToBitVector() const&;
+  /// Expands to a plain bit vector, moving plain storage out instead of
+  /// copying it.
+  [[nodiscard]] BitVector ToBitVector() &&;
 
   /// Fast path: the underlying plain vector, or nullptr when compressed.
   [[nodiscard]] const BitVector* AsPlain() const {

@@ -88,38 +88,26 @@ Result<uint64_t> ReadU64(std::istream& in) {
 
 // Bulk little-endian array reads. One in.read() per chunk instead of
 // one per element — the difference between stream-call overhead and
-// memcpy speed on the storage engine's warm path. Chunking preserves
-// the hardening contract: allocation only grows after the bytes backing
-// it were actually read, bounded by kMaxTrustedReserve elements per step.
+// memcpy speed on the storage engine's warm path. The words land straight
+// in the output vector, whose growth preserves the hardening contract:
+// it runs at most one chunk of kMaxTrustedReserve elements ahead of the
+// bytes actually read.
 Status ReadU64Array(std::istream& in, uint64_t count,
                     std::vector<uint64_t>* out) {
   out->clear();
   out->reserve(static_cast<size_t>(
       std::min<uint64_t>(count, kMaxTrustedReserve)));
-  std::vector<char> buf;
   uint64_t remaining = count;
   while (remaining > 0) {
     const size_t chunk = static_cast<size_t>(
         std::min<uint64_t>(remaining, kMaxTrustedReserve));
-    buf.resize(chunk * 8);
-    if (!in.read(buf.data(), static_cast<std::streamsize>(buf.size()))) {
-      return Status::OutOfRange("truncated stream reading u64 array");
-    }
     const size_t base = out->size();
     out->resize(base + chunk);
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out->data() + base, buf.data(), buf.size());
-    } else {
-      for (size_t i = 0; i < chunk; ++i) {
-        uint64_t v = 0;
-        for (int b = 0; b < 8; ++b) {
-          v |= static_cast<uint64_t>(
-                   static_cast<unsigned char>(buf[i * 8 + b]))
-               << (8 * b);
-        }
-        (*out)[base + i] = v;
-      }
+    if (!in.read(reinterpret_cast<char*>(out->data() + base),
+                 static_cast<std::streamsize>(chunk * 8))) {
+      return Status::OutOfRange("truncated stream reading u64 array");
     }
+    WordsFromLittleEndian(out->data() + base, chunk);
     remaining -= chunk;
   }
   return Status::OK();
@@ -224,6 +212,33 @@ Result<StoredBitmap> LoadStoredBitmap(std::istream& in) {
     default:
       return Status::InvalidArgument("StoredBitmap: unknown format tag");
   }
+}
+
+void WordsFromLittleEndian(uint64_t* words, size_t n) {
+  if constexpr (std::endian::native != std::endian::little) {
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t bytes[8];
+      std::memcpy(bytes, &words[i], 8);
+      uint64_t v = 0;
+      for (int b = 0; b < 8; ++b) {
+        v |= static_cast<uint64_t>(bytes[b]) << (8 * b);
+      }
+      words[i] = v;
+    }
+  }
+}
+
+Result<uint64_t> ParsePlainStoredHeader(const uint8_t* header) {
+  MemoryStreamBuf buf(reinterpret_cast<const char*>(header),
+                      kPlainStoredHeaderBytes);
+  std::istream in(&buf);
+  EBI_RETURN_IF_ERROR(ExpectMagic(in, kStoredMagic, "StoredBitmap"));
+  EBI_ASSIGN_OR_RETURN(const uint32_t tag, ReadU32(in));
+  if (tag != kTagPlain) {
+    return Status::InvalidArgument("StoredBitmap: expected the plain format");
+  }
+  EBI_RETURN_IF_ERROR(ExpectMagic(in, kBitVectorMagic, "BitVector"));
+  return ReadBitSize(in, "BitVector");
 }
 
 Result<StoredBitmap> LoadStoredBitmap(const uint8_t* data, size_t size) {

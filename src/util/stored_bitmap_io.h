@@ -1,6 +1,8 @@
 #ifndef EBI_UTIL_STORED_BITMAP_IO_H_
 #define EBI_UTIL_STORED_BITMAP_IO_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 
 #include "util/bitvector.h"
@@ -43,6 +45,20 @@ namespace ebi {
 /// format and hardening to the stream overload.
 [[nodiscard]] Result<StoredBitmap> LoadStoredBitmap(const uint8_t* data,
                                                     size_t size);
+
+/// Bytes before the first word of a serialized plain StoredBitmap: the
+/// stored magic, the format tag, the vector magic and the u64 bit size.
+inline constexpr size_t kPlainStoredHeaderBytes = 20;
+
+/// Validates the header of a serialized plain StoredBitmap — its first
+/// kPlainStoredHeaderBytes bytes — and returns the declared bit size.
+/// The streaming read path (BitmapStore::VectorReader) takes the words
+/// that follow in order, without assembling a BitVector.
+[[nodiscard]] Result<uint64_t> ParsePlainStoredHeader(const uint8_t* header);
+
+/// Converts `n` words copied verbatim from serialized (little-endian)
+/// bytes to native order, in place; a no-op on little-endian hosts.
+void WordsFromLittleEndian(uint64_t* words, size_t n);
 
 }  // namespace ebi
 

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "boolean/cover.h"
+#include "exec/thread_pool.h"
 #include "index/encoded_bitmap_index.h"
+#include "storage/engine/crc32.h"
+#include "storage/engine/page_file.h"
 #include "test_util.h"
 
 namespace ebi {
@@ -137,6 +147,259 @@ TEST_F(ColdEncodedBitmapIndexTest, WidthExpansionThroughStore) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(*result, ScanEquals(*table_, table_->column(0), v)) << v;
   }
+}
+
+// ------------------------------------------------- streamed cover evaluation
+
+// A 4 KB page carries 4,072 payload bytes = 509 words, and a slice's words
+// start at payload offset 20, so every page boundary splits a word. Row
+// counts around multiples of 509 * 64 put the last word, and the padding
+// bits, on either side of a boundary.
+constexpr size_t kRowsPerPage = 509 * 64;
+constexpr size_t kCardinality = 37;  // 6 slices with the void codeword.
+
+std::vector<size_t> BoundaryRowCounts() {
+  std::vector<size_t> rows;
+  for (const size_t pages : {size_t{1}, size_t{2}}) {
+    for (const int delta : {-65, -64, -63, -1, 0, 1, 63, 64, 65}) {
+      rows.push_back(static_cast<size_t>(
+          static_cast<int64_t>(pages * kRowsPerPage) + delta));
+    }
+  }
+  // 6 slices of 13 pages: a working set past a 64-page pool.
+  rows.push_back(12 * kRowsPerPage + 1);
+  return rows;
+}
+
+/// Equality, IN-list and range selections over [0, kCardinality).
+std::vector<std::vector<Value>> StreamingQueries() {
+  std::vector<std::vector<Value>> queries;
+  for (const int64_t v : {0, 17, 36}) {
+    queries.push_back({Value::Int(v)});
+  }
+  queries.push_back({Value::Int(1), Value::Int(2), Value::Int(3)});
+  std::vector<Value> wide;
+  for (int64_t v = 4; v < 30; v += 2) {
+    wide.push_back(Value::Int(v));
+  }
+  queries.push_back(wide);
+  return queries;
+}
+
+TEST(ColdStreamingTest, AnswersMatchInMemoryAcrossPageBoundaries) {
+  exec::ThreadPool prefetchers(2);
+  for (const size_t rows : BoundaryRowCounts()) {
+    auto table = RandomIntTable(rows, kCardinality, 900 + rows);
+    IoAccountant hot_io;
+    EncodedBitmapIndex hot(&table->column(0), &table->existence(), &hot_io);
+    ASSERT_TRUE(hot.Build().ok());
+    // The last pool holds every slice's pages.
+    for (const size_t pool :
+         {size_t{1}, size_t{4}, size_t{64}, size_t{128}}) {
+      for (const bool prefetch : {false, true}) {
+        ColdEncodedBitmapIndexOptions options = TestOptions(pool);
+        options.prefetch_pool = prefetch ? &prefetchers : nullptr;
+        IoAccountant cold_io;
+        ColdEncodedBitmapIndex cold(&table->column(0), &table->existence(),
+                                    &cold_io, options);
+        ASSERT_TRUE(cold.Build().ok());
+        for (const std::vector<Value>& values : StreamingQueries()) {
+          const auto want = hot.EvaluateIn(values);
+          const auto got = cold.EvaluateIn(values);
+          ASSERT_TRUE(want.ok());
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(*got, *want) << "rows=" << rows << " pool=" << pool
+                                 << " prefetch=" << prefetch;
+        }
+        const auto range_want = hot.EvaluateRange(5, 31);
+        const auto range_got = cold.EvaluateRange(5, 31);
+        ASSERT_TRUE(range_want.ok());
+        ASSERT_TRUE(range_got.ok());
+        EXPECT_EQ(*range_got, *range_want) << "rows=" << rows;
+      }
+    }
+  }
+}
+
+TEST(ColdStreamingTest, ChargesMatchStoredExtents) {
+  const size_t rows = 2 * kRowsPerPage + 63;
+  auto table = RandomIntTable(rows, kCardinality, 4242);
+  IoAccountant hot_io;
+  EncodedBitmapIndex hot(&table->column(0), &table->existence(), &hot_io);
+  ASSERT_TRUE(hot.Build().ok());
+  for (const size_t pool : {size_t{1}, size_t{64}}) {
+    IoAccountant io;
+    ColdEncodedBitmapIndex cold(&table->column(0), &table->existence(), &io,
+                                TestOptions(pool));
+    ASSERT_TRUE(cold.Build().ok());
+    for (const std::vector<Value>& values : StreamingQueries()) {
+      const auto cover = hot.CoverForIn(values);
+      ASSERT_TRUE(cover.ok());
+      uint64_t pages = 0;
+      uint64_t bytes = 0;
+      const uint64_t vars = VariablesOf(*cover);
+      for (size_t i = 0; i < cold.NumSlices(); ++i) {
+        if ((vars >> i) & 1) {
+          const auto slice_pages = cold.store()->StoredPages(i);
+          const auto slice_bytes = cold.store()->StoredBytes(i);
+          ASSERT_TRUE(slice_pages.ok());
+          ASSERT_TRUE(slice_bytes.ok());
+          pages += *slice_pages;
+          bytes += *slice_bytes;
+        }
+      }
+      const uint64_t vectors = static_cast<uint64_t>(DistinctVariables(*cover));
+      if (pool == 1) {
+        // Every page of every referenced slice faults exactly once.
+        io.Reset();
+        cold.ResetStoreStats();
+        ASSERT_TRUE(cold.EvaluateIn(values).ok());
+        EXPECT_EQ(io.stats().pages_read, pages);
+        EXPECT_EQ(io.stats().bytes_read, bytes);
+        EXPECT_EQ(io.stats().vectors_read, vectors);
+        EXPECT_EQ(cold.store_stats().misses, vectors);
+        EXPECT_EQ(cold.store_stats().hits, 0u);
+      } else {
+        // The pool holds every page: a repeated query is all hits.
+        ASSERT_TRUE(cold.EvaluateIn(values).ok());
+        io.Reset();
+        cold.ResetStoreStats();
+        ASSERT_TRUE(cold.EvaluateIn(values).ok());
+        EXPECT_EQ(io.stats().pages_read, 0u);
+        EXPECT_EQ(io.stats().bytes_read, 0u);
+        EXPECT_EQ(io.stats().vectors_read, 0u);
+        EXPECT_EQ(cold.store_stats().hits, vectors);
+        EXPECT_EQ(cold.store_stats().misses, 0u);
+      }
+    }
+  }
+}
+
+class ColdCorruptionTest : public ::testing::Test {
+ protected:
+  // Three pages per slice; a one-page pool, so after Sync only the last
+  // slice's last page is resident and every corrupted page is read from
+  // disk.
+  void SetUp() override {
+    dir_ = std::string(::testing::TempDir()) + "/ebi_cold_corrupt_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
+    table_ = RandomIntTable(2 * kRowsPerPage + 1, kCardinality, 77);
+    ColdEncodedBitmapIndexOptions options = TestOptions(/*pool=*/1);
+    options.directory = dir_;
+    index_ = std::make_unique<ColdEncodedBitmapIndex>(
+        &table_->column(0), &table_->existence(), &io_, options);
+    ASSERT_TRUE(index_->Build().ok());
+    ASSERT_TRUE(index_->store()->storage_engine()->Sync().ok());
+  }
+
+  void TearDown() override {
+    index_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// Applies `edit` to page `page_in_slice` of every slice on disk,
+  /// optionally re-sealing the page checksum so only the layers above
+  /// the page file can notice.
+  void Corrupt(size_t page_in_slice,
+               const std::function<void(uint8_t* page)>& edit, bool reseal) {
+    engine::StorageEngine* engine = index_->store()->storage_engine();
+    const size_t page_size = engine->page_size();
+    std::FILE* raw = std::fopen(engine->path().c_str(), "r+b");
+    ASSERT_NE(raw, nullptr);
+    uint32_t first_page = 0;
+    for (size_t i = 0; i < index_->NumSlices(); ++i) {
+      const auto pages = index_->store()->StoredPages(i);
+      ASSERT_TRUE(pages.ok());
+      ASSERT_GT(*pages, page_in_slice);
+      const long offset =
+          static_cast<long>((first_page + page_in_slice) * page_size);
+      std::vector<uint8_t> page(page_size);
+      ASSERT_EQ(std::fseek(raw, offset, SEEK_SET), 0);
+      ASSERT_EQ(std::fread(page.data(), 1, page_size, raw), page_size);
+      edit(page.data());
+      if (reseal) {
+        const uint32_t crc =
+            engine::Crc32(page.data() + engine::PageFile::kHeaderBytes,
+                          engine::PageFile::PayloadBytes(page.data()));
+        for (int b = 0; b < 4; ++b) {
+          page[16 + b] = static_cast<uint8_t>(crc >> (8 * b));
+        }
+      }
+      ASSERT_EQ(std::fseek(raw, offset, SEEK_SET), 0);
+      ASSERT_EQ(std::fwrite(page.data(), 1, page_size, raw), page_size);
+      first_page += *pages;
+    }
+    std::fclose(raw);
+  }
+
+  /// Every streaming query must fail, never answer.
+  void ExpectQueriesFail(StatusCode code) {
+    for (const std::vector<Value>& values : StreamingQueries()) {
+      const auto result = index_->EvaluateIn(values);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), code) << result.status().ToString();
+    }
+  }
+
+  std::string dir_;
+  IoAccountant io_;
+  std::unique_ptr<Table> table_;
+  std::unique_ptr<ColdEncodedBitmapIndex> index_;
+};
+
+TEST_F(ColdCorruptionTest, FlippedPayloadByteFailsTheQuery) {
+  // Mid-slice: the header page streams fine, the pass dies on page two.
+  Corrupt(/*page_in_slice=*/1,
+          [](uint8_t* page) {
+            page[engine::PageFile::kHeaderBytes + 100] ^= 0xFF;
+          },
+          /*reseal=*/false);
+  ExpectQueriesFail(StatusCode::kInternal);
+}
+
+TEST_F(ColdCorruptionTest, CorruptDeclaredSizeFailsTheQuery) {
+  // The StoredBitmap bit size sits at payload offset 12 (after the stored
+  // magic, the format tag and the vector magic). Re-sealed, so the page
+  // checksum passes and the reader's header check must catch it.
+  const uint64_t wrong = table_->NumRows() + 64;
+  Corrupt(/*page_in_slice=*/0,
+          [wrong](uint8_t* page) {
+            for (int b = 0; b < 8; ++b) {
+              page[engine::PageFile::kHeaderBytes + 12 + b] =
+                  static_cast<uint8_t>(wrong >> (8 * b));
+            }
+          },
+          /*reseal=*/true);
+  ExpectQueriesFail(StatusCode::kInternal);
+}
+
+TEST_F(ColdCorruptionTest, SetPaddingBitsFailTheQuery) {
+  // 2 * 509 + 1 words: the last word is the third page's payload bytes
+  // 20..27, and only its lowest bit is a row. Setting bits 8..15 breaks
+  // the padding invariant; re-sealed, so only the reader's end-of-stream
+  // check can notice.
+  Corrupt(/*page_in_slice=*/2,
+          [](uint8_t* page) {
+            page[engine::PageFile::kHeaderBytes + 21] = 0xFF;
+          },
+          /*reseal=*/true);
+  ExpectQueriesFail(StatusCode::kInvalidArgument);
+}
+
+TEST_F(ColdCorruptionTest, BytesPastTheExtentFailTheQuery) {
+  // The last page claims 8 more payload bytes (zeros, re-sealed) than the
+  // extent map records: every word reads back, but the stream does not
+  // end where the vector does.
+  Corrupt(/*page_in_slice=*/2,
+          [](uint8_t* page) {
+            const uint32_t bytes = engine::PageFile::PayloadBytes(page) + 8;
+            for (int b = 0; b < 4; ++b) {
+              page[12 + b] = static_cast<uint8_t>(bytes >> (8 * b));
+            }
+          },
+          /*reseal=*/true);
+  ExpectQueriesFail(StatusCode::kInternal);
 }
 
 }  // namespace

@@ -200,6 +200,69 @@ TEST_P(KernelDifferentialTest, ManyOpsMatchChainedScalarOracle) {
   }
 }
 
+// Bitwise CRC-32 (IEEE, reflected): the definition every crc32 entry must
+// reproduce, one polynomial step per input bit.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST_P(KernelDifferentialTest, Crc32MatchesBitwiseReference) {
+  constexpr size_t kMaxLen = 9000;
+  constexpr size_t kMaxOffset = 63;
+  Rng rng(0xC3C32);
+  std::vector<uint8_t> buf(kMaxLen + kMaxOffset + 1);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const auto check = [&](size_t len, size_t offset, uint32_t seed) {
+    const uint8_t* data = buf.data() + offset;
+    ASSERT_EQ(backend().crc32(data, len, seed), BitwiseCrc32(data, len, seed))
+        << backend().name << " len=" << len << " offset=" << offset
+        << " seed=" << seed;
+  };
+  // Every length up to 9000 (past two 4 KB pages), each at a random start
+  // offset with a random seed: every fold-loop trip count and every tail.
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    check(len, static_cast<size_t>(rng.UniformInt(kMaxOffset + 1)),
+          static_cast<uint32_t>(rng.Next()));
+  }
+  // Every start offset for the short lengths, where the table path and
+  // the first fold meet, and for a page-sized payload.
+  for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (size_t len = 0; len <= 160; ++len) {
+      check(len, offset, static_cast<uint32_t>(rng.Next()));
+    }
+    check(4072, offset, static_cast<uint32_t>(rng.Next()));
+  }
+}
+
+TEST_P(KernelDifferentialTest, Crc32CheckValueAndChaining) {
+  const char* check = "123456789";
+  EXPECT_EQ(backend().crc32(reinterpret_cast<const uint8_t*>(check), 9, 0),
+            0xCBF43926u)
+      << backend().name;
+  Rng rng(0xC4A1);
+  std::vector<uint8_t> whole(5000);
+  for (uint8_t& b : whole) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (const size_t split : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                             size_t{63}, size_t{64}, size_t{100},
+                             size_t{4072}, size_t{5000}}) {
+    const uint32_t a = backend().crc32(whole.data(), split, 0);
+    EXPECT_EQ(backend().crc32(whole.data() + split, whole.size() - split, a),
+              backend().crc32(whole.data(), whole.size(), 0))
+        << backend().name << " split=" << split;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSupportedBackends, KernelDifferentialTest,
                          ::testing::ValuesIn(Supported()),
                          BackendName);

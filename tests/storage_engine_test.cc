@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -148,6 +150,137 @@ TEST(PageFileTest, FaultInjectionTearsTheNthWrite) {
   // The torn page is half-written: reading it back must fail loudly.
   std::vector<uint8_t> out;
   EXPECT_FALSE(file->ReadPage(torn, &out).ok());
+  RemoveFiles(path);
+}
+
+TEST(PageFileTest, GoldenPageFormatIsUnchanged) {
+  // A page with a fixed payload must land on disk byte for byte as the
+  // format defines it; the checksum is hard-coded, so a change of CRC
+  // polynomial, reflection or seeding (or of the header layout) fails
+  // here instead of silently orphaning existing page files.
+  const std::string path = TempPath("pf_golden");
+  constexpr size_t kPage = 256;
+  {
+    PageFileOptions options;
+    options.page_size = kPage;
+    auto file = PageFile::Open(path, options);
+    ASSERT_TRUE(file.ok());
+    std::vector<uint8_t> payload(100);
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<uint8_t>(i * 7 + 3);
+    }
+    file->Allocate(3);
+    ASSERT_TRUE(file->WritePage(1, /*slice=*/9, payload.data(),
+                                payload.size())
+                    .ok());
+    // The in-place writer (the pool's writeback path) must produce the
+    // same bytes from a buffer whose header and tail hold garbage.
+    std::vector<uint8_t> frame(kPage, 0xEE);
+    std::copy(payload.begin(), payload.end(),
+              frame.begin() + PageFile::kHeaderBytes);
+    ASSERT_TRUE(
+        file->WritePageInPlace(2, /*slice=*/9, frame.data(), payload.size())
+            .ok());
+    ASSERT_TRUE(file->Sync().ok());
+  }
+  std::FILE* raw = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(raw, nullptr);
+  for (const uint8_t page_no : {uint8_t{1}, uint8_t{2}}) {
+    std::vector<uint8_t> page(kPage);
+    ASSERT_EQ(std::fseek(raw, static_cast<long>(page_no * kPage), SEEK_SET),
+              0);
+    ASSERT_EQ(std::fread(page.data(), 1, kPage, raw), kPage);
+    const std::vector<uint8_t> header(page.begin(),
+                                      page.begin() + PageFile::kHeaderBytes);
+    const std::vector<uint8_t> want = {
+        0x47, 0x41, 0x50, 0x45,     // magic "GAPE"
+        page_no, 0x00, 0x00, 0x00,  // page_no
+        0x09, 0x00, 0x00, 0x00,     // slice 9
+        0x64, 0x00, 0x00, 0x00,     // payload_bytes 100
+        0x09, 0x6B, 0x31, 0xAA,     // crc32(payload) = 0xAA316B09
+        0x00, 0x00, 0x00, 0x00,     // reserved
+    };
+    EXPECT_EQ(header, want);
+    for (size_t i = 0; i < 100; ++i) {
+      ASSERT_EQ(page[PageFile::kHeaderBytes + i],
+                static_cast<uint8_t>(i * 7 + 3));
+    }
+    for (size_t i = PageFile::kHeaderBytes + 100; i < kPage; ++i) {
+      ASSERT_EQ(page[i], 0u) << "page " << int{page_no} << " byte " << i;
+    }
+  }
+  std::fclose(raw);
+  RemoveFiles(path);
+}
+
+TEST(PageFileTest, ConcurrentReadsBesideAWriter) {
+  // pread/pwrite on one descriptor, no lock across I/O: four readers
+  // hammer a shared page and a page of their own while a writer rewrites
+  // other pages. Every read must verify and return exactly the payload
+  // its page holds. Runs under TSan in CI.
+  const std::string path = TempPath("pf_concurrent");
+  auto file = PageFile::Open(path, PageFileOptions());
+  ASSERT_TRUE(file.ok());
+  constexpr uint32_t kReaders = 4;
+  constexpr uint32_t kWriterPages = 4;
+  const auto payload_of = [](uint32_t page, uint32_t round) {
+    return std::vector<uint8_t>(200 + page,
+                                static_cast<uint8_t>(page * 31 + round));
+  };
+  file->Allocate(1 + kReaders + kWriterPages);
+  for (uint32_t p = 0; p < 1 + kReaders + kWriterPages; ++p) {
+    const std::vector<uint8_t> payload = payload_of(p, 0);
+    ASSERT_TRUE(file->WritePage(p, p, payload.data(), payload.size()).ok());
+  }
+  std::atomic<bool> failed{false};
+  const auto read_loop = [&](uint32_t r) {
+    std::vector<uint8_t> page(file->page_size());
+    for (int i = 0; i < 300; ++i) {
+      for (const uint32_t p : {uint32_t{0}, 1 + r}) {
+        if (!file->ReadPage(p, page.data()).ok() ||
+            PageFile::SliceTag(page.data()) != p) {
+          failed = true;
+          return;
+        }
+        const std::vector<uint8_t> want = payload_of(p, 0);
+        const uint8_t* got = page.data() + PageFile::kHeaderBytes;
+        if (PageFile::PayloadBytes(page.data()) != want.size() ||
+            !std::equal(want.begin(), want.end(), got)) {
+          failed = true;
+          return;
+        }
+      }
+    }
+  };
+  const auto write_loop = [&] {
+    for (uint32_t round = 1; round <= 300; ++round) {
+      for (uint32_t w = 0; w < kWriterPages; ++w) {
+        const uint32_t p = 1 + kReaders + w;
+        const std::vector<uint8_t> payload = payload_of(p, round);
+        if (!file->WritePage(p, p, payload.data(), payload.size()).ok()) {
+          failed = true;
+          return;
+        }
+      }
+    }
+  };
+  exec::ThreadPool workers(kReaders + 1);
+  workers.ParallelFor(0, kReaders + 1, [&](size_t t) {
+    if (t < kReaders) {
+      read_loop(static_cast<uint32_t>(t));
+    } else {
+      write_loop();
+    }
+  });
+  EXPECT_FALSE(failed);
+  EXPECT_EQ(file->PagesWritten(), 1 + kReaders + kWriterPages + 300u * 4u);
+  // The writer's last round reads back intact.
+  for (uint32_t w = 0; w < kWriterPages; ++w) {
+    const uint32_t p = 1 + kReaders + w;
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(file->ReadPage(p, &out).ok());
+    EXPECT_EQ(out, payload_of(p, 300));
+  }
   RemoveFiles(path);
 }
 

@@ -32,9 +32,6 @@ void Run() {
 
     std::vector<std::unique_ptr<SecondaryIndex>> indexes;
     indexes.push_back(std::make_unique<SimpleBitmapIndex>(col, ex, &io));
-    indexes.push_back(std::make_unique<SimpleBitmapIndex>(
-        col, ex, &io,
-        SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah)));
     indexes.push_back(std::make_unique<EncodedBitmapIndex>(col, ex, &io));
     indexes.push_back(std::make_unique<BitSlicedIndex>(col, ex, &io));
     indexes.push_back(std::make_unique<BaseBitSlicedIndex>(col, ex, &io));

@@ -1,12 +1,11 @@
 // google-benchmark microbenchmarks for the bitmap substrate: the logical
 // operations every bitmap index in the library bottoms out in, plus
-// compressed-form operations and the exact minimizer.
+// run-length (RLE) operations and the exact minimizer.
 
 #include <benchmark/benchmark.h>
 
 #include "boolean/reduction.h"
 #include "util/bitvector.h"
-#include "util/ewah_bitmap.h"
 #include "util/random.h"
 #include "util/rle_bitmap.h"
 
@@ -76,52 +75,6 @@ void BM_RleAndSparse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RleAndSparse)->Range(1 << 12, 1 << 20);
-
-void BM_EwahCompressSparse(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const BitVector a = RandomBits(n, 0.01, 9);
-  for (auto _ : state) {
-    EwahBitmap ewah = EwahBitmap::Compress(a);
-    benchmark::DoNotOptimize(ewah);
-  }
-}
-BENCHMARK(BM_EwahCompressSparse)->Range(1 << 12, 1 << 20);
-
-void BM_EwahAndSparse(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const EwahBitmap a = EwahBitmap::Compress(RandomBits(n, 0.01, 10));
-  const EwahBitmap b = EwahBitmap::Compress(RandomBits(n, 0.01, 11));
-  for (auto _ : state) {
-    EwahBitmap out = EwahBitmap::And(a, b);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_EwahAndSparse)->Range(1 << 12, 1 << 20);
-
-void BM_EwahOrDense(benchmark::State& state) {
-  // Half-dense inputs: literal-dominated buffers, the EWAH worst case —
-  // word-aligned merging should still track the plain OR within a small
-  // constant, unlike run-splitting RLE.
-  const size_t n = static_cast<size_t>(state.range(0));
-  const EwahBitmap a = EwahBitmap::Compress(RandomBits(n, 0.5, 12));
-  const EwahBitmap b = EwahBitmap::Compress(RandomBits(n, 0.5, 13));
-  for (auto _ : state) {
-    EwahBitmap out = EwahBitmap::Or(a, b);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * n / 4);
-}
-BENCHMARK(BM_EwahOrDense)->Range(1 << 12, 1 << 20);
-
-void BM_EwahDecompress(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const EwahBitmap a = EwahBitmap::Compress(RandomBits(n, 0.01, 14));
-  for (auto _ : state) {
-    BitVector out = a.Decompress();
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_EwahDecompress)->Range(1 << 12, 1 << 20);
 
 void BM_ReduceConsecutiveInList(benchmark::State& state) {
   const size_t delta = static_cast<size_t>(state.range(0));

@@ -1,9 +1,9 @@
 // Reproduces the Section 3.1 sparsity analysis: simple bitmap vectors are
 // (m-1)/m zeros while encoded slices sit near 1/2 independent of m; also
-// shows what run-length compression buys each of them, and compares plain,
-// RLE and EWAH bitmaps head-to-head on size and AND/OR throughput across
-// densities — the evidence behind storing plain vectors everywhere except
-// the simple index's optional EWAH (DESIGN.md §4).
+// shows what run-length compression buys each of them, and compares plain
+// and RLE bitmaps head-to-head on size and AND/OR throughput across
+// densities — the evidence behind storing plain vectors everywhere
+// (DESIGN.md §4).
 
 #include <cstdio>
 #include <vector>
@@ -12,7 +12,6 @@
 #include "bench_util.h"
 #include "index/encoded_bitmap_index.h"
 #include "index/simple_bitmap_index.h"
-#include "util/ewah_bitmap.h"
 #include "util/random.h"
 #include "util/rle_bitmap.h"
 
@@ -48,13 +47,11 @@ void RunSparsityVsCardinality(bench::BenchReport* report) {
       std::printf("%-8zu build failed\n", m);
       continue;
     }
-    // Compression ratio of RLE-compressing each simple value vector (the
-    // NULL vector stays plain), and of RLE-compressing each encoded slice.
+    // Compression ratio of RLE-compressing each simple vector, and of
+    // RLE-compressing each encoded slice.
     size_t simple_rle = 0;
     plain.ForEachAuditVector([&simple_rle](const AuditableVector& v) {
-      simple_rle += v.stored != nullptr
-                        ? RleBitmap::Compress(*v.stored->AsPlain()).SizeBytes()
-                        : v.plain->SizeBytes();
+      simple_rle += RleBitmap::Compress(*v.plain).SizeBytes();
     });
     const double rle_simple = static_cast<double>(plain.SizeBytes()) /
                               static_cast<double>(simple_rle);
@@ -118,8 +115,6 @@ void RunFormatComparison(bench::BenchReport* report) {
     const BitVector b = RandomBits(n, density, &rng);
     const RleBitmap ra = RleBitmap::Compress(a);
     const RleBitmap rb = RleBitmap::Compress(b);
-    const EwahBitmap ea = EwahBitmap::Compress(a);
-    const EwahBitmap eb = EwahBitmap::Compress(b);
 
     const double plain_bytes = static_cast<double>(a.SizeBytes());
     const double plain_and = TimeOps(
@@ -147,24 +142,13 @@ void RunFormatComparison(bench::BenchReport* report) {
                 plain_bytes / static_cast<double>(ra.SizeBytes()), rle_and,
                 rle_or);
     record("rle", ra.SizeBytes(), rle_and, rle_or);
-
-    const double ewah_and = TimeOps(
-        reps, &sink, [&] { return EwahBitmap::And(ea, eb).Count() & 1u; });
-    const double ewah_or = TimeOps(
-        reps, &sink, [&] { return EwahBitmap::Or(ea, eb).Count() & 1u; });
-    std::printf("%-10.4f %-8s %12zu %10.2f %14.1f %14.1f\n", density,
-                "ewah", ea.SizeBytes(),
-                plain_bytes / static_cast<double>(ea.SizeBytes()), ewah_and,
-                ewah_or);
-    record("ewah", ea.SizeBytes(), ewah_and, ewah_or);
   }
   std::printf(
       "(sink=%zu) Compression pays only on very sparse vectors: at 0.0005\n"
-      "EWAH is ~14x smaller than plain at about plain AND speed, and RLE is\n"
-      "smaller still but slower at both AND and OR. From 0.01 up both run\n"
-      "several to hundreds of times slower than plain; from 0.2 up neither\n"
-      "is smaller (EWAH matches plain's size, RLE is 10-16x larger).\n"
-      "Encoded slices sit near 0.5, so they stay plain.\n",
+      "RLE is ~28x smaller than plain but slower at both AND and OR. From\n"
+      "0.01 up it runs tens to hundreds of times slower than plain, and\n"
+      "from 0.2 up it is also 10-16x larger. Encoded slices sit near 0.5,\n"
+      "so they stay plain.)\n",
       sink & 1u);
 }
 

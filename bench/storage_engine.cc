@@ -34,22 +34,21 @@ BitVector RandomBits(size_t n, uint64_t seed) {
   return v;
 }
 
-/// One "scan": obtain each slice from the store as an owned
-/// StoredBitmap (exactly what BitmapStore::Get hands out on its
-/// in-memory path — a copy), materialize it, and OR it into an
+/// One "scan": obtain each slice from the store as an owned BitVector
+/// (what an in-memory store hands out — a copy) and OR it into an
 /// accumulator. The engine path below does the identical per-slice
 /// work through GetSlice, so the latency ratio isolates the engine's
 /// overhead: page lookups plus one payload assembly + decode in place
 /// of the in-memory copy.
-double MemoryScanMs(const std::vector<StoredBitmap>& store, size_t bits,
+double MemoryScanMs(const std::vector<BitVector>& store, size_t bits,
                     int repeats) {
   bench::Timer timer;
   size_t guard = 0;
   for (int r = 0; r < repeats; ++r) {
     BitVector acc(bits);
-    for (const StoredBitmap& s : store) {
-      const StoredBitmap got = s;  // The in-memory store hands out copies.
-      acc.OrWith(got.ToBitVector());
+    for (const BitVector& s : store) {
+      const BitVector got = s;  // The in-memory store hands out copies.
+      acc.OrWith(got);
     }
     guard += acc.Count();
   }
@@ -66,9 +65,9 @@ double EngineScanMs(engine::StorageEngine& eng, size_t num_slices,
   for (int r = 0; r < repeats; ++r) {
     BitVector acc(bits);
     for (size_t i = 0; i < num_slices; ++i) {
-      auto stored = eng.GetSlice(static_cast<uint32_t>(i));
-      bench::CheckOk(stored.status());
-      acc.OrWith(stored->ToBitVector());
+      auto slice = eng.GetSlice(static_cast<uint32_t>(i));
+      bench::CheckOk(slice.status());
+      acc.OrWith(*slice);
     }
     guard += acc.Count();
   }
@@ -89,13 +88,6 @@ void Run() {
   for (size_t i = 0; i < kSlices; ++i) {
     slices.push_back(RandomBits(kBits, i + 1));
   }
-  // The in-memory store under comparison: the same slices held as
-  // StoredBitmaps, as BitmapStore keeps them.
-  std::vector<StoredBitmap> store;
-  store.reserve(kSlices);
-  for (const BitVector& s : slices) {
-    store.push_back(StoredBitmap::Make(s, BitmapFormat::kPlain));
-  }
 
   bench::BenchReport report("storage_engine");
   std::printf("=== Tiered storage engine ===\n");
@@ -111,9 +103,7 @@ void Run() {
     auto eng = engine::StorageEngine::Open(path, options);
     bench::CheckOk(eng.status());
     for (const BitVector& s : slices) {
-      bench::CheckOk(
-          (*eng)->PutSlice(StoredBitmap::Make(s, BitmapFormat::kPlain))
-              .status());
+      bench::CheckOk((*eng)->PutSlice(s).status());
     }
     bench::CheckOk((*eng)->Sync());
     for (size_t i = 0; i < kSlices; ++i) {
@@ -124,7 +114,7 @@ void Run() {
   }
   std::printf("working set: %zu pages\n\n", working_set);
 
-  const double memory_ms = MemoryScanMs(store, kBits, kScanRepeats);
+  const double memory_ms = MemoryScanMs(slices, kBits, kScanRepeats);
   std::printf("%-22s %10.3f ms/scan\n", "in-memory baseline", memory_ms);
 
   // Cold + warm scan with the pool sized to the working set.

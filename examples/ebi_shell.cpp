@@ -90,8 +90,8 @@ void CmdIndex(ShellState* state, const std::vector<std::string>& args) {
   }
   if (args.size() < 3) {
     std::printf(
-        "usage: index <column> simple|simple-ewah|encoded|bitsliced|"
-        "bitsliced-base10|projection|btree|valuelist|rangebased|dynamic\n");
+        "usage: index <column> simple|encoded|bitsliced|bitsliced-base10|"
+        "projection|btree|valuelist|rangebased|dynamic\n");
     return;
   }
   const auto kind = ebi::IndexKindFromName(args[2]);
@@ -238,7 +238,7 @@ void PrintHelp() {
       "commands:\n"
       "  demo                         generate a demo sales table\n"
       "  load <path> <name>           load a CSV file\n"
-      "  index <column> <kind>        simple|simple-ewah|encoded|bitsliced|\n"
+      "  index <column> <kind>        simple|encoded|bitsliced|\n"
       "                               bitsliced-base10|projection|btree|\n"
       "                               valuelist|rangebased|dynamic\n"
       "  drop <column> <kind>         drop an index\n"

@@ -1,7 +1,5 @@
 #include "analysis/auditor.h"
 
-#include <istream>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -9,8 +7,6 @@
 #include "boolean/cube.h"
 #include "encoding/well_defined.h"
 #include "index/cold_encoded_bitmap_index.h"
-#include "util/ewah_bitmap.h"
-#include "util/stored_bitmap_io.h"
 
 namespace ebi {
 
@@ -40,8 +36,6 @@ const char* ViolationKindName(ViolationKind kind) {
       return "BitmapLengthMismatch";
     case ViolationKind::kBitmapTailDirty:
       return "BitmapTailDirty";
-    case ViolationKind::kEwahFormatMismatch:
-      return "EwahFormatMismatch";
     case ViolationKind::kPersistedBitmapCorrupt:
       return "PersistedBitmapCorrupt";
     case ViolationKind::kClusterPartitionMismatch:
@@ -261,67 +255,11 @@ AuditReport InvariantAuditor::AuditBitVectorWords(
   return report;
 }
 
-AuditReport InvariantAuditor::AuditEwahWords(
-    const std::vector<uint64_t>& words, size_t declared_bits,
-    size_t ordinal) {
-  AuditReport report;
-  ++report.checks_run;
-  const Result<EwahBitmap> decoded =
-      EwahBitmap::FromWords(words, declared_bits);
-  if (!decoded.ok()) {
-    report.violations.push_back(
-        {ViolationKind::kEwahFormatMismatch, ordinal,
-         VectorLabel("ewah vector", ordinal) +
-             " rejected: " + decoded.status().ToString()});
-  }
-  return report;
-}
-
-AuditReport InvariantAuditor::AuditStoredBitmap(const StoredBitmap& bitmap,
-                                                size_t expected_bits,
-                                                size_t ordinal) {
-  AuditReport report;
-  ++report.checks_run;
-  if (bitmap.size() != expected_bits) {
-    report.violations.push_back(
-        {ViolationKind::kBitmapLengthMismatch, ordinal,
-         VectorLabel("stored vector", ordinal) + " holds " +
-             std::to_string(bitmap.size()) + " bits, expected " +
-             std::to_string(expected_bits)});
-  }
-  if (const BitVector* plain = bitmap.AsPlain()) {
-    report.Merge(AuditBitVector(*plain, expected_bits, ordinal));
-  } else if (const EwahBitmap* ewah = bitmap.AsEwah()) {
-    report.Merge(AuditEwahWords(ewah->words(), ewah->size(), ordinal));
-  }
-  return report;
-}
-
-AuditReport InvariantAuditor::AuditPersistedBitmap(std::istream& in,
-                                                   size_t expected_bits) {
-  AuditReport report;
-  ++report.checks_run;
-  Result<StoredBitmap> loaded = LoadStoredBitmap(in);
-  if (!loaded.ok()) {
-    report.violations.push_back(
-        {ViolationKind::kPersistedBitmapCorrupt, 0,
-         "persisted bitmap failed to load: " + loaded.status().ToString()});
-    return report;
-  }
-  report.Merge(AuditStoredBitmap(loaded.value(), expected_bits));
-  return report;
-}
-
 AuditReport InvariantAuditor::AuditIndex(SecondaryIndex& index,
                                          size_t expected_rows) {
   AuditReport report;
   index.ForEachAuditVector([&](const AuditableVector& v) {
-    if (v.plain != nullptr) {
-      report.Merge(AuditBitVector(*v.plain, expected_rows, v.ordinal));
-    }
-    if (v.stored != nullptr) {
-      report.Merge(AuditStoredBitmap(*v.stored, expected_rows, v.ordinal));
-    }
+    report.Merge(AuditBitVector(*v.plain, expected_rows, v.ordinal));
   });
   if (const MappingTable* mapping = index.audit_mapping()) {
     report.Merge(AuditMapping(*mapping));

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "index/index.h"
 #include "storage/column.h"
 #include "util/bitvector.h"
-#include "util/stored_bitmap.h"
 
 namespace ebi {
 
@@ -26,10 +24,10 @@ namespace ebi {
 ///   * kRetrievalFunctionMismatch — Definition 2.1's retrieval function
 ///     f_v must be exactly the min-term of v's codeword;
 ///   * kSelectionNotWellDefined — Definition 2.5 / Theorems 2.2-2.3;
-///   * the bitmap kinds — every vector spans the table, EWAH words decode
-///     to the declared word count, and (kBitmapTailDirty) no padding bit
-///     above size() is set — the tail invariant Count()/IsZero() rely on
-///     to skip masking;
+///   * the bitmap kinds — every vector spans the table, and
+///     (kBitmapTailDirty) no padding bit above size() is set — the tail
+///     invariant Count()/IsZero() rely on to skip masking; a cold slice
+///     that fails to load from its pages is kPersistedBitmapCorrupt;
 ///   * kClusterPartitionMismatch — a cluster placement's per-shard
 ///     global-row-id maps must tile [0, total_rows) exactly: every row
 ///     owned by exactly one shard, in append order.
@@ -42,7 +40,6 @@ enum class ViolationKind : uint8_t {
   kSelectionNotWellDefined,
   kBitmapLengthMismatch,
   kBitmapTailDirty,
-  kEwahFormatMismatch,
   kPersistedBitmapCorrupt,
   kClusterPartitionMismatch,
 };
@@ -82,9 +79,8 @@ struct AuditReport {
 ///
 /// The high-level entry points (AuditIndex, AuditMapping) walk real
 /// structures through the SecondaryIndex audit hooks; the raw-part
-/// overloads (AuditMappingParts, AuditEwahWords, AuditPersistedBitmap)
-/// exist so tests can seed known-bad inputs that the constructing APIs
-/// themselves reject.
+/// overloads (AuditMappingParts, AuditBitVectorWords) exist so tests can
+/// seed known-bad inputs that the constructing APIs themselves reject.
 class InvariantAuditor {
  public:
   /// Audits raw mapping parts: codeword distinctness (including the
@@ -121,27 +117,8 @@ class InvariantAuditor {
                                          size_t declared_bits,
                                          size_t ordinal = 0);
 
-  /// Length + physical-form contracts of a stored bitmap (plain tail
-  /// invariant / EWAH marker decode).
-  static AuditReport AuditStoredBitmap(const StoredBitmap& bitmap,
-                                       size_t expected_bits,
-                                       size_t ordinal = 0);
-
-  /// Raw EWAH contract: `words` must decode to exactly
-  /// ceil(declared_bits / 64) words (EwahBitmap::FromWords).
-  static AuditReport AuditEwahWords(const std::vector<uint64_t>& words,
-                                    size_t declared_bits,
-                                    size_t ordinal = 0);
-
-  /// Reads one persisted StoredBitmap from `in` (util/stored_bitmap_io.h
-  /// format) and audits it: truncated or format-mismatched streams report
-  /// kPersistedBitmapCorrupt, a loadable bitmap of the wrong length
-  /// reports kBitmapLengthMismatch.
-  static AuditReport AuditPersistedBitmap(std::istream& in,
-                                          size_t expected_bits);
-
   /// Audits one index against the table it is bound to: every vector the
-  /// audit hooks surface (length + compressed form), the mapping table if
+  /// audit hooks surface (length + tail), the mapping table if
   /// the family has one, and — for cold indexes — every slice fetched
   /// back from the backing store. `expected_rows` is the table's row
   /// count. Non-const because cold-store fetches go through the LRU pool.

@@ -79,7 +79,7 @@ class BaseBitSlicedIndex : public SecondaryIndex {
     for (size_t pos = 0; pos < digits_.size(); ++pos) {
       for (size_t digit = 0; digit < digits_[pos].size(); ++digit) {
         fn(AuditableVector{"digit", pos * options_.base + digit,
-                           &digits_[pos][digit], nullptr});
+                           &digits_[pos][digit]});
       }
     }
   }

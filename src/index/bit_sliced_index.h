@@ -69,7 +69,7 @@ class BitSlicedIndex : public SecondaryIndex {
   void ForEachAuditVector(
       const std::function<void(const AuditableVector&)>& fn) const override {
     for (size_t i = 0; i < slices_.size(); ++i) {
-      fn(AuditableVector{"slice", i, &slices_[i], nullptr});
+      fn(AuditableVector{"slice", i, &slices_[i]});
     }
   }
 

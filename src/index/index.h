@@ -16,12 +16,9 @@
 namespace ebi {
 
 class MappingTable;
-class StoredBitmap;
 
 /// One bitmap vector an index physically holds, surfaced for structural
-/// audits (analysis/auditor.h). Exactly one of `plain` / `stored` is set,
-/// matching the index's storage: a raw BitVector or a format-tagged
-/// StoredBitmap whose compressed form can be checked in place.
+/// audits (analysis/auditor.h).
 struct AuditableVector {
   /// What the vector represents: "value", "slice", "bucket", "digit",
   /// "null", ... — the index family's own vocabulary.
@@ -29,7 +26,6 @@ struct AuditableVector {
   /// Position within the role (value id, slice number, bucket, ...).
   size_t ordinal = 0;
   const BitVector* plain = nullptr;
-  const StoredBitmap* stored = nullptr;
 };
 
 /// Kinds of selection an index may be asked to cost (mirrors
@@ -71,9 +67,9 @@ class SecondaryIndex {
 
   /// Extends the index for rows [first_row, first_row + count), all
   /// already appended to the column. The default loops Append; families
-  /// with an expensive per-append path (compressed slice rewrites, domain
-  /// expansion) override it to coalesce the whole batch into one rewrite
-  /// — the batched maintenance path of MaintenanceDriver::AppendRows.
+  /// with an expensive per-append path (slice rewrites, domain expansion)
+  /// override it to coalesce the whole batch into one rewrite — the
+  /// batched maintenance path of MaintenanceDriver::AppendRows.
   virtual Status AppendBatch(size_t first_row, size_t count) {
     for (size_t i = 0; i < count; ++i) {
       EBI_RETURN_IF_ERROR(Append(first_row + i));
@@ -137,10 +133,10 @@ class SecondaryIndex {
   }
 
   /// Enumerates the bitmap vectors the index physically holds, for the
-  /// InvariantAuditor's structural checks (length contracts, compressed-
-  /// form validity). Indexes without in-memory bitmap storage (B-tree,
-  /// projection, value-list, cold) enumerate nothing; the auditor reaches
-  /// disk-resident vectors through their own accessors.
+  /// InvariantAuditor's structural checks (length and tail contracts).
+  /// Indexes without in-memory bitmap storage (B-tree, projection,
+  /// value-list, cold) enumerate nothing; the auditor reaches disk-
+  /// resident vectors through their own accessors.
   virtual void ForEachAuditVector(
       const std::function<void(const AuditableVector&)>& fn) const {
     (void)fn;

@@ -16,9 +16,6 @@ Result<IndexKind> IndexKindFromName(const std::string& name) {
   if (name == "simple") {
     return IndexKind::kSimpleBitmap;
   }
-  if (name == "simple-ewah") {
-    return IndexKind::kSimpleBitmapEwah;
-  }
   if (name == "encoded") {
     return IndexKind::kEncodedBitmap;
   }
@@ -50,8 +47,6 @@ const char* IndexKindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kSimpleBitmap:
       return "simple";
-    case IndexKind::kSimpleBitmapEwah:
-      return "simple-ewah";
     case IndexKind::kEncodedBitmap:
       return "encoded";
     case IndexKind::kBitSliced:
@@ -78,10 +73,6 @@ std::unique_ptr<SecondaryIndex> MakeSecondaryIndex(
   switch (kind) {
     case IndexKind::kSimpleBitmap:
       return std::make_unique<SimpleBitmapIndex>(column, existence, io);
-    case IndexKind::kSimpleBitmapEwah:
-      return std::make_unique<SimpleBitmapIndex>(
-          column, existence, io,
-          SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
     case IndexKind::kEncodedBitmap:
       return std::make_unique<EncodedBitmapIndex>(column, existence, io);
     case IndexKind::kBitSliced:

@@ -14,7 +14,6 @@ namespace ebi {
 /// snapshots (serve/snapshot.h) construct indexes through the same path.
 enum class IndexKind {
   kSimpleBitmap,
-  kSimpleBitmapEwah,
   kEncodedBitmap,
   kBitSliced,
   kBaseBitSliced,

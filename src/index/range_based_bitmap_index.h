@@ -77,7 +77,7 @@ class RangeBasedBitmapIndex : public SecondaryIndex {
   void ForEachAuditVector(
       const std::function<void(const AuditableVector&)>& fn) const override {
     for (size_t i = 0; i < bitmaps_.size(); ++i) {
-      fn(AuditableVector{"bucket", i, &bitmaps_[i], nullptr});
+      fn(AuditableVector{"bucket", i, &bitmaps_[i]});
     }
   }
 

@@ -9,20 +9,15 @@ namespace ebi {
 Status SimpleBitmapIndex::Build() {
   const size_t n = column_->size();
   const size_t m = column_->Cardinality();
-  std::vector<BitVector> plain(m, BitVector(n));
+  vectors_.assign(m, BitVector(n));
   null_vector_ = BitVector(n);
   for (size_t row = 0; row < n; ++row) {
     const ValueId id = column_->ValueIdAt(row);
     if (id == kNullValueId) {
       null_vector_.Set(row);
     } else {
-      plain[id].Set(row);
+      vectors_[id].Set(row);
     }
-  }
-  vectors_.clear();
-  vectors_.reserve(m);
-  for (BitVector& v : plain) {
-    vectors_.push_back(StoredBitmap::Make(std::move(v), options_.format));
   }
   rows_indexed_ = n;
   built_ = true;
@@ -41,14 +36,12 @@ Status SimpleBitmapIndex::Append(size_t row) {
   // Domain expansion: a new value needs a brand-new vector of `row` zero
   // bits — the O(|T|) maintenance cost of Section 3.1.
   if (id != kNullValueId && id >= vectors_.size()) {
-    vectors_.resize(id + 1,
-                    StoredBitmap::Make(BitVector(row), options_.format));
+    vectors_.resize(id + 1, BitVector(row));
   }
 
-  // Extend every vector by one bit (plain vectors grow in place,
-  // compressed ones are rewritten inside AppendBit).
+  // Extend every vector by one bit.
   for (size_t v = 0; v < vectors_.size(); ++v) {
-    vectors_[v].AppendBit(id != kNullValueId && v == id);
+    vectors_[v].PushBack(id != kNullValueId && v == id);
   }
   null_vector_.PushBack(id == kNullValueId);
   ++rows_indexed_;
@@ -69,8 +62,7 @@ Result<std::unique_ptr<SecondaryIndex>> SimpleBitmapIndex::CloneRebound(
         "clone target holds " + std::to_string(column->size()) +
         " rows, index covers " + std::to_string(rows_indexed_));
   }
-  auto clone = std::make_unique<SimpleBitmapIndex>(column, existence, io,
-                                                   options_);
+  auto clone = std::make_unique<SimpleBitmapIndex>(column, existence, io);
   clone->vectors_ = vectors_;
   clone->null_vector_ = null_vector_;
   clone->rows_indexed_ = rows_indexed_;
@@ -78,43 +70,22 @@ Result<std::unique_ptr<SecondaryIndex>> SimpleBitmapIndex::CloneRebound(
   return std::unique_ptr<SecondaryIndex>(std::move(clone));
 }
 
-BitVector SimpleBitmapIndex::ReadVector(ValueId id) {
-  io_->ChargeVectorRead(vectors_[id].SizeBytes());
-  return vectors_[id].ToBitVector();
-}
-
 Result<BitVector> SimpleBitmapIndex::EvaluateIds(
     const std::vector<ValueId>& ids) {
   obs::ScopedSpan span("index.eval");
   const IoScope scope(io_);
   BitVector result(rows_indexed_);
-  if (options_.format != BitmapFormat::kPlain && ids.size() > 1) {
-    // OR the compressed representations directly; only the final result
-    // is expanded. Sparse vectors make the compressed OR much cheaper
-    // than per-vector decompression.
-    StoredBitmap accumulated = StoredBitmap::Make(result, options_.format);
-    for (ValueId id : ids) {
-      io_->ChargeVectorRead(vectors_[id].SizeBytes());
-      EBI_ASSIGN_OR_RETURN(accumulated,
-                           StoredBitmap::Or(accumulated, vectors_[id]));
-    }
-    result = accumulated.ToBitVector();
-  } else {
-    // Materialize the selected vectors, then union them with one fused
-    // kernel pass rather than a chain of binary ORs.
-    std::vector<BitVector> materialized;
-    materialized.reserve(ids.size());
-    for (ValueId id : ids) {
-      materialized.push_back(ReadVector(id));
-    }
-    std::vector<const BitVector*> operands;
-    operands.reserve(materialized.size());
-    for (const BitVector& v : materialized) {
-      operands.push_back(&v);
-    }
-    if (!operands.empty()) {
-      result.OrWithMany(operands);
-    }
+  // Union the selected vectors where they are stored, with one fused
+  // kernel pass rather than a chain of binary ORs. Each selected vector
+  // is charged as one read.
+  std::vector<const BitVector*> operands;
+  operands.reserve(ids.size());
+  for (ValueId id : ids) {
+    io_->ChargeVectorRead(vectors_[id].SizeBytes());
+    operands.push_back(&vectors_[id]);
+  }
+  if (!operands.empty()) {
+    result.OrWithMany(operands);
   }
   // Simple bitmap indexing must always AND the existence vector (the
   // contrast Theorem 2.1 draws with void-aware encodings).
@@ -174,7 +145,7 @@ Result<BitVector> SimpleBitmapIndex::EvaluateIsNull() {
 
 size_t SimpleBitmapIndex::SizeBytes() const {
   size_t total = null_vector_.SizeBytes();
-  for (const StoredBitmap& v : vectors_) {
+  for (const BitVector& v : vectors_) {
     total += v.SizeBytes();
   }
   return total;
@@ -190,7 +161,7 @@ double SimpleBitmapIndex::AverageSparsity() const {
     return 0.0;
   }
   double total = 0.0;
-  for (const StoredBitmap& v : vectors_) {
+  for (const BitVector& v : vectors_) {
     total += v.Sparsity();
   }
   return total / static_cast<double>(m);

@@ -9,24 +9,9 @@
 #include <vector>
 
 #include "index/index.h"
-#include "util/stored_bitmap.h"
+#include "util/bitvector.h"
 
 namespace ebi {
-
-/// Options for the simple bitmap index.
-struct SimpleBitmapIndexOptions {
-  /// Physical format of the per-value bitmap vectors. Compression is the
-  /// classic remedy (Section 4) for the (m-1)/m sparsity of simple bitmap
-  /// vectors: at high cardinality EWAH is far smaller than plain at plain
-  /// AND speed, and logical operations run on the compressed form.
-  BitmapFormat format = BitmapFormat::kPlain;
-
-  static SimpleBitmapIndexOptions WithFormat(BitmapFormat f) {
-    SimpleBitmapIndexOptions options;
-    options.format = f;
-    return options;
-  }
-};
 
 /// The simple (value-list) bitmap index of Section 2.1: one bitmap vector
 /// B_v per distinct value v, plus a NULL vector when the column has NULLs.
@@ -37,14 +22,10 @@ struct SimpleBitmapIndexOptions {
 class SimpleBitmapIndex : public SecondaryIndex {
  public:
   SimpleBitmapIndex(const Column* column, const BitVector* existence,
-                    IoAccountant* io,
-                    SimpleBitmapIndexOptions options =
-                        SimpleBitmapIndexOptions())
-      : SecondaryIndex(column, existence, io), options_(options) {}
+                    IoAccountant* io)
+      : SecondaryIndex(column, existence, io) {}
 
-  std::string Name() const override {
-    return std::string("simple-bitmap") + BitmapFormatSuffix(options_.format);
-  }
+  std::string Name() const override { return "simple-bitmap"; }
 
   Status Build() override;
   Status Append(size_t row) override;
@@ -78,24 +59,21 @@ class SimpleBitmapIndex : public SecondaryIndex {
   void ForEachAuditVector(
       const std::function<void(const AuditableVector&)>& fn) const override {
     for (size_t i = 0; i < vectors_.size(); ++i) {
-      fn(AuditableVector{"value", i, nullptr, &vectors_[i]});
+      fn(AuditableVector{"value", i, &vectors_[i]});
     }
     if (!null_vector_.empty()) {
-      fn(AuditableVector{"null", 0, &null_vector_, nullptr});
+      fn(AuditableVector{"null", 0, &null_vector_});
     }
   }
 
  private:
-  /// Fetches (and charges) the bitmap vector of one value id.
-  BitVector ReadVector(ValueId id);
   /// Evaluates an IN-list given resolved value ids.
   Result<BitVector> EvaluateIds(const std::vector<ValueId>& ids);
 
-  SimpleBitmapIndexOptions options_;
   bool built_ = false;
   size_t rows_indexed_ = 0;
-  /// One vector per value, in options_.format.
-  std::vector<StoredBitmap> vectors_;
+  /// One vector per value.
+  std::vector<BitVector> vectors_;
   /// B_NULL (always plain — read whole on every IS NULL).
   BitVector null_vector_;
 };

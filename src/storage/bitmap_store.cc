@@ -28,26 +28,24 @@ Result<BitmapStore> BitmapStore::Open(const std::string& path,
 }
 
 Result<BitmapStore::VectorId> BitmapStore::Put(const BitVector& bits) {
-  return engine_->PutSlice(StoredBitmap::Make(bits, BitmapFormat::kPlain));
+  return engine_->PutSlice(bits);
 }
 
 Status BitmapStore::Update(VectorId id, const BitVector& bits) {
-  return engine_->UpdateSlice(id,
-                              StoredBitmap::Make(bits, BitmapFormat::kPlain));
+  return engine_->UpdateSlice(id, bits);
 }
 
 Result<BitVector> BitmapStore::Get(VectorId id) {
   obs::ScopedSpan span("store.get");
   size_t pages_faulted = 0;
-  EBI_ASSIGN_OR_RETURN(StoredBitmap stored,
-                       engine_->GetSlice(id, &pages_faulted));
+  EBI_ASSIGN_OR_RETURN(BitVector bits, engine_->GetSlice(id, &pages_faulted));
   CountRead(pages_faulted);
   if (span.active()) {
     span.Attr("id", static_cast<uint64_t>(id));
     span.Attr("hit", pages_faulted == 0);
     span.Attr("pages_faulted", static_cast<uint64_t>(pages_faulted));
   }
-  return std::move(stored).ToBitVector();
+  return bits;
 }
 
 void BitmapStore::CountRead(size_t pages_faulted) {

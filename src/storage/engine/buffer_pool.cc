@@ -257,16 +257,16 @@ Result<PageRef> BufferPool::Pin(uint32_t file_id, uint32_t page_no) {
   return PageRef(this, frame);
 }
 
-Status BufferPool::ReadRange(uint32_t file_id, uint32_t first_page,
-                             uint32_t count, std::string* out,
-                             size_t* pages_faulted) {
+Status BufferPool::ReadRange(
+    uint32_t file_id, uint32_t first_page, uint32_t count,
+    const std::function<void(const uint8_t*, size_t)>& sink,
+    size_t* pages_faulted) {
   const MutexLock lock(mu_);
   const uint64_t misses_before = stats_.misses;
   for (uint32_t p = 0; p < count; ++p) {
     EBI_ASSIGN_OR_RETURN(const size_t frame,
                          LookupLocked(file_id, first_page + p));
-    out->append(reinterpret_cast<const char*>(PayloadLocked(frame)),
-                frames_[frame].payload_bytes);
+    sink(PayloadLocked(frame), frames_[frame].payload_bytes);
   }
   if (pages_faulted != nullptr) {
     *pages_faulted = static_cast<size_t>(stats_.misses - misses_before);

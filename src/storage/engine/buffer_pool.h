@@ -2,6 +2,7 @@
 #define EBI_STORAGE_ENGINE_BUFFER_POOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -106,17 +107,19 @@ class BufferPool {
   /// first if dirty). Fails if every frame is pinned.
   [[nodiscard]] Result<PageRef> Pin(uint32_t file_id, uint32_t page_no);
 
-  /// Appends the payloads of `count` consecutive pages to `*out` under a
-  /// single lock acquisition — the slice-assembly fast path. Each page
-  /// is a hit or a fault exactly as through Pin, but nothing stays
-  /// pinned: bytes are copied out while the lock protects the frame, so
-  /// per-page pin/unpin round-trips (two mutex acquisitions each) are
-  /// avoided. `*pages_faulted` (optional) receives the miss count.
+  /// Passes the payloads of `count` consecutive pages, in page order, to
+  /// `sink` under a single lock acquisition — the slice-assembly fast
+  /// path. Each page is a hit or a fault exactly as through Pin, but
+  /// nothing stays pinned: `sink` copies the bytes out while the lock
+  /// protects the frame, so per-page pin/unpin round-trips (two mutex
+  /// acquisitions each) are avoided. `sink` runs under the pool lock and
+  /// must not call back into the pool. `*pages_faulted` (optional) receives the miss count.
   /// Works at any capacity: a page read earlier in the range may be
   /// evicted by a later fault, its bytes having already been copied.
-  [[nodiscard]] Status ReadRange(uint32_t file_id, uint32_t first_page,
-                                 uint32_t count, std::string* out,
-                                 size_t* pages_faulted = nullptr);
+  [[nodiscard]] Status ReadRange(
+      uint32_t file_id, uint32_t first_page, uint32_t count,
+      const std::function<void(const uint8_t*, size_t)>& sink,
+      size_t* pages_faulted = nullptr);
 
   /// Copies the payload of one page into `dst` (room for the file's
   /// PayloadCapacity() bytes) under a single lock acquisition — the

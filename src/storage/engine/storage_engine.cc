@@ -57,12 +57,12 @@ uint32_t PagesUsed(const SliceExtent& extent, size_t capacity) {
 std::string MapPath(const std::string& path) { return path + ".map"; }
 std::string MapTmpPath(const std::string& path) { return path + ".map.tmp"; }
 
-/// Serializes a StoredBitmap through the util/stored_bitmap_io codec, so
-/// the hardening of LoadStoredBitmap (truncation/garbage rejection)
-/// covers the engine's pages too.
-Result<std::string> SerializeSlice(const StoredBitmap& bitmap) {
+/// Serializes a slice through the util/stored_bitmap_io codec, so the
+/// hardening of LoadStoredBitmap (truncation/garbage rejection) covers
+/// the engine's pages too.
+Result<std::string> SerializeSlice(const BitVector& bits) {
   std::ostringstream out;
-  EBI_RETURN_IF_ERROR(SaveStoredBitmap(out, bitmap));
+  EBI_RETURN_IF_ERROR(SaveStoredBitmap(out, bits));
   return std::move(out).str();
 }
 
@@ -118,8 +118,8 @@ StorageEngine::~StorageEngine() {
 }
 
 Result<SliceExtent> StorageEngine::WriteExtentLocked(
-    const StoredBitmap& bitmap, SliceId id, SliceExtent* reuse) {
-  EBI_ASSIGN_OR_RETURN(const std::string payload, SerializeSlice(bitmap));
+    const BitVector& bits, SliceId id, SliceExtent* reuse) {
+  EBI_ASSIGN_OR_RETURN(const std::string payload, SerializeSlice(bits));
   const size_t capacity = file_.PayloadCapacity();
   const uint32_t pages_needed = static_cast<uint32_t>(
       payload.empty() ? 1 : (payload.size() + capacity - 1) / capacity);
@@ -146,22 +146,22 @@ Result<SliceExtent> StorageEngine::WriteExtentLocked(
 }
 
 Result<StorageEngine::SliceId> StorageEngine::PutSlice(
-    const StoredBitmap& bitmap) {
+    const BitVector& bits) {
   const MutexLock lock(mu_);
   const SliceId id = static_cast<SliceId>(extents_.size());
   EBI_ASSIGN_OR_RETURN(const SliceExtent extent,
-                       WriteExtentLocked(bitmap, id, nullptr));
+                       WriteExtentLocked(bits, id, nullptr));
   extents_.push_back(extent);
   return id;
 }
 
-Status StorageEngine::UpdateSlice(SliceId id, const StoredBitmap& bitmap) {
+Status StorageEngine::UpdateSlice(SliceId id, const BitVector& bits) {
   const MutexLock lock(mu_);
   if (id >= extents_.size()) {
     return Status::OutOfRange("StorageEngine: slice id out of range");
   }
   EBI_ASSIGN_OR_RETURN(const SliceExtent extent,
-                       WriteExtentLocked(bitmap, id, &extents_[id]));
+                       WriteExtentLocked(bits, id, &extents_[id]));
   extents_[id] = extent;
   return Status::OK();
 }
@@ -177,27 +177,49 @@ Status StorageEngine::ExtentOf(SliceId id, SliceExtent* extent,
   return Status::OK();
 }
 
-Result<StoredBitmap> StorageEngine::GetSlice(SliceId id,
-                                             size_t* pages_faulted) {
+Result<BitVector> StorageEngine::GetSlice(SliceId id,
+                                          size_t* pages_faulted) {
   SliceExtent extent;
   uint32_t pages_used = 0;
   EBI_RETURN_IF_ERROR(ExtentOf(id, &extent, &pages_used));
-  // One ReadRange call assembles the whole extent under a single pool
-  // lock acquisition, and the buffer overload of LoadStoredBitmap
-  // parses it without an istringstream copy — together the warm-path
-  // cost is one payload memcpy plus the decode itself.
-  std::string payload;
-  payload.reserve(extent.payload_bytes);
-  EBI_RETURN_IF_ERROR(pool_->ReadRange(pool_file_id_, extent.first_page,
-                                       pages_used, &payload, pages_faulted));
-  if (payload.size() != extent.payload_bytes) {
+  // A slice payload is the codec's header followed by whole words.
+  if (extent.payload_bytes < kPlainStoredHeaderBytes ||
+      (extent.payload_bytes - kPlainStoredHeaderBytes) % 8 != 0) {
+    return Status::Internal("StorageEngine: slice " + std::to_string(id) +
+                            " extent holds " +
+                            std::to_string(extent.payload_bytes) +
+                            " bytes, not a whole slice payload");
+  }
+  // One ReadRange call streams the extent under a single pool lock
+  // acquisition: the header lands in `header` and the words straight in
+  // the slice's word array, so the warm path copies each byte once.
+  uint8_t header[kPlainStoredHeaderBytes];
+  std::vector<uint64_t> words(
+      (extent.payload_bytes - kPlainStoredHeaderBytes) / 8);
+  auto* body = reinterpret_cast<uint8_t*>(words.data());
+  uint64_t received = 0;
+  EBI_RETURN_IF_ERROR(pool_->ReadRange(
+      pool_file_id_, extent.first_page, pages_used,
+      [&](const uint8_t* bytes, size_t n) {
+        const uint64_t end = received + n;
+        while (received < end && received < kPlainStoredHeaderBytes) {
+          header[received++] = *bytes++;
+        }
+        if (received < end && end <= extent.payload_bytes) {
+          std::memcpy(body + (received - kPlainStoredHeaderBytes), bytes,
+                      end - received);
+        }
+        received = end;
+      },
+      pages_faulted));
+  if (received != extent.payload_bytes) {
     return Status::Internal(
         "StorageEngine: slice " + std::to_string(id) + " pages hold " +
-        std::to_string(payload.size()) + " bytes, extent map says " +
+        std::to_string(received) + " bytes, extent map says " +
         std::to_string(extent.payload_bytes));
   }
-  return LoadStoredBitmap(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+  EBI_ASSIGN_OR_RETURN(const uint64_t bits, ParsePlainStoredHeader(header));
+  return BitVectorFromLittleEndian(bits, std::move(words));
 }
 
 Result<SliceReader> StorageEngine::ReadSlice(SliceId id) {

@@ -9,8 +9,8 @@
 #include "storage/engine/buffer_pool.h"
 #include "storage/engine/page_file.h"
 #include "storage/io_accountant.h"
+#include "util/bitvector.h"
 #include "util/status.h"
-#include "util/stored_bitmap.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -46,7 +46,7 @@ struct SliceExtent {
   uint32_t first_page = 0;
   /// Pages reserved for the slice (its in-place update capacity).
   uint32_t num_pages = 0;
-  /// Serialized StoredBitmap bytes actually used.
+  /// Serialized slice payload bytes actually used.
   uint64_t payload_bytes = 0;
 };
 
@@ -95,7 +95,7 @@ class SliceReader {
   size_t pages_faulted_ = 0;
 };
 
-/// The tiered storage engine (DESIGN.md §12): StoredBitmap slices
+/// The tiered storage engine (DESIGN.md §12): BitVector slices
 /// chunked over fixed-size checksummed pages in one PageFile, cached by
 /// a shared BufferPool, located by a per-slice extent map persisted in a
 /// checksummed sidecar file (`<path>.map`, written atomically via
@@ -120,18 +120,18 @@ class StorageEngine {
 
   /// Appends a slice, returning its id. The payload lands in dirty pool
   /// frames (write-back caching); Sync() makes it durable.
-  Result<SliceId> PutSlice(const StoredBitmap& bitmap);
+  Result<SliceId> PutSlice(const BitVector& bits);
 
   /// Overwrites slice `id`. Reuses the extent when the new payload fits
   /// its reserved pages, else relocates to a fresh extent (the old one
   /// becomes garbage; engines are rebuilt, not compacted).
-  [[nodiscard]] Status UpdateSlice(SliceId id, const StoredBitmap& bitmap);
+  [[nodiscard]] Status UpdateSlice(SliceId id, const BitVector& bits);
 
   /// Reconstructs slice `id` from its pages (pool hits are free; misses
   /// charge one page read each) — the whole-slice read path. When
   /// `pages_faulted` is non-null it receives the number of pages that
   /// missed the pool.
-  Result<StoredBitmap> GetSlice(SliceId id, size_t* pages_faulted = nullptr);
+  Result<BitVector> GetSlice(SliceId id, size_t* pages_faulted = nullptr);
 
   /// Opens a streaming reader over slice `id`'s payload bytes: the same
   /// page lookups and charges as GetSlice, but the slice is never
@@ -165,8 +165,8 @@ class StorageEngine {
   StorageEngine(std::string path, const StorageEngineOptions& options,
                 PageFile file, std::unique_ptr<BufferPool> pool);
 
-  Result<SliceExtent> WriteExtentLocked(const StoredBitmap& bitmap,
-                                        SliceId id, SliceExtent* reuse)
+  Result<SliceExtent> WriteExtentLocked(const BitVector& bits, SliceId id,
+                                        SliceExtent* reuse)
       EBI_REQUIRES(mu_);
   [[nodiscard]] Status PersistMapLocked() EBI_REQUIRES(mu_);
   /// Extent of slice `id` and the pages its payload occupies.

@@ -193,27 +193,6 @@ BitVector& BitVector::AndWithMany(
   return *this;
 }
 
-void BitVector::SetWord(size_t w, uint64_t bits) {
-  words_[w] = bits;
-  if (w + 1 == words_.size()) {
-    MaskTail();
-  }
-  DebugCheckTail();
-}
-
-void BitVector::FillWordRange(size_t first, size_t count, uint64_t value) {
-  assert(first + count <= words_.size() && "FillWordRange out of bounds");
-  if (first >= words_.size()) {
-    return;
-  }
-  count = std::min(count, words_.size() - first);
-  K().fill_words(words_.data() + first, value, count);
-  if (first + count == words_.size()) {
-    MaskTail();
-  }
-  DebugCheckTail();
-}
-
 void BitVector::SetWordRange(size_t first, const uint64_t* words,
                              size_t count) {
   assert(first + count <= words_.size() && "SetWordRange out of bounds");

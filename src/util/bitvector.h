@@ -31,10 +31,10 @@ class BitVector {
   [[nodiscard]] static BitVector FromString(const std::string& bits);
 
   /// Adopts `words` as the backing array of a `size`-bit vector without
-  /// copying — the bulk-load path for file reads and decompression. The
-  /// vector is resized to the exact word count for `size` (truncating or
-  /// zero-extending) and the tail is masked, so the tail invariant holds
-  /// regardless of what the caller read into the array.
+  /// copying — the bulk-load path for file reads. The vector is resized
+  /// to the exact word count for `size` (truncating or zero-extending) and
+  /// the tail is masked, so the tail invariant holds regardless of what
+  /// the caller read into the array.
   [[nodiscard]] static BitVector FromWords(size_t size,
                                            std::vector<uint64_t> words);
 
@@ -115,23 +115,17 @@ class BitVector {
   /// Number of heap bytes used by the word array (the index size metric).
   size_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
 
-  /// Read access to the backing words (e.g. for compression).
+  /// Read access to the backing words (e.g. for serialization).
   const std::vector<uint64_t>& words() const { return words_; }
 
   /// Number of backing 64-bit words.
   size_t NumWords() const { return words_.size(); }
 
-  /// Overwrites backing word `w` wholesale (word-granular decompression
-  /// and file reads). Bits past size() in the last word are masked off so
-  /// the tail invariant is preserved.
-  void SetWord(size_t w, uint64_t bits);
-
-  /// Bulk word-granular writes for decompression fast paths: overwrite
-  /// `count` backing words starting at `first` with `value` /
-  /// with `words[0..count)`. Like SetWord, writes that touch the last
-  /// word are masked so the tail invariant is preserved. The range must
-  /// lie within NumWords() (asserted in debug builds; clamped otherwise).
-  void FillWordRange(size_t first, size_t count, uint64_t value);
+  /// Bulk word-granular write: overwrites `count` backing words starting
+  /// at `first` with `words[0..count)` (the blocked cover pass's write-
+  /// back). A write that touches the last word is masked so the tail
+  /// invariant is preserved. The range must lie within NumWords()
+  /// (asserted in debug builds; clamped otherwise).
   void SetWordRange(size_t first, const uint64_t* words, size_t count);
 
   /// True iff every padding bit above size() in the last word is zero —

@@ -10,10 +10,10 @@ namespace kernels {
 
 /// A complete set of bulk bitmap primitives over spans of 64-bit words.
 ///
-/// Every BitVector / EwahBitmap hot loop funnels through one of these
-/// function pointers instead of open-coding the word loop, so the whole
-/// Boolean evaluation stack (min-term covers, fan-out merges, compressed
-/// decode) picks up SIMD for free once a vectorized backend is selected.
+/// Every BitVector hot loop funnels through one of these function
+/// pointers instead of open-coding the word loop, so the whole Boolean
+/// evaluation stack (min-term covers, fan-out merges) picks up SIMD for
+/// free once a vectorized backend is selected.
 ///
 /// Contracts shared by every implementation:
 ///   * `n` is a count of 64-bit words; n == 0 is a no-op (pointers may

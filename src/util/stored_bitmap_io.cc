@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/ewah_bitmap.h"
-
 namespace ebi {
 
 namespace {
@@ -19,12 +17,10 @@ namespace {
 constexpr uint32_t kBitVectorMagic = 0x45424956;  // "EBIV".
 constexpr uint32_t kStoredMagic = 0x45424953;     // "EBIS".
 
-// Format tags in the StoredBitmap stream. Distinct from BitmapFormat so
-// enum reordering never silently changes the on-disk format. Tag 1 held
-// a retired run-length form: it stays unassigned, so old streams are
-// rejected as unknown instead of misread.
+// Format tag in the stored-bitmap stream. Tags 1 (a run-length form) and
+// 2 (EWAH) held retired compressed formats: they stay unassigned, so old
+// streams are rejected as unknown instead of misread.
 constexpr uint32_t kTagPlain = 0;
-constexpr uint32_t kTagEwah = 2;
 
 // Cap on the elements a read trusts from a length prefix before the
 // bytes backing them have been consumed. Bulk reads proceed in chunks
@@ -86,12 +82,11 @@ Result<uint64_t> ReadU64(std::istream& in) {
   return v;
 }
 
-// Bulk little-endian array reads. One in.read() per chunk instead of
-// one per element — the difference between stream-call overhead and
-// memcpy speed on the storage engine's warm path. The words land straight
-// in the output vector, whose growth preserves the hardening contract:
-// it runs at most one chunk of kMaxTrustedReserve elements ahead of the
-// bytes actually read.
+// Bulk reads of verbatim (little-endian) words: one in.read() per chunk
+// instead of one per element. The words land straight in the output
+// vector, whose growth preserves the hardening contract: it runs at most
+// one chunk of kMaxTrustedReserve elements ahead of the bytes actually
+// read.
 Status ReadU64Array(std::istream& in, uint64_t count,
                     std::vector<uint64_t>* out) {
   out->clear();
@@ -107,7 +102,6 @@ Status ReadU64Array(std::istream& in, uint64_t count,
                  static_cast<std::streamsize>(chunk * 8))) {
       return Status::OutOfRange("truncated stream reading u64 array");
     }
-    WordsFromLittleEndian(out->data() + base, chunk);
     remaining -= chunk;
   }
   return Status::OK();
@@ -117,6 +111,16 @@ Status ExpectMagic(std::istream& in, uint32_t magic, const char* what) {
   EBI_ASSIGN_OR_RETURN(const uint32_t got, ReadU32(in));
   if (got != magic) {
     return Status::InvalidArgument(std::string("bad magic for ") + what);
+  }
+  return Status::OK();
+}
+
+// Reads the stored magic and the format tag that precede the vector.
+Status ExpectStoredEnvelope(std::istream& in) {
+  EBI_RETURN_IF_ERROR(ExpectMagic(in, kStoredMagic, "stored bitmap"));
+  EBI_ASSIGN_OR_RETURN(const uint32_t tag, ReadU32(in));
+  if (tag != kTagPlain) {
+    return Status::InvalidArgument("stored bitmap: unknown format tag");
   }
   return Status::OK();
 }
@@ -155,63 +159,36 @@ Result<BitVector> LoadBitVector(std::istream& in) {
   const uint64_t num_words = (size + 63) / 64;
   std::vector<uint64_t> words;
   EBI_RETURN_IF_ERROR(ReadU64Array(in, num_words, &words));
-  // Bits past `size` in the last word must be zero (BitVector's tail
+  return BitVectorFromLittleEndian(size, std::move(words));
+}
+
+Result<BitVector> BitVectorFromLittleEndian(uint64_t bits,
+                                            std::vector<uint64_t> words) {
+  if (words.size() != (bits + 63) / 64) {
+    return Status::InvalidArgument(
+        "BitVector: " + std::to_string(words.size()) +
+        " words do not hold the declared " + std::to_string(bits) + " bits");
+  }
+  WordsFromLittleEndian(words.data(), words.size());
+  // Bits past `bits` in the last word must be zero (BitVector's tail
   // invariant holds on every save); set padding bits mean corruption.
-  if (size % 64 != 0 && !words.empty() &&
-      (words.back() >> (size % 64)) != 0) {
+  if (bits % 64 != 0 && (words.back() >> (bits % 64)) != 0) {
     return Status::InvalidArgument(
         "BitVector: set padding bits past the declared size");
   }
   // FromWords adopts the array — no per-word copy into the vector.
-  return BitVector::FromWords(static_cast<size_t>(size), std::move(words));
+  return BitVector::FromWords(static_cast<size_t>(bits), std::move(words));
 }
 
-Status SaveStoredBitmap(std::ostream& out, const StoredBitmap& bitmap) {
+Status SaveStoredBitmap(std::ostream& out, const BitVector& bits) {
   WriteU32(out, kStoredMagic);
-  switch (bitmap.format()) {
-    case BitmapFormat::kPlain:
-      WriteU32(out, kTagPlain);
-      return SaveBitVector(out, *bitmap.AsPlain());
-    case BitmapFormat::kEwah: {
-      const EwahBitmap* ewah = bitmap.AsEwah();
-      WriteU32(out, kTagEwah);
-      WriteU64(out, ewah->size());
-      WriteU64(out, ewah->words().size());
-      for (uint64_t word : ewah->words()) {
-        WriteU64(out, word);
-      }
-      break;
-    }
-  }
-  if (!out) {
-    return Status::Internal("stream write failed");
-  }
-  return Status::OK();
+  WriteU32(out, kTagPlain);
+  return SaveBitVector(out, bits);
 }
 
-Result<StoredBitmap> LoadStoredBitmap(std::istream& in) {
-  EBI_RETURN_IF_ERROR(ExpectMagic(in, kStoredMagic, "StoredBitmap"));
-  EBI_ASSIGN_OR_RETURN(const uint32_t tag, ReadU32(in));
-  switch (tag) {
-    case kTagPlain: {
-      EBI_ASSIGN_OR_RETURN(BitVector bits, LoadBitVector(in));
-      return StoredBitmap::Make(std::move(bits), BitmapFormat::kPlain);
-    }
-    case kTagEwah: {
-      EBI_ASSIGN_OR_RETURN(const uint64_t size,
-                           ReadBitSize(in, "StoredBitmap"));
-      EBI_ASSIGN_OR_RETURN(const uint64_t num_words, ReadU64(in));
-      std::vector<uint64_t> words;
-      EBI_RETURN_IF_ERROR(ReadU64Array(in, num_words, &words));
-      EBI_ASSIGN_OR_RETURN(
-          EwahBitmap ewah,
-          EwahBitmap::FromWords(std::move(words),
-                                static_cast<size_t>(size)));
-      return StoredBitmap::FromEwah(std::move(ewah));
-    }
-    default:
-      return Status::InvalidArgument("StoredBitmap: unknown format tag");
-  }
+Result<BitVector> LoadStoredBitmap(std::istream& in) {
+  EBI_RETURN_IF_ERROR(ExpectStoredEnvelope(in));
+  return LoadBitVector(in);
 }
 
 void WordsFromLittleEndian(uint64_t* words, size_t n) {
@@ -232,16 +209,12 @@ Result<uint64_t> ParsePlainStoredHeader(const uint8_t* header) {
   MemoryStreamBuf buf(reinterpret_cast<const char*>(header),
                       kPlainStoredHeaderBytes);
   std::istream in(&buf);
-  EBI_RETURN_IF_ERROR(ExpectMagic(in, kStoredMagic, "StoredBitmap"));
-  EBI_ASSIGN_OR_RETURN(const uint32_t tag, ReadU32(in));
-  if (tag != kTagPlain) {
-    return Status::InvalidArgument("StoredBitmap: expected the plain format");
-  }
+  EBI_RETURN_IF_ERROR(ExpectStoredEnvelope(in));
   EBI_RETURN_IF_ERROR(ExpectMagic(in, kBitVectorMagic, "BitVector"));
   return ReadBitSize(in, "BitVector");
 }
 
-Result<StoredBitmap> LoadStoredBitmap(const uint8_t* data, size_t size) {
+Result<BitVector> LoadStoredBitmap(const uint8_t* data, size_t size) {
   MemoryStreamBuf buf(reinterpret_cast<const char*>(data), size);
   std::istream in(&buf);
   return LoadStoredBitmap(in);

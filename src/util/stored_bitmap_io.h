@@ -4,10 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <vector>
 
 #include "util/bitvector.h"
 #include "util/status.h"
-#include "util/stored_bitmap.h"
 
 namespace ebi {
 
@@ -27,30 +27,25 @@ namespace ebi {
 [[nodiscard]] Status SaveBitVector(std::ostream& out, const BitVector& bits);
 [[nodiscard]] Result<BitVector> LoadBitVector(std::istream& in);
 
-/// Stored bitmaps in their physical format. The stream carries a format
-/// tag after the magic (0 plain, 2 EWAH; any other tag is rejected); EWAH
-/// bitmaps serialize their marker/literal words, so a compressed vector
-/// round-trips without a decompress/recompress cycle and keeps the
-/// exact physical layout (and therefore SizeBytes / I/O charge) it had
-/// when saved. Loading validates the compressed form: EWAH words must
-/// decode to exactly the declared word count (EwahBitmap::FromWords);
-/// corrupt buffers are rejected rather than trusted.
+/// Slice payloads: the stored-bitmap envelope around a BitVector. The
+/// stream carries a format tag after the magic; 0 (plain words) is the
+/// only tag, and any other is rejected as InvalidArgument.
 [[nodiscard]] Status SaveStoredBitmap(std::ostream& out,
-                                      const StoredBitmap& bitmap);
-[[nodiscard]] Result<StoredBitmap> LoadStoredBitmap(std::istream& in);
+                                      const BitVector& bits);
+[[nodiscard]] Result<BitVector> LoadStoredBitmap(std::istream& in);
 
 /// Zero-copy load from caller-owned bytes — the storage engine's warm
 /// read path, where the payload is already assembled in memory and an
 /// istringstream round-trip would cost an extra full copy. Identical
 /// format and hardening to the stream overload.
-[[nodiscard]] Result<StoredBitmap> LoadStoredBitmap(const uint8_t* data,
-                                                    size_t size);
+[[nodiscard]] Result<BitVector> LoadStoredBitmap(const uint8_t* data,
+                                                 size_t size);
 
-/// Bytes before the first word of a serialized plain StoredBitmap: the
+/// Bytes before the first word of a serialized slice payload: the
 /// stored magic, the format tag, the vector magic and the u64 bit size.
 inline constexpr size_t kPlainStoredHeaderBytes = 20;
 
-/// Validates the header of a serialized plain StoredBitmap — its first
+/// Validates the header of a serialized slice payload — its first
 /// kPlainStoredHeaderBytes bytes — and returns the declared bit size.
 /// The streaming read path (BitmapStore::VectorReader) takes the words
 /// that follow in order, without assembling a BitVector.
@@ -59,6 +54,14 @@ inline constexpr size_t kPlainStoredHeaderBytes = 20;
 /// Converts `n` words copied verbatim from serialized (little-endian)
 /// bytes to native order, in place; a no-op on little-endian hosts.
 void WordsFromLittleEndian(uint64_t* words, size_t n);
+
+/// Adopts `words`, copied verbatim from a serialized `bits`-bit vector,
+/// as a BitVector: converts them to native order and rejects a word
+/// count that does not fit `bits` or set padding bits past it
+/// (InvalidArgument). The storage engine's whole-slice read copies page
+/// payloads straight into `words` and finishes here.
+[[nodiscard]] Result<BitVector> BitVectorFromLittleEndian(
+    uint64_t bits, std::vector<uint64_t> words);
 
 }  // namespace ebi
 

@@ -359,7 +359,7 @@ TEST_F(ColdCorruptionTest, FlippedPayloadByteFailsTheQuery) {
 }
 
 TEST_F(ColdCorruptionTest, CorruptDeclaredSizeFailsTheQuery) {
-  // The StoredBitmap bit size sits at payload offset 12 (after the stored
+  // The declared bit size sits at payload offset 12 (after the stored
   // magic, the format tag and the vector magic). Re-sealed, so the page
   // checksum passes and the reader's header check must catch it.
   const uint64_t wrong = table_->NumRows() + 64;
@@ -372,6 +372,29 @@ TEST_F(ColdCorruptionTest, CorruptDeclaredSizeFailsTheQuery) {
           },
           /*reseal=*/true);
   ExpectQueriesFail(StatusCode::kInternal);
+}
+
+TEST_F(ColdCorruptionTest, ShortDeclaredSizeFailsTheFetch) {
+  // The whole-slice read sizes its word array from the extent map, so a
+  // re-sealed header declaring one word fewer than the payload holds
+  // must be rejected, not loaded as a shorter slice. The size is a whole
+  // number of words, so no padding bit gives it away. Page 0 of every
+  // slice is read from disk.
+  const uint64_t wrong = table_->NumRows() / 64 * 64;
+  Corrupt(/*page_in_slice=*/0,
+          [wrong](uint8_t* page) {
+            for (int b = 0; b < 8; ++b) {
+              page[engine::PageFile::kHeaderBytes + 12 + b] =
+                  static_cast<uint8_t>(wrong >> (8 * b));
+            }
+          },
+          /*reseal=*/true);
+  for (size_t i = 0; i < index_->NumSlices(); ++i) {
+    const auto slice = index_->FetchSlice(i);
+    ASSERT_FALSE(slice.ok()) << "slice " << i;
+    EXPECT_EQ(slice.status().code(), StatusCode::kInvalidArgument)
+        << slice.status().ToString();
+  }
 }
 
 TEST_F(ColdCorruptionTest, SetPaddingBitsFailTheQuery) {

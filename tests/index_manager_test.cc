@@ -24,16 +24,20 @@ class IndexManagerTest : public ::testing::Test {
 
 TEST_F(IndexManagerTest, KindNamesRoundTrip) {
   for (IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
-        IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
-        IndexKind::kBaseBitSliced, IndexKind::kProjection, IndexKind::kBTree,
-        IndexKind::kValueList, IndexKind::kRangeBasedBitmap,
-        IndexKind::kDynamicBitmap}) {
+       {IndexKind::kSimpleBitmap, IndexKind::kEncodedBitmap,
+        IndexKind::kBitSliced, IndexKind::kBaseBitSliced,
+        IndexKind::kProjection, IndexKind::kBTree, IndexKind::kValueList,
+        IndexKind::kRangeBasedBitmap, IndexKind::kDynamicBitmap}) {
     const auto parsed = IndexKindFromName(IndexKindName(kind));
     ASSERT_TRUE(parsed.ok()) << IndexKindName(kind);
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_FALSE(IndexKindFromName("nope").ok());
+  // "simple-ewah" named the retired compressed simple index.
+  for (const char* unknown : {"nope", "simple-ewah"}) {
+    EXPECT_EQ(IndexKindFromName(unknown).status().code(),
+              StatusCode::kNotFound)
+        << unknown;
+  }
 }
 
 TEST_F(IndexManagerTest, CreateBuildsAndRegisters) {
@@ -115,15 +119,14 @@ TEST_F(IndexManagerTest, DropUnregistersEverywhere) {
 
 TEST_F(IndexManagerTest, AllKindsBuildOnIntColumn) {
   for (IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
-        IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
-        IndexKind::kBaseBitSliced, IndexKind::kProjection, IndexKind::kBTree,
-        IndexKind::kValueList, IndexKind::kRangeBasedBitmap,
-        IndexKind::kDynamicBitmap}) {
+       {IndexKind::kSimpleBitmap, IndexKind::kEncodedBitmap,
+        IndexKind::kBitSliced, IndexKind::kBaseBitSliced,
+        IndexKind::kProjection, IndexKind::kBTree, IndexKind::kValueList,
+        IndexKind::kRangeBasedBitmap, IndexKind::kDynamicBitmap}) {
     const auto index = manager_->CreateIndex("a", kind);
     ASSERT_TRUE(index.ok()) << IndexKindName(kind);
   }
-  EXPECT_EQ(manager_->NumIndexes(), 10u);
+  EXPECT_EQ(manager_->NumIndexes(), 9u);
   // All of them agree on a selection.
   const auto indexes = manager_->IndexesOn("a");
   const auto reference = indexes[0]->EvaluateEquals(Value::Int(7));

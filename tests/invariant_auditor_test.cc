@@ -3,13 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "index/cold_encoded_bitmap_index.h"
 #include "index/index_factory.h"
 #include "test_util.h"
-#include "util/stored_bitmap_io.h"
 
 namespace ebi {
 namespace {
@@ -131,91 +130,14 @@ TEST(InvariantAuditorTest, DetectsWrongWordCountInRawWords) {
       << report.ToString();
 }
 
-TEST(InvariantAuditorTest, DetectsCorruptEwahWords) {
-  // A marker claiming two literal words but providing none.
-  const std::vector<uint64_t> words = {uint64_t{2} << 33};
-  const AuditReport report =
-      InvariantAuditor::AuditEwahWords(words, /*declared_bits=*/128);
-  EXPECT_TRUE(report.Has(ViolationKind::kEwahFormatMismatch))
-      << report.ToString();
-}
-
-TEST(InvariantAuditorTest, StoredBitmapCleanInEveryFormat) {
-  BitVector bits(200);
-  for (size_t i = 0; i < 200; i += 7) {
-    bits.Set(i);
-  }
-  for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
-    const StoredBitmap stored = StoredBitmap::Make(bits, format);
-    const AuditReport report =
-        InvariantAuditor::AuditStoredBitmap(stored, 200);
-    EXPECT_TRUE(report.clean()) << report.ToString();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Persisted bitmaps (util/stored_bitmap_io.h streams).
-
-TEST(InvariantAuditorTest, CleanPersistedBitmapRoundTrips) {
-  BitVector bits(100);
-  bits.Set(3);
-  bits.Set(64);
-  std::ostringstream out;
-  ASSERT_TRUE(
-      SaveStoredBitmap(out, StoredBitmap::Make(bits, BitmapFormat::kEwah))
-          .ok());
-  std::istringstream in(out.str());
-  const AuditReport report = InvariantAuditor::AuditPersistedBitmap(in, 100);
-  EXPECT_TRUE(report.clean()) << report.ToString();
-}
-
-TEST(InvariantAuditorTest, DetectsTruncatedPersistedBitmap) {
-  BitVector bits(100);
-  bits.Set(3);
-  std::ostringstream out;
-  ASSERT_TRUE(
-      SaveStoredBitmap(out, StoredBitmap::Make(bits, BitmapFormat::kEwah))
-          .ok());
-  const std::string full = out.str();
-  std::istringstream in(full.substr(0, full.size() / 2));
-  const AuditReport report = InvariantAuditor::AuditPersistedBitmap(in, 100);
-  EXPECT_TRUE(report.Has(ViolationKind::kPersistedBitmapCorrupt))
-      << report.ToString();
-}
-
-TEST(InvariantAuditorTest, DetectsFormatMismatchedPersistedBitmap) {
-  // A BitVector stream is not a StoredBitmap stream: the section magic
-  // differs, so loading must reject rather than misinterpret it.
-  std::ostringstream out;
-  ASSERT_TRUE(SaveBitVector(out, BitVector(64)).ok());
-  std::istringstream in(out.str());
-  const AuditReport report = InvariantAuditor::AuditPersistedBitmap(in, 64);
-  EXPECT_TRUE(report.Has(ViolationKind::kPersistedBitmapCorrupt))
-      << report.ToString();
-}
-
-TEST(InvariantAuditorTest, DetectsWrongLengthPersistedBitmap) {
-  BitVector bits(100);
-  std::ostringstream out;
-  ASSERT_TRUE(
-      SaveStoredBitmap(out, StoredBitmap::Make(bits, BitmapFormat::kPlain))
-          .ok());
-  std::istringstream in(out.str());
-  const AuditReport report =
-      InvariantAuditor::AuditPersistedBitmap(in, /*expected_bits=*/200);
-  EXPECT_TRUE(report.Has(ViolationKind::kBitmapLengthMismatch))
-      << report.ToString();
-}
-
 // ---------------------------------------------------------------------------
 // Whole-index audits.
 
 TEST(InvariantAuditorTest, CleanAuditAcrossIndexFamilies) {
   auto table = RandomIntTable(300, 25, 11, 0.05);
   for (const IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
-        IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
+       {IndexKind::kSimpleBitmap, IndexKind::kEncodedBitmap,
+        IndexKind::kBitSliced,
         IndexKind::kBaseBitSliced, IndexKind::kRangeBasedBitmap,
         IndexKind::kDynamicBitmap}) {
     IoAccountant io;
@@ -261,6 +183,32 @@ TEST(InvariantAuditorTest, DetectsStaleIndexAfterTableGrows) {
       << report.ToString();
 }
 
+TEST(InvariantAuditorTest, ShortVectorReportedOncePerVector) {
+  // A table with NULLs, so the simple index holds a NULL vector beside
+  // its value vectors. Auditing against one row more than the index
+  // covers makes every vector one bit short: each must be reported
+  // exactly once.
+  auto table = RandomIntTable(300, 25, 11, 0.05);
+  IoAccountant io;
+  auto index = MakeSecondaryIndex(IndexKind::kSimpleBitmap,
+                                  &table->column(0), &table->existence(),
+                                  &io);
+  ASSERT_TRUE(index->Build().ok());
+  size_t vectors = 0;
+  bool saw_null = false;
+  index->ForEachAuditVector([&](const AuditableVector& v) {
+    ++vectors;
+    saw_null = saw_null || std::string(v.role) == "null";
+  });
+  ASSERT_GT(vectors, 1u);
+  ASSERT_TRUE(saw_null);
+  const AuditReport report =
+      InvariantAuditor::AuditIndex(*index, table->NumRows() + 1);
+  EXPECT_EQ(report.CountOf(ViolationKind::kBitmapLengthMismatch), vectors)
+      << report.ToString();
+  EXPECT_EQ(report.violations.size(), vectors) << report.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Report plumbing.
 
@@ -268,15 +216,15 @@ TEST(InvariantAuditorTest, ReportMergeAndToString) {
   AuditReport a = InvariantAuditor::AuditMappingParts(2, {1, 2, 1});
   const size_t a_checks = a.checks_run;
   const size_t a_violations = a.violations.size();
-  // A marker claiming two literal words but providing none.
-  AuditReport b = InvariantAuditor::AuditEwahWords({uint64_t{2} << 33}, 128);
+  // Three words cannot back 70 declared bits.
+  AuditReport b = InvariantAuditor::AuditBitVectorWords({0, 0, 0}, 70);
   a.Merge(b);
   EXPECT_EQ(a.checks_run, a_checks + b.checks_run);
   EXPECT_EQ(a.violations.size(), a_violations + 1);
-  EXPECT_EQ(a.CountOf(ViolationKind::kEwahFormatMismatch), 1u);
+  EXPECT_EQ(a.CountOf(ViolationKind::kBitmapLengthMismatch), 1u);
   const std::string rendered = a.ToString();
   EXPECT_NE(rendered.find("DuplicateCodeword"), std::string::npos);
-  EXPECT_NE(rendered.find("EwahFormatMismatch"), std::string::npos);
+  EXPECT_NE(rendered.find("BitmapLengthMismatch"), std::string::npos);
 }
 
 }  // namespace

@@ -14,11 +14,10 @@ using testing_util::ScanRange;
 
 class SimpleBitmapIndexTest : public ::testing::Test {
  protected:
-  void Init(std::unique_ptr<Table> table,
-            SimpleBitmapIndexOptions options = {}) {
+  void Init(std::unique_ptr<Table> table) {
     table_ = std::move(table);
     index_ = std::make_unique<SimpleBitmapIndex>(
-        &table_->column(0), &table_->existence(), &io_, options);
+        &table_->column(0), &table_->existence(), &io_);
     ASSERT_TRUE(index_->Build().ok());
   }
 
@@ -127,65 +126,6 @@ TEST_F(SimpleBitmapIndexTest, SizeGrowsLinearlyWithCardinality) {
   ASSERT_TRUE(big_idx.Build().ok());
   // 16x the cardinality => ~16x the bits.
   EXPECT_GT(big_idx.SizeBytes(), 10 * small_idx.SizeBytes());
-}
-
-TEST_F(SimpleBitmapIndexTest, CompressedModeMatchesPlain) {
-  auto table = RandomIntTable(500, 20, 3);
-  IoAccountant io;
-  SimpleBitmapIndex plain(&table->column(0), &table->existence(), &io);
-  SimpleBitmapIndex ewah(
-      &table->column(0), &table->existence(), &io,
-      SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
-  ASSERT_TRUE(plain.Build().ok());
-  ASSERT_TRUE(ewah.Build().ok());
-  EXPECT_EQ(plain.Name(), "simple-bitmap");
-  EXPECT_EQ(ewah.Name(), "simple-bitmap-ewah");
-  for (int64_t v = 0; v < 20; ++v) {
-    const auto a = plain.EvaluateEquals(Value::Int(v));
-    const auto b = ewah.EvaluateEquals(Value::Int(v));
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b) << v;
-  }
-  // Multi-value IN runs the compressed-OR path; ranges sweep many ids.
-  const std::vector<Value> in_list = {Value::Int(1), Value::Int(4),
-                                      Value::Int(17)};
-  const auto pin = plain.EvaluateIn(in_list);
-  const auto ein = ewah.EvaluateIn(in_list);
-  ASSERT_TRUE(pin.ok() && ein.ok());
-  EXPECT_EQ(*pin, *ein);
-  const auto prange = plain.EvaluateRange(3, 15);
-  const auto erange = ewah.EvaluateRange(3, 15);
-  ASSERT_TRUE(prange.ok() && erange.ok());
-  EXPECT_EQ(*prange, *erange);
-}
-
-TEST_F(SimpleBitmapIndexTest, CompressedModeSavesSpaceOnSparseVectors) {
-  // Cardinality 100 over 5000 rows: each vector is 99% zeros.
-  auto table = RandomIntTable(5000, 100, 4);
-  IoAccountant io;
-  SimpleBitmapIndex plain(&table->column(0), &table->existence(), &io);
-  SimpleBitmapIndex ewah(
-      &table->column(0), &table->existence(), &io,
-      SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
-  ASSERT_TRUE(plain.Build().ok());
-  ASSERT_TRUE(ewah.Build().ok());
-  EXPECT_LT(ewah.SizeBytes(), plain.SizeBytes());
-}
-
-TEST_F(SimpleBitmapIndexTest, CompressedAppendStaysCorrect) {
-  Init(IntTable({1, 2, 1}),
-       SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
-  ASSERT_TRUE(table_->AppendRow({Value::Int(7)}).ok());
-  ASSERT_TRUE(index_->Append(3).ok());
-  ASSERT_TRUE(table_->AppendRow({Value::Int(1)}).ok());
-  ASSERT_TRUE(index_->Append(4).ok());
-  const auto one = index_->EvaluateEquals(Value::Int(1));
-  ASSERT_TRUE(one.ok());
-  EXPECT_EQ(one->ToString(), "10101");
-  const auto seven = index_->EvaluateEquals(Value::Int(7));
-  ASSERT_TRUE(seven.ok());
-  EXPECT_EQ(seven->ToString(), "00010");
 }
 
 TEST_F(SimpleBitmapIndexTest, RangeOnStringColumnRejected) {

@@ -450,26 +450,19 @@ TEST(BufferPoolTest, AsyncPrefetchDrainsBeforeDestruction) {
 
 // ------------------------------------------------------------ StorageEngine
 
-StoredBitmap MakeStored(const BitVector& bits, BitmapFormat format) {
-  return StoredBitmap::Make(bits, format);
-}
-
-TEST(StorageEngineTest, PutGetRoundTripEveryFormat) {
-  for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
-    const std::string path = TempPath("se_roundtrip");
-    StorageEngineOptions options;
-    options.pool_pages = 4;
-    options.remove_on_close = true;
-    auto engine = StorageEngine::Open(path, options);
-    ASSERT_TRUE(engine.ok());
-    const BitVector bits = RandomBits(1 << 15, 42);
-    const auto id = (*engine)->PutSlice(MakeStored(bits, format));
-    ASSERT_TRUE(id.ok());
-    const auto loaded = (*engine)->GetSlice(*id);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded->ToBitVector(), bits);
-  }
+TEST(StorageEngineTest, PutGetRoundTrip) {
+  const std::string path = TempPath("se_roundtrip");
+  StorageEngineOptions options;
+  options.pool_pages = 4;
+  options.remove_on_close = true;
+  auto engine = StorageEngine::Open(path, options);
+  ASSERT_TRUE(engine.ok());
+  const BitVector bits = RandomBits(1 << 15, 42);
+  const auto id = (*engine)->PutSlice(bits);
+  ASSERT_TRUE(id.ok());
+  const auto loaded = (*engine)->GetSlice(*id);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(*loaded, bits);
 }
 
 TEST(StorageEngineTest, MultiPageSliceSurvivesCapOnePool) {
@@ -482,14 +475,14 @@ TEST(StorageEngineTest, MultiPageSliceSurvivesCapOnePool) {
   auto engine = StorageEngine::Open(path, options);
   ASSERT_TRUE(engine.ok());
   const BitVector bits = RandomBits(1 << 17, 7);  // ~16 KB plain = 5 pages.
-  const auto id = (*engine)->PutSlice(MakeStored(bits, BitmapFormat::kPlain));
+  const auto id = (*engine)->PutSlice(bits);
   ASSERT_TRUE(id.ok());
   const auto pages = (*engine)->SlicePages(*id);
   ASSERT_TRUE(pages.ok());
   EXPECT_GT(*pages, 1u);
   const auto loaded = (*engine)->GetSlice(*id);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ToBitVector(), bits);
+  EXPECT_EQ(*loaded, bits);
 }
 
 TEST(StorageEngineTest, UpdateReusesOrRelocatesExtent) {
@@ -499,25 +492,20 @@ TEST(StorageEngineTest, UpdateReusesOrRelocatesExtent) {
   options.remove_on_close = true;
   auto engine = StorageEngine::Open(path, options);
   ASSERT_TRUE(engine.ok());
-  const auto id =
-      (*engine)->PutSlice(MakeStored(RandomBits(4096, 1), BitmapFormat::kPlain));
+  const auto id = (*engine)->PutSlice(RandomBits(4096, 1));
   ASSERT_TRUE(id.ok());
   // Same-size update reuses the extent in place.
   const BitVector replacement = RandomBits(4096, 2);
-  ASSERT_TRUE(
-      (*engine)
-          ->UpdateSlice(*id, MakeStored(replacement, BitmapFormat::kPlain))
-          .ok());
+  ASSERT_TRUE((*engine)->UpdateSlice(*id, replacement).ok());
   auto loaded = (*engine)->GetSlice(*id);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ToBitVector(), replacement);
+  EXPECT_EQ(*loaded, replacement);
   // A much larger payload relocates to a fresh extent.
   const BitVector grown = RandomBits(1 << 16, 3);
-  ASSERT_TRUE(
-      (*engine)->UpdateSlice(*id, MakeStored(grown, BitmapFormat::kPlain)).ok());
+  ASSERT_TRUE((*engine)->UpdateSlice(*id, grown).ok());
   loaded = (*engine)->GetSlice(*id);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ToBitVector(), grown);
+  EXPECT_EQ(*loaded, grown);
 }
 
 TEST(StorageEngineTest, SyncThenRecoverRoundTrip) {
@@ -532,8 +520,7 @@ TEST(StorageEngineTest, SyncThenRecoverRoundTrip) {
     ASSERT_TRUE(engine.ok());
     for (uint64_t i = 0; i < 6; ++i) {
       originals.push_back(RandomBits(3000 + 500 * i, i + 100));
-      const auto id = (*engine)->PutSlice(
-          MakeStored(originals.back(), BitmapFormat::kEwah));
+      const auto id = (*engine)->PutSlice(originals.back());
       ASSERT_TRUE(id.ok());
       ids.push_back(*id);
     }
@@ -551,7 +538,7 @@ TEST(StorageEngineTest, SyncThenRecoverRoundTrip) {
       ASSERT_TRUE((*engine)->VerifySlice(ids[i]).ok());
       const auto loaded = (*engine)->GetSlice(ids[i]);
       ASSERT_TRUE(loaded.ok());
-      EXPECT_EQ(loaded->ToBitVector(), originals[i]) << "slice " << i;
+      EXPECT_EQ(*loaded, originals[i]) << "slice " << i;
     }
   }
 }
@@ -568,8 +555,7 @@ TEST(StorageEngineTest, TornPageWriteIsDetectedAndOldStateRecovers) {
     auto engine = StorageEngine::Open(path, options);
     ASSERT_TRUE(engine.ok());
     committed = RandomBits(1 << 15, 55);
-    const auto id =
-        (*engine)->PutSlice(MakeStored(committed, BitmapFormat::kPlain));
+    const auto id = (*engine)->PutSlice(committed);
     ASSERT_TRUE(id.ok());
     committed_id = *id;
     ASSERT_TRUE((*engine)->Sync().ok());  // Commit point: sidecar written.
@@ -577,8 +563,7 @@ TEST(StorageEngineTest, TornPageWriteIsDetectedAndOldStateRecovers) {
     // engine surfaces the error on the write (eviction/flush) that hits it.
     Status failed = Status::OK();
     for (uint64_t i = 0; i < 32 && failed.ok(); ++i) {
-      const auto next =
-          (*engine)->PutSlice(MakeStored(RandomBits(1 << 15, i), BitmapFormat::kPlain));
+      const auto next = (*engine)->PutSlice(RandomBits(1 << 15, i));
       if (!next.ok()) {
         failed = next.status();
         break;
@@ -599,7 +584,7 @@ TEST(StorageEngineTest, TornPageWriteIsDetectedAndOldStateRecovers) {
     ASSERT_GE((*engine)->NumSlices(), 1u);
     const auto loaded = (*engine)->GetSlice(committed_id);
     ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded->ToBitVector(), committed);
+    EXPECT_EQ(*loaded, committed);
   }
 }
 
@@ -612,8 +597,7 @@ TEST(StorageEngineTest, CrashBeforeMapRenameKeepsPreviousSidecar) {
     options.pool_pages = 4;
     auto engine = StorageEngine::Open(path, options);
     ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE(
-        (*engine)->PutSlice(MakeStored(first, BitmapFormat::kPlain)).ok());
+    ASSERT_TRUE((*engine)->PutSlice(first).ok());
     ASSERT_TRUE((*engine)->Sync().ok());
   }
   {
@@ -624,10 +608,7 @@ TEST(StorageEngineTest, CrashBeforeMapRenameKeepsPreviousSidecar) {
     options.fail_before_map_rename = true;
     auto engine = StorageEngine::Open(path, options);
     ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE(
-        (*engine)
-            ->PutSlice(MakeStored(RandomBits(2000, 10), BitmapFormat::kPlain))
-            .ok());
+    ASSERT_TRUE((*engine)->PutSlice(RandomBits(2000, 10)).ok());
     EXPECT_FALSE((*engine)->Sync().ok());  // Injected pre-rename crash.
   }
   {
@@ -641,7 +622,7 @@ TEST(StorageEngineTest, CrashBeforeMapRenameKeepsPreviousSidecar) {
     EXPECT_EQ((*engine)->NumSlices(), 1u);
     const auto loaded = (*engine)->GetSlice(0);
     ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded->ToBitVector(), first);
+    EXPECT_EQ(*loaded, first);
   }
 }
 
@@ -654,8 +635,7 @@ TEST(StorageEngineTest, VerifySliceCatchesOnDiskCorruption) {
     options.pool_pages = 4;
     auto engine = StorageEngine::Open(path, options);
     ASSERT_TRUE(engine.ok());
-    const auto put =
-        (*engine)->PutSlice(MakeStored(RandomBits(5000, 77), BitmapFormat::kPlain));
+    const auto put = (*engine)->PutSlice(RandomBits(5000, 77));
     ASSERT_TRUE(put.ok());
     id = *put;
     ASSERT_TRUE((*engine)->VerifySlice(id).ok());
@@ -688,8 +668,7 @@ TEST(StorageEngineTest, PageFaultsChargeTheAccountant) {
   options.remove_on_close = true;
   auto engine = StorageEngine::Open(path, options);
   ASSERT_TRUE(engine.ok());
-  const auto id =
-      (*engine)->PutSlice(MakeStored(RandomBits(1 << 16, 5), BitmapFormat::kPlain));
+  const auto id = (*engine)->PutSlice(RandomBits(1 << 16, 5));
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE((*engine)->Sync().ok());
   // Writes were charged symmetrically.

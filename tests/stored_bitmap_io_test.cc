@@ -11,9 +11,6 @@
 namespace ebi {
 namespace {
 
-constexpr BitmapFormat kAllFormats[] = {BitmapFormat::kPlain,
-                                        BitmapFormat::kEwah};
-
 constexpr uint32_t kBitVectorMagic = 0x45424956;  // "EBIV".
 constexpr uint32_t kStoredMagic = 0x45424953;     // "EBIS".
 constexpr uint64_t kMaxU64 = ~uint64_t{0};
@@ -95,35 +92,51 @@ TEST(StoredBitmapIoTest, BitVectorSizeOverflowRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(StoredBitmapIoTest, StoredBitmapRoundTripEveryFormat) {
+TEST(StoredBitmapIoTest, StoredBitmapRoundTrip) {
   BitVector bits(300);
   for (size_t i = 0; i < 300; i += 7) {
     bits.Set(i);
   }
   bits.Set(299);
-  for (const BitmapFormat format : kAllFormats) {
-    const StoredBitmap original = StoredBitmap::Make(bits, format);
-    std::stringstream stream;
-    ASSERT_TRUE(SaveStoredBitmap(stream, original).ok());
-    const auto loaded = LoadStoredBitmap(stream);
-    ASSERT_TRUE(loaded.ok()) << BitmapFormatName(format);
-    EXPECT_EQ(loaded->format(), format);
-    EXPECT_EQ(loaded->size(), original.size());
-    EXPECT_EQ(loaded->SizeBytes(), original.SizeBytes())
-        << "physical layout changed across the round trip";
-    EXPECT_EQ(loaded->ToBitVector(), bits) << BitmapFormatName(format);
-  }
+  std::stringstream stream;
+  ASSERT_TRUE(SaveStoredBitmap(stream, bits).ok());
+  const auto loaded = LoadStoredBitmap(stream);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(*loaded, bits);
 }
 
 TEST(StoredBitmapIoTest, EmptyStoredBitmapRoundTrip) {
-  for (const BitmapFormat format : kAllFormats) {
-    const StoredBitmap original = StoredBitmap::Make(BitVector(), format);
-    std::stringstream stream;
-    ASSERT_TRUE(SaveStoredBitmap(stream, original).ok());
-    const auto loaded = LoadStoredBitmap(stream);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded->size(), 0u);
-  }
+  std::stringstream stream;
+  ASSERT_TRUE(SaveStoredBitmap(stream, BitVector()).ok());
+  const auto loaded = LoadStoredBitmap(stream);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->size(), 0u);
+}
+
+TEST(StoredBitmapIoTest, StoredBitmapGoldenBytes) {
+  // The slice payload format, pinned byte for byte: "EBIS", tag 0,
+  // "EBIV", the u64 bit size, then the little-endian words. Page files
+  // written by earlier builds hold exactly these bytes.
+  BitVector bits(100);
+  bits.Set(0);
+  bits.Set(63);
+  bits.Set(64);
+  bits.Set(99);
+  const std::string golden(
+      "\x53\x49\x42\x45"                  // "EBIS"
+      "\x00\x00\x00\x00"                  // tag 0: plain words
+      "\x56\x49\x42\x45"                  // "EBIV"
+      "\x64\x00\x00\x00\x00\x00\x00\x00"  // 100 bits
+      "\x01\x00\x00\x00\x00\x00\x00\x80"  // bits 0 and 63
+      "\x01\x00\x00\x00\x08\x00\x00\x00",  // bits 64 and 99
+      36);
+  std::stringstream stream;
+  ASSERT_TRUE(SaveStoredBitmap(stream, bits).ok());
+  EXPECT_EQ(stream.str(), golden);
+  const auto loaded = LoadStoredBitmap(
+      reinterpret_cast<const uint8_t*>(golden.data()), golden.size());
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(*loaded, bits);
 }
 
 TEST(StoredBitmapIoTest, StoredBitmapBadMagicRejected) {
@@ -135,9 +148,7 @@ TEST(StoredBitmapIoTest, StoredBitmapBadMagicRejected) {
 TEST(StoredBitmapIoTest, StoredBitmapUnknownTagRejected) {
   // A valid magic followed by a format tag the reader does not know.
   std::stringstream good;
-  ASSERT_TRUE(SaveStoredBitmap(
-                  good, StoredBitmap::Make(BitVector(8), BitmapFormat::kPlain))
-                  .ok());
+  ASSERT_TRUE(SaveStoredBitmap(good, BitVector(8)).ok());
   std::string bytes = good.str();
   bytes[4] = 42;  // Overwrite the little-endian format tag.
   std::stringstream bad(bytes);
@@ -156,13 +167,51 @@ TEST(StoredBitmapIoTest, RetiredRleTagRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(StoredBitmapIoTest, EwahSizeOverflowRejected) {
-  // EBIS | tag 2 (EWAH) | size 2^64 - 1 | zero words: the expected word
-  // count wraps to zero, so an empty word buffer used to "match" it.
-  const Bytes bytes = Bytes().U32(kStoredMagic).U32(2).U64(kMaxU64).U64(0);
-  std::stringstream stream(bytes.str());
-  EXPECT_EQ(LoadStoredBitmap(stream).status().code(),
-            StatusCode::kInvalidArgument);
+TEST(StoredBitmapIoTest, EveryTagButPlainRejected) {
+  // Tag 0 is the only format. Tags 1 (run-length) and 2 (EWAH) carried
+  // retired compressed payloads, and tag 3 was never assigned; each is
+  // refused as corrupt rather than misread, even when its payload is
+  // well formed for the retired format. Every stream spells the same
+  // 100 bits: 0, 63, 64 and 99.
+  //
+  // Run lengths alternate zeros and ones, starting with zeros.
+  const Bytes rle = Bytes()
+                        .U32(kStoredMagic)
+                        .U32(1)
+                        .U64(100)
+                        .U64(6)
+                        .U32(0)
+                        .U32(1)
+                        .U32(62)
+                        .U32(2)
+                        .U32(34)
+                        .U32(1);
+  // One EWAH marker (no clean run, two literal words) and its literals.
+  const Bytes ewah = Bytes()
+                         .U32(kStoredMagic)
+                         .U32(2)
+                         .U64(100)
+                         .U64(3)
+                         .U64(uint64_t{2} << 33)
+                         .U64(0x8000000000000001)
+                         .U64(0x0000000800000001);
+  const Bytes unassigned = Bytes()
+                               .U32(kStoredMagic)
+                               .U32(3)
+                               .U32(kBitVectorMagic)
+                               .U64(100)
+                               .U64(0x8000000000000001)
+                               .U64(0x0000000800000001);
+  for (const Bytes* bytes : {&rle, &ewah, &unassigned}) {
+    std::stringstream stream(bytes->str());
+    EXPECT_EQ(LoadStoredBitmap(stream).status().code(),
+              StatusCode::kInvalidArgument);
+    const auto* data = reinterpret_cast<const uint8_t*>(bytes->str().data());
+    EXPECT_EQ(LoadStoredBitmap(data, bytes->str().size()).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ParsePlainStoredHeader(data).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(StoredBitmapIoTest, StoredBitmapTruncationRejected) {
@@ -170,18 +219,14 @@ TEST(StoredBitmapIoTest, StoredBitmapTruncationRejected) {
   for (size_t i = 0; i < 2048; i += 3) {
     bits.Set(i);
   }
-  for (const BitmapFormat format : kAllFormats) {
-    std::stringstream stream;
-    ASSERT_TRUE(
-        SaveStoredBitmap(stream, StoredBitmap::Make(bits, format)).ok());
-    const std::string full = stream.str();
-    std::stringstream cut(full.substr(0, full.size() - 5));
-    EXPECT_EQ(LoadStoredBitmap(cut).status().code(), StatusCode::kOutOfRange)
-        << BitmapFormatName(format);
-  }
+  std::stringstream stream;
+  ASSERT_TRUE(SaveStoredBitmap(stream, bits).ok());
+  const std::string full = stream.str();
+  std::stringstream cut(full.substr(0, full.size() - 5));
+  EXPECT_EQ(LoadStoredBitmap(cut).status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(StoredBitmapIoTest, StoredBitmapTruncationFuzzEveryFormat) {
+TEST(StoredBitmapIoTest, StoredBitmapTruncationFuzz) {
   // A stored bitmap cut at *every* byte boundary must come back as a
   // descriptive Status — never a crash, an over-allocation on a garbage
   // length, or a silently short bitmap.
@@ -192,62 +237,39 @@ TEST(StoredBitmapIoTest, StoredBitmapTruncationFuzzEveryFormat) {
       bits.Set(i);
     }
   }
-  for (const BitmapFormat format : kAllFormats) {
-    std::stringstream stream;
-    ASSERT_TRUE(
-        SaveStoredBitmap(stream, StoredBitmap::Make(bits, format)).ok());
-    const std::string full = stream.str();
-    for (size_t cut = 0; cut < full.size(); ++cut) {
-      std::stringstream truncated(full.substr(0, cut));
-      const auto loaded = LoadStoredBitmap(truncated);
-      EXPECT_FALSE(loaded.ok())
-          << BitmapFormatName(format) << " decoded a " << cut
-          << "-byte prefix of " << full.size();
-      EXPECT_FALSE(loaded.status().message().empty());
-    }
-    // Byte-flip sweep: corrupted streams must never crash; they either
-    // fail loudly or (e.g. a flipped payload bit) decode to some bitmap.
-    for (int trial = 0; trial < 150; ++trial) {
-      std::string mutated = full;
-      mutated[rng.UniformInt(mutated.size())] =
-          static_cast<char>(rng.Next());
-      std::stringstream garbled(mutated);
-      const auto loaded = LoadStoredBitmap(garbled);
-      (void)loaded;
-    }
-  }
-}
-
-TEST(StoredBitmapIoTest, StoredBitmapCorruptEwahWordsRejected) {
-  BitVector bits(512);
-  for (size_t i = 0; i < 512; i += 2) {
-    bits.Set(i);
-  }
-  const StoredBitmap original = StoredBitmap::Make(bits, BitmapFormat::kEwah);
   std::stringstream stream;
-  ASSERT_TRUE(SaveStoredBitmap(stream, original).ok());
-  std::string bytes = stream.str();
-  // Smash the first marker word (right after magic, tag, size, count).
-  for (size_t i = 24; i < 32 && i < bytes.size(); ++i) {
-    bytes[i] = static_cast<char>(0xFF);
+  ASSERT_TRUE(SaveStoredBitmap(stream, bits).ok());
+  const std::string full = stream.str();
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    std::stringstream truncated(full.substr(0, cut));
+    const auto loaded = LoadStoredBitmap(truncated);
+    EXPECT_FALSE(loaded.ok())
+        << "decoded a " << cut << "-byte prefix of " << full.size();
+    EXPECT_FALSE(loaded.status().message().empty());
   }
-  std::stringstream bad(bytes);
-  EXPECT_FALSE(LoadStoredBitmap(bad).ok());
+  // Byte-flip sweep: corrupted streams must never crash; they either
+  // fail loudly or (e.g. a flipped payload bit) decode to some bitmap.
+  for (int trial = 0; trial < 150; ++trial) {
+    std::string mutated = full;
+    mutated[rng.UniformInt(mutated.size())] = static_cast<char>(rng.Next());
+    std::stringstream garbled(mutated);
+    const auto loaded = LoadStoredBitmap(garbled);
+    (void)loaded;
+  }
 }
 
 TEST(StoredBitmapIoTest, StoredBitmapsShareStreamWithOtherSections) {
   std::stringstream stream;
   const BitVector plain = BitVector::FromString("1010");
-  const StoredBitmap ewah =
-      StoredBitmap::Make(BitVector::FromString("000111"), BitmapFormat::kEwah);
+  const BitVector stored = BitVector::FromString("000111");
   ASSERT_TRUE(SaveBitVector(stream, plain).ok());
-  ASSERT_TRUE(SaveStoredBitmap(stream, ewah).ok());
+  ASSERT_TRUE(SaveStoredBitmap(stream, stored).ok());
   const auto first = LoadBitVector(stream);
   const auto second = LoadStoredBitmap(stream);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, plain);
-  EXPECT_EQ(second->ToBitVector(), BitVector::FromString("000111"));
+  EXPECT_EQ(*second, stored);
 }
 
 }  // namespace

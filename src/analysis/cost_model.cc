@@ -30,9 +30,7 @@ int ReducedPrefixCost(size_t delta, size_t m, bool with_dontcares) {
       dontcare.push_back(c);
     }
   }
-  ReductionOptions options;
-  options.exact_max_terms = space;  // Always exact for model curves.
-  const Cover cover = ReduceRetrievalFunction(onset, dontcare, k, options);
+  const Cover cover = ReduceRetrievalFunction(onset, dontcare, k);
   return DistinctVariables(cover);
 }
 

@@ -6,11 +6,6 @@ namespace ebi {
 
 int Cube::NumLiterals() const { return std::popcount(mask); }
 
-uint64_t Cube::CoverageSize(int k) const {
-  const int free_vars = k - NumLiterals();
-  return uint64_t{1} << free_vars;
-}
-
 std::string Cube::ToString(int k) const {
   if (mask == 0) {
     return "1";
@@ -28,17 +23,6 @@ std::string Cube::ToString(int k) const {
     }
   }
   return out;
-}
-
-std::optional<Cube> TryCombine(const Cube& a, const Cube& b) {
-  if (a.mask != b.mask) {
-    return std::nullopt;
-  }
-  const uint64_t diff = a.values ^ b.values;
-  if (std::popcount(diff) != 1) {
-    return std::nullopt;
-  }
-  return Cube(a.values & ~diff, a.mask & ~diff);
 }
 
 }  // namespace ebi

@@ -2,7 +2,6 @@
 #define EBI_BOOLEAN_CUBE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace ebi {
@@ -44,9 +43,6 @@ struct Cube {
     return (other.mask & mask) == mask && (other.values & mask) == values;
   }
 
-  /// Number of full assignments covered: 2^(k - NumLiterals()).
-  uint64_t CoverageSize(int k) const;
-
   /// Renders like "B2'B1B0" with the highest variable first; an empty mask
   /// renders as "1" (the constant-true cube).
   std::string ToString(int k) const;
@@ -58,11 +54,6 @@ struct Cube {
     return a.mask != b.mask ? a.mask < b.mask : a.values < b.values;
   }
 };
-
-/// If `a` and `b` differ in exactly one specified bit and have the same
-/// mask, returns the merged cube with that bit removed (the adjacency step
-/// of the Quine-McCluskey procedure); otherwise nullopt.
-std::optional<Cube> TryCombine(const Cube& a, const Cube& b);
 
 }  // namespace ebi
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <numeric>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -95,6 +96,36 @@ void AppendPrimes(std::span<const uint64_t> f, int var,
   add_half(f0, 0);
 }
 
+/// Appends to `out` the positions i in [lo, hi) of the codes `cube`
+/// covers. `codes` is sorted, and its entries in [lo, hi) agree on every
+/// bit at or above `var`: the range splits on the next variable down, a
+/// literal keeps one half, a free variable keeps both, and a cube with no
+/// literal below `var` covers the whole range.
+void CollectCovered(const std::vector<uint64_t>& codes, size_t lo, size_t hi,
+                    int var, const Cube& cube, std::vector<uint32_t>* out) {
+  if (lo == hi) {
+    return;
+  }
+  if ((cube.mask & Cube::MinTerm(~uint64_t{0}, var).mask) == 0) {
+    for (size_t i = lo; i < hi; ++i) {
+      out->push_back(static_cast<uint32_t>(i));
+    }
+    return;
+  }
+  const uint64_t x = uint64_t{1} << (var - 1);
+  const size_t split = static_cast<size_t>(
+      std::partition_point(codes.begin() + static_cast<std::ptrdiff_t>(lo),
+                           codes.begin() + static_cast<std::ptrdiff_t>(hi),
+                           [x](uint64_t c) { return (c & x) == 0; }) -
+      codes.begin());
+  if ((cube.mask & x) == 0 || (cube.values & x) == 0) {
+    CollectCovered(codes, lo, split, var - 1, cube, out);
+  }
+  if ((cube.mask & x) == 0 || (cube.values & x) != 0) {
+    CollectCovered(codes, split, hi, var - 1, cube, out);
+  }
+}
+
 }  // namespace
 
 std::vector<Cube> PrimeImplicants(const std::vector<uint64_t>& onset,
@@ -120,8 +151,14 @@ std::vector<Cube> PrimeImplicants(const std::vector<uint64_t>& onset,
 
 Cover MinimizeQm(const std::vector<uint64_t>& onset,
                  const std::vector<uint64_t>& dontcare, int k,
-                 const MinimizeOptions& options, size_t* num_primes) {
-  const std::vector<uint64_t> need = DedupSorted(onset);
+                 size_t* num_primes) {
+  k = std::clamp(k, 0, 64);
+  std::vector<uint64_t> need;
+  need.reserve(onset.size());
+  for (uint64_t code : onset) {
+    need.push_back(Cube::MinTerm(code, k).values);
+  }
+  need = DedupSorted(std::move(need));
   if (need.empty()) {
     return Cover();
   }
@@ -131,75 +168,95 @@ Cover MinimizeQm(const std::vector<uint64_t>& onset,
     *num_primes = primes.size();
   }
 
-  // Prime implicant chart: which primes cover which required minterms.
-  std::vector<std::vector<size_t>> covering(need.size());
+  // The prime chart, stored sparsely both ways as flat arrays: row p
+  // (the minterms prime p covers) is row_entries[row_begin[p],
+  // row_begin[p + 1]), column m (the primes covering minterm m, in
+  // increasing order) likewise in col_entries. gain[p] counts the
+  // uncovered minterms in row p; it drops as selections cover them, so a
+  // selected prime's gain is 0.
+  std::vector<uint32_t> row_entries;
+  std::vector<size_t> row_begin(primes.size() + 1, 0);
   for (size_t p = 0; p < primes.size(); ++p) {
-    for (size_t m = 0; m < need.size(); ++m) {
-      if (primes[p].Covers(need[m])) {
-        covering[m].push_back(p);
-      }
+    CollectCovered(need, 0, need.size(), k, primes[p], &row_entries);
+    row_begin[p + 1] = row_entries.size();
+  }
+  const auto rows = [&](size_t p) {
+    return std::span<const uint32_t>(row_entries)
+        .subspan(row_begin[p], row_begin[p + 1] - row_begin[p]);
+  };
+  std::vector<size_t> col_begin(need.size() + 1, 0);
+  for (uint32_t m : row_entries) {
+    ++col_begin[m + 1];
+  }
+  std::partial_sum(col_begin.begin(), col_begin.end(), col_begin.begin());
+  std::vector<uint32_t> col_entries(row_entries.size());
+  std::vector<size_t> fill(col_begin.begin(), col_begin.end() - 1);
+  std::vector<size_t> gain(primes.size());
+  for (size_t p = 0; p < primes.size(); ++p) {
+    gain[p] = rows(p).size();
+    for (uint32_t m : rows(p)) {
+      col_entries[fill[m]++] = static_cast<uint32_t>(p);
     }
   }
+  const auto cols = [&](size_t m) {
+    return std::span<const uint32_t>(col_entries)
+        .subspan(col_begin[m], col_begin[m + 1] - col_begin[m]);
+  };
 
   std::vector<bool> covered(need.size(), false);
-  std::vector<bool> selected(primes.size(), false);
-  Cover result;
+  std::vector<size_t> picked;
   uint64_t used_vars = 0;
   size_t remaining = need.size();
 
   auto select = [&](size_t p) {
-    selected[p] = true;
-    result.push_back(primes[p]);
+    picked.push_back(p);
     used_vars |= primes[p].mask;
-    for (size_t m = 0; m < need.size(); ++m) {
-      if (!covered[m] && primes[p].Covers(need[m])) {
+    for (uint32_t m : rows(p)) {
+      if (!covered[m]) {
         covered[m] = true;
         --remaining;
+        for (uint32_t q : cols(m)) {
+          --gain[q];
+        }
       }
     }
   };
 
   // 1. Essential primes: minterms with a single covering prime.
   for (size_t m = 0; m < need.size(); ++m) {
-    if (covering[m].size() == 1 && !selected[covering[m][0]]) {
-      select(covering[m][0]);
+    if (cols(m).size() == 1 && !covered[m]) {
+      select(cols(m)[0]);
     }
   }
 
   // 2a. Exact completion for small charts: branch-and-bound set cover over
   //     the remaining minterms (Petrick's method in spirit), minimizing the
   //     number of selected primes.
-  if (remaining > 0) {
-    std::vector<size_t> uncovered;
+  if (remaining > 0 && remaining <= 64) {
+    std::vector<size_t> slot(need.size(), 0);
+    size_t uncovered = 0;
     for (size_t m = 0; m < need.size(); ++m) {
       if (!covered[m]) {
-        uncovered.push_back(m);
+        slot[m] = uncovered++;
       }
     }
     std::vector<size_t> candidates;
-    for (size_t p = 0; p < primes.size(); ++p) {
-      if (selected[p]) {
-        continue;
-      }
-      for (size_t u : uncovered) {
-        if (primes[p].Covers(need[u])) {
-          candidates.push_back(p);
-          break;
-        }
+    for (size_t p = 0; p < primes.size() && candidates.size() <= 24; ++p) {
+      if (gain[p] > 0) {
+        candidates.push_back(p);
       }
     }
-    if (uncovered.size() <= 64 && candidates.size() <= 24) {
+    if (candidates.size() <= 24) {
       std::vector<uint64_t> cover_mask(candidates.size(), 0);
       for (size_t c = 0; c < candidates.size(); ++c) {
-        for (size_t u = 0; u < uncovered.size(); ++u) {
-          if (primes[candidates[c]].Covers(need[uncovered[u]])) {
-            cover_mask[c] |= uint64_t{1} << u;
+        for (uint32_t m : rows(candidates[c])) {
+          if (!covered[m]) {
+            cover_mask[c] |= uint64_t{1} << slot[m];
           }
         }
       }
-      const uint64_t full = uncovered.size() == 64
-                                ? ~uint64_t{0}
-                                : (uint64_t{1} << uncovered.size()) - 1;
+      const uint64_t full = uncovered == 64 ? ~uint64_t{0}
+                                            : (uint64_t{1} << uncovered) - 1;
       std::vector<size_t> best_pick;
       std::vector<size_t> pick;
       size_t best_size = candidates.size() + 1;
@@ -232,38 +289,27 @@ Cover MinimizeQm(const std::vector<uint64_t>& onset,
   }
 
   // 2b. Greedy completion (large charts, or exact-search fallback):
-  //    repeatedly take the prime that covers the most uncovered minterms,
-  //    tie-broken toward (a) introducing fewer new variables when
-  //    requested, then (b) fewer literals.
+  //     repeatedly take the prime that covers the most uncovered minterms,
+  //     tie-broken toward (a) introducing fewer new variables — the
+  //     paper's cost metric is distinct bitmap vectors accessed — then
+  //     (b) fewer literals, then (c) the lower prime index.
   while (remaining > 0) {
     size_t best = primes.size();
     size_t best_gain = 0;
     int best_new_vars = 65;
     int best_literals = 65;
     for (size_t p = 0; p < primes.size(); ++p) {
-      if (selected[p]) {
+      if (gain[p] == 0) {
         continue;
       }
-      size_t gain = 0;
-      for (size_t m = 0; m < need.size(); ++m) {
-        if (!covered[m] && primes[p].Covers(need[m])) {
-          ++gain;
-        }
-      }
-      if (gain == 0) {
-        continue;
-      }
-      const int new_vars =
-          options.prefer_fewer_variables
-              ? std::popcount(primes[p].mask & ~used_vars)
-              : 0;
+      const int new_vars = std::popcount(primes[p].mask & ~used_vars);
       const int literals = primes[p].NumLiterals();
       const bool better =
           std::tuple(best_gain, -best_new_vars, -best_literals) <
-          std::tuple(gain, -new_vars, -literals);
+          std::tuple(gain[p], -new_vars, -literals);
       if (better) {
         best = p;
-        best_gain = gain;
+        best_gain = gain[p];
         best_new_vars = new_vars;
         best_literals = literals;
       }
@@ -274,28 +320,31 @@ Cover MinimizeQm(const std::vector<uint64_t>& onset,
     select(best);
   }
 
-  // 3. Drop redundant primes (a greedy pass can select primes that later
-  //    selections made unnecessary).
-  for (size_t i = result.size(); i > 0; --i) {
-    Cover without;
-    without.reserve(result.size() - 1);
-    for (size_t j = 0; j < result.size(); ++j) {
-      if (j != i - 1) {
-        without.push_back(result[j]);
-      }
-    }
-    bool still_covered = true;
-    for (uint64_t m : need) {
-      if (!CoverCovers(without, m)) {
-        still_covered = false;
-        break;
-      }
-    }
-    if (still_covered) {
-      result = std::move(without);
+  // 3. Drop redundant primes, last selected first (a greedy pass can
+  //    select primes that later selections made unnecessary). A prime is
+  //    redundant when every minterm it covers is covered by at least one
+  //    other prime still in the cover.
+  std::vector<uint32_t> times_covered(need.size(), 0);
+  for (size_t p : picked) {
+    for (uint32_t m : rows(p)) {
+      ++times_covered[m];
     }
   }
-
+  for (size_t i = picked.size(); i > 0; --i) {
+    const std::span<const uint32_t> row = rows(picked[i - 1]);
+    if (std::all_of(row.begin(), row.end(),
+                    [&](uint32_t m) { return times_covered[m] >= 2; })) {
+      for (uint32_t m : row) {
+        --times_covered[m];
+      }
+      picked.erase(picked.begin() + static_cast<std::ptrdiff_t>(i - 1));
+    }
+  }
+  Cover result;
+  result.reserve(picked.size());
+  for (size_t p : picked) {
+    result.push_back(primes[p]);
+  }
   return result;
 }
 

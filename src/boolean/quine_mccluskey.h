@@ -9,30 +9,27 @@
 
 namespace ebi {
 
-/// Options for exact two-level minimization.
-struct MinimizeOptions {
-  /// When selecting among prime implicants, prefer ones that do not
-  /// introduce new variables. This biases the cover toward the paper's cost
-  /// metric (distinct bitmap vectors accessed) instead of literal count.
-  bool prefer_fewer_variables = true;
-};
-
 /// Exact two-level minimization via the Quine-McCluskey procedure.
 ///
 /// `onset` are the codewords on which the function must be 1, `dontcare`
 /// the codewords whose output is unconstrained (unused codewords of an
 /// encoding, and — per Theorem 2.1 — the void codeword), `k` the number of
-/// variables (bitmap vectors). Returns an irredundant sum-of-products cover
-/// built from prime implicants: all essential primes plus a greedy
-/// selection for the remaining minterms.
+/// variables (bitmap vectors); codes are read over their low `k` bits, as
+/// Cube::MinTerm does. Returns an irredundant sum-of-products cover
+/// built from prime implicants: all essential primes, then a
+/// branch-and-bound completion when at most 64 minterms and 24 candidate
+/// primes remain, else a greedy one that prefers primes introducing fewer
+/// new variables (the paper's cost metric), then a reverse pass dropping
+/// redundant primes.
 ///
-/// The number of prime implicants can be exponential in k, and so can the
-/// chart (the paper discusses exactly this cost in Section 3.2); use
-/// `ReduceCoverHeuristic` from reduction.h for large instances. When
-/// `num_primes` is set it receives the size of the prime chart.
+/// The number of prime implicants can be exponential in k (the paper
+/// discusses exactly this cost in Section 3.2). The chart is stored
+/// sparsely, as the onset minterms each prime covers and the primes
+/// covering each minterm, so its cost follows the chart's entries rather
+/// than primes × minterms. When `num_primes` is set it receives the number
+/// of prime implicants.
 Cover MinimizeQm(const std::vector<uint64_t>& onset,
                  const std::vector<uint64_t>& dontcare, int k,
-                 const MinimizeOptions& options = MinimizeOptions(),
                  size_t* num_primes = nullptr);
 
 /// Computes all prime implicants of the function defined by onset ∪

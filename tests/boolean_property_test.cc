@@ -78,49 +78,8 @@ TEST(BooleanExhaustiveTest, AllThreeVariableFunctionsWithDontCares) {
   }
 }
 
-TEST(BooleanExhaustiveTest, HeuristicAgreesWithExactSemantics) {
-  // The heuristic reducer on every 4-variable function of a random
-  // sample: must be semantically identical to the raw min-terms.
-  Rng rng(2718);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int k = 4;
-    Cover raw;
-    std::vector<uint64_t> onset;
-    for (uint64_t m = 0; m < 16; ++m) {
-      if (rng.Bernoulli(0.5)) {
-        raw.push_back(Cube::MinTerm(m, k));
-        onset.push_back(m);
-      }
-    }
-    const Cover reduced = ReduceCoverHeuristic(raw);
-    ASSERT_EQ(TruthTable(reduced, k), TruthTable(raw, k))
-        << "trial " << trial;
-  }
-}
-
-TEST(BooleanExhaustiveTest, ExactNeverWorseThanHeuristic) {
-  Rng rng(31415);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int k = 4;
-    std::vector<uint64_t> onset;
-    for (uint64_t m = 0; m < 16; ++m) {
-      if (rng.Bernoulli(0.4)) {
-        onset.push_back(m);
-      }
-    }
-    ReductionOptions heuristic_only;
-    heuristic_only.exact_max_terms = 0;
-    const Cover exact = ReduceRetrievalFunction(onset, {}, k);
-    const Cover heuristic =
-        ReduceRetrievalFunction(onset, {}, k, heuristic_only);
-    EXPECT_LE(exact.size(), heuristic.size()) << trial;
-    EXPECT_LE(DistinctVariables(exact), k);
-    EXPECT_EQ(TruthTable(exact, k), TruthTable(heuristic, k));
-  }
-}
-
-TEST(BooleanExhaustiveTest, LargeWidthHeuristicPathScales) {
-  // k = 20 (a million-codeword space): the heuristic path must handle a
+TEST(BooleanExhaustiveTest, LargeWidthReductionScales) {
+  // k = 20 (a million-codeword space): the reduction must handle a
   // 512-value consecutive selection quickly and still collapse it to the
   // enclosing subcube structure.
   const int k = 20;
@@ -128,9 +87,7 @@ TEST(BooleanExhaustiveTest, LargeWidthHeuristicPathScales) {
   for (uint64_t m = 0; m < 512; ++m) {
     onset.push_back(m);
   }
-  ReductionOptions options;
-  options.exact_max_terms = 0;  // Force the heuristic.
-  const Cover cover = ReduceRetrievalFunction(onset, {}, k, options);
+  const Cover cover = ReduceRetrievalFunction(onset, {}, k);
   // [0, 512) is a 9-subcube: one cube with k-9 = 11 literals.
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover[0].NumLiterals(), 11);

@@ -48,36 +48,6 @@ TEST(CubeTest, ContainsAbsorption) {
   EXPECT_TRUE(big.Contains(big));
 }
 
-TEST(CubeTest, CoverageSize) {
-  EXPECT_EQ(Cube::MinTerm(0, 4).CoverageSize(4), 1u);
-  EXPECT_EQ(Cube(0, 0b0011).CoverageSize(4), 4u);
-  EXPECT_EQ(Cube(0, 0).CoverageSize(4), 16u);
-}
-
-TEST(CubeTest, TryCombineAdjacent) {
-  // B1'B0' + B1'B0 = B1'.
-  const auto merged =
-      TryCombine(Cube::MinTerm(0b00, 2), Cube::MinTerm(0b01, 2));
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->mask, 0b10u);
-  EXPECT_EQ(merged->values, 0b00u);
-}
-
-TEST(CubeTest, TryCombineRejectsDistanceTwo) {
-  EXPECT_FALSE(
-      TryCombine(Cube::MinTerm(0b00, 2), Cube::MinTerm(0b11, 2)).has_value());
-}
-
-TEST(CubeTest, TryCombineRejectsDifferentMasks) {
-  EXPECT_FALSE(
-      TryCombine(Cube(0b0, 0b01), Cube(0b00, 0b11)).has_value());
-}
-
-TEST(CubeTest, TryCombineRejectsIdentical) {
-  const Cube c = Cube::MinTerm(0b01, 2);
-  EXPECT_FALSE(TryCombine(c, c).has_value());
-}
-
 TEST(CubeTest, ToStringPaperNotation) {
   // f_a = B1'B0' from Figure 1's example.
   EXPECT_EQ(Cube::MinTerm(0b00, 2).ToString(2), "B1'B0'");
@@ -98,11 +68,9 @@ TEST(CubeTest, OrderingIsDeterministic) {
 TEST(CubeTest, MergedCubeCoversBothParents) {
   const Cube x = Cube::MinTerm(0b0110, 4);
   const Cube y = Cube::MinTerm(0b0100, 4);
-  const auto merged = TryCombine(x, y);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_TRUE(merged->Contains(x));
-  EXPECT_TRUE(merged->Contains(y));
-  EXPECT_EQ(merged->CoverageSize(4), 2u);
+  const Cube merged(0b0100, 0b1101);  // B3'B2B0': x and y without B1.
+  EXPECT_TRUE(merged.Contains(x));
+  EXPECT_TRUE(merged.Contains(y));
 }
 
 }  // namespace

@@ -83,6 +83,38 @@ TEST_F(EncodedBitmapIndexTest, RangeMatchesScan) {
   }
 }
 
+/// A column of `values` distinct values, each on two rows.
+std::vector<int64_t> TwoRowsPerValue(int64_t values) {
+  std::vector<int64_t> out;
+  out.reserve(static_cast<size_t>(2 * values));
+  for (int64_t row = 0; row < 2 * values; ++row) {
+    out.push_back(row % values);
+  }
+  return out;
+}
+
+TEST_F(EncodedBitmapIndexTest, EqualsOnWideColumnWithManyFreeCodes) {
+  // 16,385 values plus the void codeword need k = 15, which leaves 16,382
+  // free codewords: every point query reduces against that don't-care set.
+  Init(IntTable(TwoRowsPerValue(16385)));
+  ASSERT_EQ(index_->NumVectors(), 15u);
+  for (int64_t v : {0, 1, 8191, 16384}) {
+    const auto result = index_->EvaluateEquals(Value::Int(v));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(*result, ScanEquals(*table_, table_->column(0), v)) << v;
+  }
+}
+
+TEST_F(EncodedBitmapIndexTest, WideRangeOnTwelveThousandValues) {
+  // The paper's 12,000-product column (k = 14, 4,383 free codewords) with a
+  // range over 4,000 values.
+  Init(IntTable(TwoRowsPerValue(12000)));
+  ASSERT_EQ(index_->NumVectors(), 14u);
+  const auto result = index_->EvaluateRange(3000, 6999);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(*result, ScanRange(*table_, table_->column(0), 3000, 6999));
+}
+
 TEST_F(EncodedBitmapIndexTest, ReductionBoundsVectorReads) {
   // δ = m/2 on a sequential encoding reads at most ceil(log2 m) vectors —
   // the paper's step-function bound, vs δ for simple bitmaps.

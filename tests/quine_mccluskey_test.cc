@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "util/random.h"
 
@@ -143,6 +144,59 @@ TEST(QuineMcCluskeyTest, PrefixSelectionsReduceLikePaperSection31) {
     }
     const Cover cover = MinimizeQm(onset, {}, k);
     EXPECT_EQ(DistinctVariables(cover), k - j) << "j=" << j;
+  }
+}
+
+/// The cover as paper-notation strings, in selection order.
+std::vector<std::string> CubeStrings(const Cover& cover, int k) {
+  std::vector<std::string> out;
+  for (const Cube& cube : cover) {
+    out.push_back(cube.ToString(k));
+  }
+  return out;
+}
+
+TEST(QuineMcCluskeyTest, GreedyAndRedundancyPassSelectionOrderIsPinned) {
+  // Each chart has more than 24 candidate primes after the essentials, so
+  // the cover is completed greedily, and the reverse redundancy pass then
+  // drops one or two of the picks. The expected lists pin the order of the
+  // passes, the direction of the redundancy pass and the greedy
+  // tie-breaks (fewer new variables, then fewer literals, then the lower
+  // prime): a change to any of them fails here.
+  struct Golden {
+    int k;
+    std::vector<uint64_t> onset;
+    std::vector<uint64_t> dontcare;
+    std::vector<std::string> cover;
+  };
+  const std::vector<Golden> goldens = {
+      {5,
+       {2, 3, 7, 9, 12, 15, 17, 18, 19, 20, 23, 24, 25, 26, 28},
+       {0, 4, 5, 6, 8, 10, 11, 21, 29, 30, 31},
+       {"B3'B1B0", "B2'B1B0'", "B3B2'B1'", "B2B1'B0'", "B2B1B0",
+        "B4B1'B0"}},
+      {5,
+       {1, 4, 6, 7, 9, 14, 15, 16, 17, 18, 19, 20, 23, 25, 29, 30, 31},
+       {0, 3, 5, 8, 10, 11, 12, 26, 28},
+       {"B2'B1'B0", "B2B1B0", "B3'B1'B0'", "B4B3'B2'", "B4'B2B0'",
+        "B4B3B2"}},
+      {6,
+       {1, 2, 5, 13, 15, 16, 18, 20, 29, 31, 34, 35, 41, 44, 46, 47, 49, 57},
+       {0, 3, 9, 12, 21, 22, 24, 25, 26, 27, 33, 39, 48, 50, 52, 60, 63},
+       {"B5B2'B1'B0", "B4'B3'B2'B0", "B5B4'B3B2B0'", "B3'B2'B1B0'",
+        "B3B2B1B0", "B4B3'B1'B0'", "B5'B2B1'B0"}},
+      // Here a forward redundancy pass would keep a different prime.
+      {6,
+       {1, 4, 6, 10, 11, 12, 14, 15, 16, 17, 18, 19, 21, 22, 23, 24,
+        26, 31, 33, 34, 35, 37, 38, 40, 42, 43, 45, 47, 50, 56, 60},
+       {0, 2, 3, 5, 7, 8, 13, 27, 39, 41, 44, 53, 54, 58, 59, 61, 62},
+       {"B5'B1B0", "B2'B1B0'", "B5B4'B0", "B5'B4'B0'", "B5'B3'B0",
+        "B3'B1B0'", "B5'B2'B0'", "B5B3B1'B0'"}},
+  };
+  for (const Golden& g : goldens) {
+    const Cover cover = MinimizeQm(g.onset, g.dontcare, g.k);
+    EXPECT_EQ(CubeStrings(cover, g.k), g.cover);
+    EXPECT_TRUE(CoverMatches(cover, g.onset, g.dontcare, g.k));
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "boolean/quine_mccluskey.h"
-#include "util/random.h"
 
 namespace ebi {
 namespace {
@@ -26,101 +25,27 @@ TEST(ReductionTest, EmptyOnsetStaysEmpty) {
   EXPECT_TRUE(ReduceRetrievalFunction({}, {0, 1}, 2).empty());
 }
 
-TEST(ReductionTest, HeuristicFixpointMergesChains) {
-  // Eight consecutive min-terms collapse to a single free cube.
-  Cover cover;
-  for (uint64_t m = 0; m < 8; ++m) {
-    cover.push_back(Cube::MinTerm(m, 3));
+TEST(ReductionTest, LargeDontCareSetReducesExactly) {
+  // A sequential mapping of 9,000 values at k = 14 leaves 7,384 free
+  // codewords; with a 2,000-code BETWEEN that is 9,384 terms, above the
+  // point where reduction once left the exact minimizer. The result must
+  // be MinimizeQm's cover, and a correct one.
+  const int k = 14;
+  const uint64_t used = 9000;
+  std::vector<uint64_t> dontcare;
+  for (uint64_t code = used; code < (uint64_t{1} << k); ++code) {
+    dontcare.push_back(code);
   }
-  const Cover reduced = ReduceCoverHeuristic(cover);
-  ASSERT_EQ(reduced.size(), 1u);
-  EXPECT_EQ(reduced[0].mask, 0u);
-}
-
-TEST(ReductionTest, HeuristicAbsorbsContainedCubes) {
-  const Cover cover = {Cube(0b00, 0b10), Cube::MinTerm(0b00, 2)};
-  const Cover reduced = ReduceCoverHeuristic(cover);
-  ASSERT_EQ(reduced.size(), 1u);
-  EXPECT_EQ(reduced[0], Cube(0b00, 0b10));
-}
-
-TEST(ReductionTest, HeuristicPreservesSemantics) {
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int k = 4;
-    std::vector<uint64_t> onset;
-    for (uint64_t m = 0; m < (uint64_t{1} << k); ++m) {
-      if (rng.Bernoulli(0.45)) {
-        onset.push_back(m);
-      }
-    }
-    Cover raw;
-    for (uint64_t m : onset) {
-      raw.push_back(Cube::MinTerm(m, k));
-    }
-    const Cover reduced = ReduceCoverHeuristic(raw);
-    EXPECT_TRUE(CoversEquivalent(raw, reduced, k)) << "trial " << trial;
-    EXPECT_LE(reduced.size(), raw.size());
+  std::vector<uint64_t> onset;
+  for (uint64_t code = 3000; code < 5000; ++code) {
+    onset.push_back(code);
   }
-}
-
-TEST(ReductionTest, LargeDontCareSetIsSkipped) {
-  ReductionOptions options;
-  options.max_dontcare_terms = 2;
-  std::vector<uint64_t> dc = {2, 3, 6, 7};  // 4 > 2: must be ignored.
-  const Cover with_cap = ReduceRetrievalFunction({0, 1}, dc, 3, options);
-  const Cover without_dc = ReduceRetrievalFunction({0, 1}, {}, 3, options);
-  EXPECT_EQ(with_cap.size(), without_dc.size());
-  EXPECT_EQ(DistinctVariables(with_cap), DistinctVariables(without_dc));
-}
-
-TEST(ReductionTest, HeuristicPathKeepsOnlyUsefulCubes) {
-  // Force the heuristic path with a tiny exact threshold.
-  ReductionOptions options;
-  options.exact_max_terms = 1;
-  const std::vector<uint64_t> onset = {0b000, 0b001};
-  const std::vector<uint64_t> dc = {0b010, 0b011};
-  const Cover cover = ReduceRetrievalFunction(onset, dc, 3, options);
-  // Every returned cube must cover at least one onset codeword.
-  for (const Cube& cube : cover) {
-    EXPECT_TRUE(cube.Covers(0b000) || cube.Covers(0b001))
-        << cube.ToString(3);
+  const Cover cover = ReduceRetrievalFunction(onset, dontcare, k);
+  EXPECT_EQ(cover, MinimizeQm(onset, dontcare, k));
+  for (uint64_t code = 0; code < used; ++code) {
+    EXPECT_EQ(CoverCovers(cover, code), code >= 3000 && code < 5000)
+        << code;
   }
-  // And the onset must be covered.
-  EXPECT_TRUE(CoverCovers(cover, 0b000));
-  EXPECT_TRUE(CoverCovers(cover, 0b001));
-  // The offset must not.
-  EXPECT_FALSE(CoverCovers(cover, 0b100));
-  EXPECT_FALSE(CoverCovers(cover, 0b111));
-}
-
-TEST(ReductionTest, HeuristicAndExactAgreeOnPrefixCosts) {
-  // On prefix selections both paths find the subcube structure.
-  ReductionOptions heuristic;
-  heuristic.exact_max_terms = 1;
-  for (int j = 1; j <= 4; ++j) {
-    std::vector<uint64_t> onset;
-    for (uint64_t c = 0; c < (uint64_t{1} << j); ++c) {
-      onset.push_back(c);
-    }
-    const Cover exact = ReduceRetrievalFunction(onset, {}, 5);
-    const Cover heur = ReduceRetrievalFunction(onset, {}, 5, heuristic);
-    EXPECT_EQ(DistinctVariables(exact), 5 - j);
-    EXPECT_EQ(DistinctVariables(heur), 5 - j);
-  }
-}
-
-TEST(ReductionTest, VariablePreferenceReducesVectorCount) {
-  // prefer_fewer_variables steers tie-breaks; the result must still be
-  // correct and no worse in distinct variables than the unbiased one.
-  ReductionOptions biased;
-  biased.prefer_fewer_variables = true;
-  ReductionOptions unbiased;
-  unbiased.prefer_fewer_variables = false;
-  const std::vector<uint64_t> onset = {0, 1, 2, 5, 6, 7};
-  const Cover a = ReduceRetrievalFunction(onset, {}, 3, biased);
-  const Cover b = ReduceRetrievalFunction(onset, {}, 3, unbiased);
-  EXPECT_TRUE(CoversEquivalent(a, b, 3));
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ TEST(Theorem22Test, PowerOfTwoWellDefinedIffSubcubeCost) {
   // well-defined property (a prime chain) holds exactly when the selection
   // reduces to k-p vectors: a prime chain of 2^p codewords is a p-subcube.
   ReductionOptions no_dc;
-  no_dc.max_dontcare_terms = 0;
   const size_t m = 8;  // k = 3, full space.
   const int k = 3;
   int well_defined_seen = 0;

@@ -216,4 +216,17 @@ std::string MappingTable::ToString() const {
   return out;
 }
 
+Result<Cover> ReduceSelection(const MappingTable& mapping,
+                              const std::vector<ValueId>& ids,
+                              const ReductionOptions& options) {
+  std::vector<uint64_t> onset;
+  onset.reserve(ids.size());
+  for (ValueId id : ids) {
+    EBI_ASSIGN_OR_RETURN(const uint64_t code, mapping.CodeOf(id));
+    onset.push_back(code);
+  }
+  const std::vector<uint64_t> dc = mapping.UnusedCodes(kMaxDontCareTerms);
+  return ReduceRetrievalFunction(onset, dc, mapping.width(), options);
+}
+
 }  // namespace ebi

@@ -7,7 +7,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "boolean/cover.h"
 #include "boolean/cube.h"
+#include "boolean/reduction.h"
 #include "storage/column.h"
 #include "util/status.h"
 
@@ -94,6 +96,16 @@ class MappingTable {
   };
   std::vector<CodeRange> free_ranges_ = {{0, 0}};  // Width 0: code 0 free.
 };
+
+/// Reduces the retrieval function of the selection "value in `ids`": the
+/// onset is the ids' codewords under `mapping`, the don't-cares its first
+/// kMaxDontCareTerms unused codewords. Unused codewords never occur in the
+/// data; reserved codewords (void/NULL) stay constrained to 0, so a
+/// selection never returns void or NULL tuples. Every index and cost model
+/// reduces a selection through here, so the don't-care cap is one policy.
+Result<Cover> ReduceSelection(const MappingTable& mapping,
+                              const std::vector<ValueId>& ids,
+                              const ReductionOptions& options);
 
 }  // namespace ebi
 

@@ -243,6 +243,45 @@ TEST(MappingTableTest, CodeOfUnknownValueFails) {
   EXPECT_EQ(table->CodeOf(9).status().code(), StatusCode::kNotFound);
 }
 
+TEST(MappingTableTest, ReduceSelectionSelectsExactlyTheIds) {
+  // 1,000 values in an 18-bit code space leave more free codewords than
+  // kMaxDontCareTerms, so the don't-care set is the capped prefix.
+  constexpr int kWidth = 18;
+  std::vector<uint64_t> codes;
+  for (uint64_t c = 2; c < 1002; ++c) {
+    codes.push_back(c);
+  }
+  const auto table = MappingTable::Create(kWidth, codes, 0, 1);
+  ASSERT_TRUE(table.ok());
+  ASSERT_GT((uint64_t{1} << kWidth) - table->NumCodes(), kMaxDontCareTerms);
+
+  std::vector<ValueId> ids = {3, 17, 500, 999};
+  for (ValueId id = 100; id < 400; ++id) {
+    ids.push_back(id);
+  }
+  const auto cover = ReduceSelection(*table, ids, ReductionOptions());
+  ASSERT_TRUE(cover.ok());
+  std::vector<uint64_t> onset;
+  for (ValueId id : ids) {
+    onset.push_back(*table->CodeOf(id));
+  }
+  EXPECT_EQ(*cover,
+            ReduceRetrievalFunction(onset, table->UnusedCodes(kMaxDontCareTerms),
+                                    kWidth));
+  const std::unordered_set<ValueId> selected(ids.begin(), ids.end());
+  for (ValueId id = 0; id < codes.size(); ++id) {
+    EXPECT_EQ(CoverCovers(*cover, codes[id]), selected.contains(id))
+        << "id=" << id;
+  }
+  EXPECT_FALSE(CoverCovers(*cover, 0));  // void
+  EXPECT_FALSE(CoverCovers(*cover, 1));  // NULL
+
+  EXPECT_EQ(ReduceSelection(*table, {ValueId{5000}}, ReductionOptions())
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
 TEST(MappingTableTest, ToStringShowsBits) {
   const auto table = MappingTable::Create(2, {0b10});
   ASSERT_TRUE(table.ok());

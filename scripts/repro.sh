@@ -49,7 +49,7 @@ ctest --test-dir build-asan 2>&1 | tee -a test_output.txt
 # lock-rank registry, the shared atomic accountant, the serving layer
 # (snapshot pins + combining appends under real races), the sharded
 # cluster tier (scatter-gather + routed appends + sheds), and the storage
-# engine (buffer-pool pins + concurrent WAL appends).
+# engine (page reads beside a writer + concurrent WAL appends).
 # TSan and ASan cannot share a build, hence the third tree.
 cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Debug \
   -DEBI_SANITIZE=thread

@@ -14,10 +14,6 @@
 
 namespace ebi {
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 /// Options for the cold encoded bitmap index.
 struct ColdEncodedBitmapIndexOptions {
   /// Buffer-pool capacity in 4 KB pages. With fewer pooled pages than
@@ -28,9 +24,6 @@ struct ColdEncodedBitmapIndexOptions {
   /// Directory for the backing file.
   std::string directory = "/tmp";
   ReductionOptions reduction;
-  /// When set, cover evaluation prefetches the referenced slices'
-  /// pages asynchronously on this pool before the blocking reads.
-  exec::ThreadPool* prefetch_pool = nullptr;
 };
 
 /// A disk-resident encoded bitmap index: the k = ceil(log2 m) slice

@@ -29,8 +29,6 @@ inline constexpr char kMetricBufferPoolEvictions[] =
     "ebi.buffer_pool.evictions";
 inline constexpr char kMetricBufferPoolWritebacks[] =
     "ebi.buffer_pool.writebacks";
-inline constexpr char kMetricBufferPoolPrefetches[] =
-    "ebi.buffer_pool.prefetches";
 
 // --- Write-ahead log (src/storage/engine/wal.cc, DESIGN.md §12).
 inline constexpr char kMetricWalAppends[] = "ebi.wal.appends";

@@ -9,15 +9,10 @@ namespace ebi {
 
 Result<BitmapStore> BitmapStore::Open(const std::string& path,
                                       size_t capacity_pages,
-                                      IoAccountant* io,
-                                      exec::ThreadPool* prefetch_pool) {
-  if (capacity_pages == 0) {
-    return Status::InvalidArgument("pool capacity must be > 0");
-  }
+                                      IoAccountant* io) {
   engine::StorageEngineOptions options;
   options.pool_pages = capacity_pages;
   options.io = io;
-  options.prefetch_pool = prefetch_pool;
   options.remove_on_close = true;
   EBI_ASSIGN_OR_RETURN(std::unique_ptr<engine::StorageEngine> engine,
                        engine::StorageEngine::Open(path, options));
@@ -102,10 +97,6 @@ Status VectorReader::Finish() {
   EBI_RETURN_IF_ERROR(bytes_.Finish());
   store_->CountRead(bytes_.pages_faulted());
   return Status::OK();
-}
-
-void BitmapStore::Prefetch(const std::vector<VectorId>& ids) {
-  engine_->PrefetchSlices(ids);
 }
 
 BitmapStoreStats BitmapStore::stats() const {

@@ -82,12 +82,9 @@ class BitmapStore {
   /// Opens (creates/truncates) the backing file. `capacity_pages` is the
   /// number of 4 KB pages the buffer pool may keep in memory. The backing
   /// file (and its extent-map sidecar) is removed when the store dies —
-  /// use engine::StorageEngine directly for durable stores. When
-  /// `prefetch_pool` is set, Prefetch() warms pages asynchronously.
+  /// use engine::StorageEngine directly for durable stores.
   static Result<BitmapStore> Open(const std::string& path,
-                                  size_t capacity_pages,
-                                  IoAccountant* io,
-                                  exec::ThreadPool* prefetch_pool = nullptr);
+                                  size_t capacity_pages, IoAccountant* io);
 
   BitmapStore(const BitmapStore&) = delete;
   BitmapStore& operator=(const BitmapStore&) = delete;
@@ -111,10 +108,6 @@ class BitmapStore {
   /// `bits` bits: the same page lookups and charges as Get, but the
   /// vector is never assembled.
   Result<VectorReader> Read(VectorId id, size_t bits);
-
-  /// Warms the pool with the pages of the given vectors (asynchronous
-  /// when the engine has a prefetch pool).
-  void Prefetch(const std::vector<VectorId>& ids);
 
   /// Number of vectors stored.
   size_t Size() const { return engine_->NumSlices(); }

@@ -15,11 +15,6 @@
 #include "util/thread_annotations.h"
 
 namespace ebi {
-
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 namespace engine {
 
 struct StorageEngineOptions {
@@ -28,8 +23,6 @@ struct StorageEngineOptions {
   /// Buffer-pool capacity in pages.
   size_t pool_pages = 64;
   IoAccountant* io = nullptr;
-  /// When set, PrefetchSlices faults pages asynchronously.
-  exec::ThreadPool* prefetch_pool = nullptr;
   /// true: reopen an existing engine — load the extent-map sidecar and
   /// keep the page file's contents. false: create/truncate fresh files.
   bool recover = false;
@@ -51,12 +44,14 @@ struct SliceExtent {
 };
 
 /// Streams one slice's payload bytes in page order without assembling
-/// the slice — the cold cover pass's read path (DESIGN.md §12). Each page
-/// of the extent is looked up in the pool exactly once, as GetSlice
-/// would, and its payload copied once, under the pool lock, into a
-/// staging buffer of one page; nothing stays pinned, so a reader works at
-/// any pool capacity. Obtained from StorageEngine::ReadSlice; the engine
-/// must outlive it.
+/// the slice — the engine's one read path (DESIGN.md §12): the cold
+/// cover pass drains it block by block and GetSlice drains it whole.
+/// Each page of the extent is looked up in the pool exactly once and its
+/// payload copied once, under the pool lock (BufferPool::CopyPage):
+/// straight into the caller's buffer when a read wants at least a whole
+/// page, else into a staging buffer of one page. Nothing stays resident
+/// on the reader's behalf, so a reader works at any pool capacity.
+/// Obtained from StorageEngine::ReadSlice; the engine must outlive it.
 class SliceReader {
  public:
   SliceReader(SliceReader&&) noexcept = default;
@@ -75,21 +70,21 @@ class SliceReader {
 
  private:
   friend class StorageEngine;
-  SliceReader(BufferPool* pool, uint32_t file_id, uint32_t slice,
-              const SliceExtent& extent, uint32_t pages_used,
-              size_t page_capacity);
-  /// Copies the next page's payload into the staging buffer.
-  [[nodiscard]] Status Stage();
+  SliceReader(BufferPool* pool, uint32_t slice, const SliceExtent& extent,
+              uint32_t pages_used, size_t page_capacity);
+  /// Copies the next page's payload into `dst` (room for one page's
+  /// capacity), returning its length.
+  [[nodiscard]] Result<size_t> CopyNextPage(uint8_t* dst);
 
   BufferPool* pool_;
-  uint32_t file_id_;
   uint32_t slice_;
   uint32_t next_page_;
   uint32_t end_page_;
   uint64_t extent_bytes_;
-  /// Payload bytes of the pages staged so far.
-  uint64_t staged_total_ = 0;
-  std::vector<uint8_t> staging_;
+  /// Payload bytes of the pages read so far.
+  uint64_t read_total_ = 0;
+  size_t page_capacity_;
+  std::unique_ptr<uint8_t[]> staging_;
   size_t staged_ = 0;
   size_t offset_ = 0;
   size_t pages_faulted_ = 0;
@@ -97,16 +92,17 @@ class SliceReader {
 
 /// The tiered storage engine (DESIGN.md §12): BitVector slices
 /// chunked over fixed-size checksummed pages in one PageFile, cached by
-/// a shared BufferPool, located by a per-slice extent map persisted in a
-/// checksummed sidecar file (`<path>.map`, written atomically via
-/// tmp + fsync + rename).
+/// a BufferPool over that file, located by a per-slice extent map
+/// persisted in a checksummed sidecar file (`<path>.map`, written
+/// atomically via tmp + fsync + rename).
 ///
 /// Durability: page payloads reach disk through pool writeback + Sync;
 /// the sidecar is rewritten by Sync, so after Sync() returns OK the
 /// engine reopens with `recover = true` to exactly this state. A crash
 /// between page writes and the sidecar rename leaves the previous
 /// sidecar in place — pages past its extents are unreferenced garbage,
-/// never a corrupt slice.
+/// never a corrupt slice. Updates never overwrite a committed extent in
+/// place, so the same holds after an unsynced UpdateSlice.
 class StorageEngine {
  public:
   using SliceId = uint32_t;
@@ -123,29 +119,27 @@ class StorageEngine {
   Result<SliceId> PutSlice(const BitVector& bits);
 
   /// Overwrites slice `id`. Reuses the extent when the new payload fits
-  /// its reserved pages, else relocates to a fresh extent (the old one
-  /// becomes garbage; engines are rebuilt, not compacted).
+  /// its reserved pages and no committed sidecar names them (the extent
+  /// lies past the pages of the last Sync or recovery); else relocates
+  /// to a fresh extent (the old one becomes garbage; engines are
+  /// rebuilt, not compacted).
   [[nodiscard]] Status UpdateSlice(SliceId id, const BitVector& bits);
 
-  /// Reconstructs slice `id` from its pages (pool hits are free; misses
-  /// charge one page read each) — the whole-slice read path. When
-  /// `pages_faulted` is non-null it receives the number of pages that
-  /// missed the pool.
+  /// Reconstructs slice `id` by draining a SliceReader over its pages
+  /// (pool hits are free; misses charge one page read each): the header
+  /// lands aside and the words straight in the slice's word array, sized
+  /// from the extent map. When `pages_faulted` is non-null it receives
+  /// the number of pages that missed the pool.
   Result<BitVector> GetSlice(SliceId id, size_t* pages_faulted = nullptr);
 
-  /// Opens a streaming reader over slice `id`'s payload bytes: the same
-  /// page lookups and charges as GetSlice, but the slice is never
-  /// assembled.
+  /// Opens a streaming reader over slice `id`'s payload bytes: the page
+  /// lookups and charges GetSlice makes, without assembling the slice.
   Result<SliceReader> ReadSlice(SliceId id);
 
   /// Serialized bytes slice `id` occupies (the sum its cold read charges).
   Result<size_t> SliceBytes(SliceId id) const;
   /// Pages slice `id` spans — the planner's page estimate for one slice.
   Result<uint32_t> SlicePages(SliceId id) const;
-
-  /// Warms the pool with every page of the given slices (asynchronously
-  /// when a prefetch pool is configured). Unknown ids are ignored.
-  void PrefetchSlices(const std::vector<SliceId>& ids);
 
   /// Re-reads every page of slice `id` and validates its checksums.
   [[nodiscard]] Status VerifySlice(SliceId id);
@@ -163,7 +157,7 @@ class StorageEngine {
 
  private:
   StorageEngine(std::string path, const StorageEngineOptions& options,
-                PageFile file, std::unique_ptr<BufferPool> pool);
+                PageFile file);
 
   Result<SliceExtent> WriteExtentLocked(const BitVector& bits, SliceId id,
                                         SliceExtent* reuse)
@@ -182,13 +176,16 @@ class StorageEngine {
   PageFile file_ EBI_UNGUARDED("internally synchronized");
   std::unique_ptr<BufferPool> pool_
       EBI_UNGUARDED("internally synchronized; pointer set in Open");
-  uint32_t pool_file_id_
-      EBI_UNGUARDED("set once in the constructor") = 0;
   /// Guards the extent directory; the pool and the page file carry their
   /// own mutexes (ranks kBufferPool and kPageFile, both acquired after
   /// this one — see util/sync.h).
   mutable Mutex mu_{lock_rank::kStorageEngine, "StorageEngine::mu_"};
   std::vector<SliceExtent> extents_ EBI_GUARDED_BY(mu_);
+  /// Pages of the file when the sidecar last committed (Sync or
+  /// LoadMap). Extents below it may be named by that sidecar, so an
+  /// update never overwrites them in place: a dirty page evicted before
+  /// the next Sync would tear the committed slice.
+  uint32_t committed_pages_ EBI_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace engine

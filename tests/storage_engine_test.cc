@@ -287,9 +287,13 @@ TEST(PageFileTest, ConcurrentReadsBesideAWriter) {
 // -------------------------------------------------------------- BufferPool
 
 TEST(BufferPoolTest, RejectsZeroCapacity) {
+  const std::string path = TempPath("bp_zero");
+  auto file = PageFile::Open(path, PageFileOptions());
+  ASSERT_TRUE(file.ok());
   BufferPoolOptions options;
   options.capacity_pages = 0;
-  EXPECT_FALSE(BufferPool::Create(options).ok());
+  EXPECT_FALSE(BufferPool::Create(&*file, options).ok());
+  RemoveFiles(path);
 }
 
 TEST(BufferPoolTest, HitsAndMissesAreCounted) {
@@ -302,22 +306,25 @@ TEST(BufferPoolTest, HitsAndMissesAreCounted) {
 
   BufferPoolOptions options;
   options.capacity_pages = 4;
-  auto pool = BufferPool::Create(options);
+  auto pool = BufferPool::Create(&*file, options);
   ASSERT_TRUE(pool.ok());
-  const uint32_t file_id = (*pool)->Register(&*file);
-  {
-    auto ref = (*pool)->Pin(file_id, page);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_EQ(ref->size(), payload.size());
-  }
-  ASSERT_TRUE((*pool)->Pin(file_id, page).ok());
+  std::vector<uint8_t> out(file->PayloadCapacity());
+  bool faulted = false;
+  auto bytes = (*pool)->CopyPage(page, out.data(), &faulted);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, payload.size());
+  EXPECT_TRUE(faulted);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), out.begin()));
+  bytes = (*pool)->CopyPage(page, out.data(), &faulted);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_FALSE(faulted);
   const BufferPoolStats stats = (*pool)->stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
   RemoveFiles(path);
 }
 
-TEST(BufferPoolTest, LruEvictsColdestUnpinnedPage) {
+TEST(BufferPoolTest, LruEvictsColdestPage) {
   const std::string path = TempPath("bp_lru");
   auto file = PageFile::Open(path, PageFileOptions());
   ASSERT_TRUE(file.ok());
@@ -328,49 +335,27 @@ TEST(BufferPoolTest, LruEvictsColdestUnpinnedPage) {
   }
   BufferPoolOptions options;
   options.capacity_pages = 2;
-  auto pool = BufferPool::Create(options);
+  auto pool = BufferPool::Create(&*file, options);
   ASSERT_TRUE(pool.ok());
-  const uint32_t file_id = (*pool)->Register(&*file);
 
-  ASSERT_TRUE((*pool)->Pin(file_id, 0).ok());
-  ASSERT_TRUE((*pool)->Pin(file_id, 1).ok());
+  std::vector<uint8_t> out(file->PayloadCapacity());
+  bool faulted = false;
+  const auto read = [&](uint32_t page_no) {
+    return (*pool)->CopyPage(page_no, out.data(), &faulted).ok();
+  };
+  ASSERT_TRUE(read(0));
+  ASSERT_TRUE(read(1));
   // Touch page 0 so page 1 is the LRU victim.
-  ASSERT_TRUE((*pool)->Pin(file_id, 0).ok());
-  ASSERT_TRUE((*pool)->Pin(file_id, 2).ok());  // Evicts 1, not 0.
+  ASSERT_TRUE(read(0));
+  ASSERT_TRUE(read(2));  // Evicts 1, not 0.
   const uint64_t misses_before = (*pool)->stats().misses;
-  ASSERT_TRUE((*pool)->Pin(file_id, 0).ok());  // Still resident.
+  ASSERT_TRUE(read(0));  // Still resident.
+  EXPECT_FALSE(faulted);
   EXPECT_EQ((*pool)->stats().misses, misses_before);
   EXPECT_EQ((*pool)->stats().evictions, 1u);
-  RemoveFiles(path);
-}
-
-TEST(BufferPoolTest, PinnedPagesAreNotEvictable) {
-  const std::string path = TempPath("bp_pinned");
-  auto file = PageFile::Open(path, PageFileOptions());
-  ASSERT_TRUE(file.ok());
-  const std::vector<uint8_t> payload(16, 0x02);
-  file->Allocate(3);
-  for (uint32_t p = 0; p < 3; ++p) {
-    ASSERT_TRUE(file->WritePage(p, p, payload.data(), payload.size()).ok());
-  }
-  BufferPoolOptions options;
-  options.capacity_pages = 2;
-  auto pool = BufferPool::Create(options);
-  ASSERT_TRUE(pool.ok());
-  const uint32_t file_id = (*pool)->Register(&*file);
-
-  auto b = (*pool)->Pin(file_id, 1);
-  ASSERT_TRUE(b.ok());
-  {
-    const auto a = (*pool)->Pin(file_id, 0);
-    ASSERT_TRUE(a.ok());
-    // Every frame pinned: a third fault has no victim.
-    const auto c = (*pool)->Pin(file_id, 2);
-    EXPECT_FALSE(c.ok());
-    EXPECT_EQ(c.status().code(), StatusCode::kFailedPrecondition);
-  }
-  // Page 0's pin dropped: the fault can now evict it.
-  EXPECT_TRUE((*pool)->Pin(file_id, 2).ok());
+  ASSERT_TRUE(read(1));  // Evicted: faults again.
+  EXPECT_TRUE(faulted);
+  EXPECT_EQ((*pool)->Resident(), 2u);
   RemoveFiles(path);
 }
 
@@ -380,71 +365,34 @@ TEST(BufferPoolTest, DirtyFramesWriteBackOnEviction) {
   ASSERT_TRUE(file.ok());
   BufferPoolOptions options;
   options.capacity_pages = 1;
-  auto pool = BufferPool::Create(options);
+  auto pool = BufferPool::Create(&*file, options);
   ASSERT_TRUE(pool.ok());
-  const uint32_t file_id = (*pool)->Register(&*file);
 
   file->Allocate(2);
   const std::vector<uint8_t> first(40, 0xAA);
   const std::vector<uint8_t> second(40, 0xBB);
-  ASSERT_TRUE(
-      (*pool)->WriteThrough(file_id, 0, 0, first.data(), first.size()).ok());
-  // Faulting page 1 evicts dirty page 0, which must write back first.
-  ASSERT_TRUE(
-      (*pool)->WriteThrough(file_id, 1, 1, second.data(), second.size()).ok());
-  ASSERT_TRUE((*pool)->Flush().ok());
-  EXPECT_GE((*pool)->stats().writebacks, 1u);
+  ASSERT_TRUE((*pool)->WriteThrough(0, 0, first.data(), first.size()).ok());
+  // Installing page 1 evicts dirty page 0, which must write back first.
+  ASSERT_TRUE((*pool)->WriteThrough(1, 1, second.data(), second.size()).ok());
+  EXPECT_EQ((*pool)->stats().writebacks, 1u);
   std::vector<uint8_t> out;
   ASSERT_TRUE(file->ReadPage(0, &out).ok());
   EXPECT_EQ(out, first);
+  // Page 1 is still only in its dirty frame until Flush.
+  ASSERT_TRUE((*pool)->Flush().ok());
+  EXPECT_EQ((*pool)->stats().writebacks, 2u);
   ASSERT_TRUE(file->ReadPage(1, &out).ok());
   EXPECT_EQ(out, second);
-  RemoveFiles(path);
-}
-
-TEST(BufferPoolTest, PrefetchWarmsThePoolSynchronously) {
-  const std::string path = TempPath("bp_prefetch");
-  auto file = PageFile::Open(path, PageFileOptions());
-  ASSERT_TRUE(file.ok());
-  const std::vector<uint8_t> payload(24, 0x04);
-  file->Allocate(3);
-  for (uint32_t p = 0; p < 3; ++p) {
-    ASSERT_TRUE(file->WritePage(p, p, payload.data(), payload.size()).ok());
-  }
-  BufferPoolOptions options;
-  options.capacity_pages = 4;
-  auto pool = BufferPool::Create(options);
-  ASSERT_TRUE(pool.ok());
-  const uint32_t file_id = (*pool)->Register(&*file);
-  (*pool)->Prefetch(file_id, {0, 1, 2});
-  EXPECT_EQ((*pool)->Resident(), 3u);
-  EXPECT_EQ((*pool)->stats().prefetches, 3u);
-  // Subsequent pins are all hits.
-  ASSERT_TRUE((*pool)->Pin(file_id, 1).ok());
-  EXPECT_EQ((*pool)->stats().hits, 1u);
-  RemoveFiles(path);
-}
-
-TEST(BufferPoolTest, AsyncPrefetchDrainsBeforeDestruction) {
-  const std::string path = TempPath("bp_async");
-  auto file = PageFile::Open(path, PageFileOptions());
-  ASSERT_TRUE(file.ok());
-  const std::vector<uint8_t> payload(24, 0x05);
-  file->Allocate(8);
-  for (uint32_t p = 0; p < 8; ++p) {
-    ASSERT_TRUE(file->WritePage(p, p, payload.data(), payload.size()).ok());
-  }
-  exec::ThreadPool workers(2);
-  BufferPoolOptions options;
-  options.capacity_pages = 16;
-  options.prefetch_pool = &workers;
-  auto pool = BufferPool::Create(options);
-  ASSERT_TRUE(pool.ok());
-  const uint32_t file_id = (*pool)->Register(&*file);
-  (*pool)->Prefetch(file_id, {0, 1, 2, 3, 4, 5, 6, 7});
-  // The destructor must block until every outstanding prefetch retired —
-  // otherwise a worker touches a dead pool. ASan/TSan guard this.
-  pool->reset();
+  // Reading page 0 back through the pool evicts page 1, now clean: no
+  // further writeback.
+  std::vector<uint8_t> copy(file->PayloadCapacity());
+  bool faulted = false;
+  const auto bytes = (*pool)->CopyPage(0, copy.data(), &faulted);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(faulted);
+  EXPECT_EQ(*bytes, first.size());
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), copy.begin()));
+  EXPECT_EQ((*pool)->stats().writebacks, 2u);
   RemoveFiles(path);
 }
 
@@ -466,8 +414,8 @@ TEST(StorageEngineTest, PutGetRoundTrip) {
 }
 
 TEST(StorageEngineTest, MultiPageSliceSurvivesCapOnePool) {
-  // A slice larger than the pool must still be readable: GetSlice pins
-  // one page at a time, never the whole extent.
+  // A slice larger than the pool must still be readable: GetSlice's
+  // reader copies one page at a time out of the pool.
   const std::string path = TempPath("se_cap1");
   StorageEngineOptions options;
   options.pool_pages = 1;
@@ -506,6 +454,49 @@ TEST(StorageEngineTest, UpdateReusesOrRelocatesExtent) {
   loaded = (*engine)->GetSlice(*id);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, grown);
+}
+
+TEST(StorageEngineTest, UnsyncedUpdateNeverTearsACommittedSlice) {
+  // A one-page pool evicts each page of an in-place update as soon as
+  // the next one is written, so a committed slice's pages would reach
+  // disk half new before any Sync. Updates of committed extents must
+  // relocate instead: dropped without Sync, the engine recovers the
+  // committed slice whole.
+  const std::string path = TempPath("se_update_crash");
+  RemoveFiles(path);
+  const BitVector committed = RandomBits(2 * 4072 * 8 + 4000, 31);
+  StorageEngine::SliceId id = 0;
+  {
+    StorageEngineOptions options;
+    options.pool_pages = 1;
+    auto engine = StorageEngine::Open(path, options);
+    ASSERT_TRUE(engine.ok());
+    const auto put = (*engine)->PutSlice(committed);
+    ASSERT_TRUE(put.ok());
+    id = *put;
+    const auto pages = (*engine)->SlicePages(id);
+    ASSERT_TRUE(pages.ok());
+    ASSERT_EQ(*pages, 3u);
+    ASSERT_TRUE((*engine)->Sync().ok());
+    const BitVector update = RandomBits(committed.size(), 32);
+    ASSERT_TRUE((*engine)->UpdateSlice(id, update).ok());
+    const auto loaded = (*engine)->GetSlice(id);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(*loaded, update);
+    // Dropped without Sync: a crash after the update.
+  }
+  {
+    StorageEngineOptions options;
+    options.pool_pages = 1;
+    options.recover = true;
+    options.remove_on_close = true;
+    auto engine = StorageEngine::Open(path, options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->VerifySlice(id).ok());
+    const auto loaded = (*engine)->GetSlice(id);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(*loaded, committed);
+  }
 }
 
 TEST(StorageEngineTest, SyncThenRecoverRoundTrip) {

@@ -66,6 +66,11 @@ Enforces structural conventions the compiler cannot:
                     constants everywhere else. A quoted "ebi.*" literal
                     anywhere else is a typo waiting to split a time
                     series.
+  metric-name-unused
+                    Every kMetric* constant declared in
+                    src/obs/metric_names.h is referenced by some other
+                    file under src/. A counter whose last writer was
+                    deleted must go with it, not linger as a dead name.
   ctest-filter      Every alternative of a `ctest ... -R '<a|b|...>'`
                     filter in .github/workflows/*.yml and scripts/*.sh
                     must match at least one ebi_add_test(<name>) in
@@ -490,6 +495,39 @@ def rule_metric_name_literal(path, text, stripped):
             "reference the kMetric* constant instead")
 
 
+METRIC_CONSTANT_RE = re.compile(r"\bconstexpr\s+char\s+(kMetric\w+)\s*\[")
+
+
+def src_code_outside(excluded):
+    """The comment- and string-stripped text of every src/ file but
+    `excluded`, concatenated."""
+    parts = []
+    for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, "src")):
+        dirnames.sort()
+        for name in sorted(filenames):
+            full = os.path.join(dirpath, name)
+            if name.endswith(EXTENSIONS) and \
+                    os.path.relpath(full, ROOT) != excluded:
+                with open(full, encoding="utf-8") as f:
+                    parts.append(strip_code(f.read()))
+    return "\n".join(parts)
+
+
+def rule_metric_name_unused(path, text, stripped, src_text=None):
+    if path != METRIC_NAMES_HEADER:
+        return
+    if src_text is None:
+        src_text = src_code_outside(METRIC_NAMES_HEADER)
+    for match in METRIC_CONSTANT_RE.finditer(stripped):
+        name = match.group(1)
+        if not re.search(r"\b" + name + r"\b", src_text):
+            lineno = stripped.count("\n", 0, match.start()) + 1
+            yield Finding(
+                "metric-name-unused", path, lineno,
+                f"{name} is referenced by no other file under src/; "
+                "delete it with the counter it named")
+
+
 def registered_tests():
     """The ctest names tests/CMakeLists.txt registers via ebi_add_test."""
     with open(os.path.join(ROOT, "tests", "CMakeLists.txt"),
@@ -549,6 +587,7 @@ RULES = (
     rule_include_path,
     rule_test_registered,
     rule_metric_name_literal,
+    rule_metric_name_unused,
 )
 
 RULE_NAMES = (
@@ -565,6 +604,7 @@ RULE_NAMES = (
     "include-path",
     "test-registered",
     "metric-name-literal",
+    "metric-name-unused",
     "ctest-filter",
 )
 
@@ -587,7 +627,7 @@ def load_allowlist():
     return allowed
 
 
-def lint_file(path, text, cmake_text=None):
+def lint_file(path, text, cmake_text=None, src_text=None):
     if path.endswith(SCRIPT_EXTENSIONS):
         return list(rule_ctest_filter(path, text))
     stripped = strip_code(text)
@@ -595,6 +635,8 @@ def lint_file(path, text, cmake_text=None):
     for rule in RULES:
         if rule is rule_test_registered:
             findings.extend(rule(path, text, stripped, cmake_text))
+        elif rule is rule_metric_name_unused:
+            findings.extend(rule(path, text, stripped, src_text))
         else:
             findings.extend(rule(path, text, stripped))
     return findings
@@ -667,8 +709,10 @@ def run_selftest():
             continue
         pretend = match.group(1)
         # An unregistered-test fixture must not be saved by the real
-        # CMakeLists, so give the registration rule an empty one.
-        fired = {f.rule for f in lint_file(pretend, text, cmake_text="")}
+        # CMakeLists, nor an unused metric by the real src/ tree, so give
+        # those rules empty ones.
+        fired = {f.rule for f in lint_file(pretend, text, cmake_text="",
+                                           src_text="")}
         stem = os.path.splitext(name)[0]
         checked += 1
         if stem.startswith("clean_"):

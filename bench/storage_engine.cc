@@ -5,6 +5,7 @@
 // path (BENCH_storage_engine.json carries the ratio; the design target
 // is 1.25x, checked leniently in CI by scripts/check_bench_json.sh).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -81,6 +82,7 @@ void Run() {
   constexpr size_t kSlices = 32;
   constexpr size_t kBits = 1 << 17;  // 16 KB plain payload, 5 pages/slice.
   constexpr int kScanRepeats = 20;
+  constexpr int kRounds = 7;
   const std::string path = TempPath("ebi_bench_engine.bin");
 
   std::vector<BitVector> slices;
@@ -91,8 +93,9 @@ void Run() {
 
   bench::BenchReport report("storage_engine");
   std::printf("=== Tiered storage engine ===\n");
-  std::printf("%zu slices x %zu bits (plain), %d-scan averages\n\n", kSlices,
-              kBits, kScanRepeats);
+  std::printf("%zu slices x %zu bits (plain), best of %d rounds of "
+              "%d-scan averages\n\n",
+              kSlices, kBits, kRounds, kScanRepeats);
 
   // Working set in pages, measured from a throwaway engine.
   size_t working_set = 0;
@@ -114,10 +117,10 @@ void Run() {
   }
   std::printf("working set: %zu pages\n\n", working_set);
 
-  const double memory_ms = MemoryScanMs(slices, kBits, kScanRepeats);
-  std::printf("%-22s %10.3f ms/scan\n", "in-memory baseline", memory_ms);
-
-  // Cold + warm scan with the pool sized to the working set.
+  // Cold + warm scan with the pool sized to the working set. Both sides
+  // of the warm/memory ratio are tens-of-microsecond scans, so each is
+  // the best of kRounds rounds, interleaved so drift and frequency
+  // scaling bias both sides alike.
   {
     engine::StorageEngineOptions options;
     options.pool_pages = working_set + 8;
@@ -125,8 +128,16 @@ void Run() {
     auto eng = engine::StorageEngine::Open(path, options);
     bench::CheckOk(eng.status());
     const double cold_ms = EngineScanMs(**eng, kSlices, kBits, 1);
-    const double warm_ms = EngineScanMs(**eng, kSlices, kBits, kScanRepeats);
+    double memory_ms = 0.0;
+    double warm_ms = 0.0;
+    for (int round = 0; round < kRounds; ++round) {
+      const double memory = MemoryScanMs(slices, kBits, kScanRepeats);
+      const double warm = EngineScanMs(**eng, kSlices, kBits, kScanRepeats);
+      memory_ms = round == 0 ? memory : std::min(memory_ms, memory);
+      warm_ms = round == 0 ? warm : std::min(warm_ms, warm);
+    }
     const double ratio = warm_ms / memory_ms;
+    std::printf("%-22s %10.3f ms/scan\n", "in-memory baseline", memory_ms);
     std::printf("%-22s %10.3f ms/scan\n", "engine cold scan", cold_ms);
     std::printf("%-22s %10.3f ms/scan  (%.2fx in-memory)\n",
                 "engine warm scan", warm_ms, ratio);

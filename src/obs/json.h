@@ -4,9 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "util/status.h"
 
 namespace ebi {
 namespace obs {
@@ -155,6 +159,35 @@ class JsonWriter {
   std::vector<bool> first_;
   bool after_key_ = false;
 };
+
+/// A parsed JSON document: the small DOM ParseJson builds. Objects keep
+/// their keys in document order.
+struct JsonValue {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool bool_value = false;
+  /// The number as a double (kNumber).
+  double number = 0.0;
+  /// The decoded string (kString), or the number's source token
+  /// (kNumber), which Int64/Uint64 re-read exactly.
+  std::string text;
+  std::vector<JsonValue> array;
+  std::vector<std::pair<std::string, JsonValue>> object;
+
+  /// The member named `key`, or nullptr (also when this is no object).
+  const JsonValue* Find(std::string_view key) const;
+  /// The number as an exact integer: nullopt unless this is a number
+  /// written without fraction or exponent that fits the type. Doubles
+  /// hold integers exactly only up to 2^53, so integer fields never go
+  /// through `number`.
+  std::optional<int64_t> Int64() const;
+  std::optional<uint64_t> Uint64() const;
+};
+
+/// Parses one JSON document (objects, arrays, strings with escapes,
+/// numbers, bools, null). Any syntax error or trailing text fails the
+/// whole document.
+Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace obs
 }  // namespace ebi

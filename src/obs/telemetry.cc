@@ -1,10 +1,6 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "obs/explain.h"
-#include "obs/json.h"
 
 namespace ebi {
 namespace obs {
@@ -41,106 +37,44 @@ bool TraceSampler::DecideFor(uint64_t seq) const {
   return SplitMix64(seq) < threshold_;
 }
 
-TraceRing::TraceRing(size_t capacity)
+RecordRing::RecordRing(size_t capacity)
     : slots_(std::max<size_t>(1, capacity)) {}
 
-void TraceRing::Push(CapturedTrace trace) {
-  trace.seq = pushed_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t at = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[at % slots_.size()];
+void RecordRing::Push(const RequestRecord& record) {
+  const uint64_t seq = pushed_.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = slots_[seq % slots_.size()];
   const MutexLock lock(slot.mu);
-  slot.trace = std::move(trace);
+  slot.record = record;
+  slot.record.seq = seq;
   slot.full = true;
 }
 
-std::vector<CapturedTrace> TraceRing::Snapshot() const {
-  std::vector<CapturedTrace> out;
+std::vector<RequestRecord> RecordRing::Snapshot() const {
+  std::vector<RequestRecord> out;
   out.reserve(slots_.size());
   for (const Slot& slot : slots_) {
     const MutexLock lock(slot.mu);
     if (slot.full) {
-      out.push_back(slot.trace);
+      out.push_back(slot.record);
     }
   }
   std::sort(out.begin(), out.end(),
-            [](const CapturedTrace& a, const CapturedTrace& b) {
+            [](const RequestRecord& a, const RequestRecord& b) {
               return a.seq < b.seq;
             });
   return out;
 }
 
-std::string TraceRing::DumpJson() const {
-  const std::vector<CapturedTrace> captures = Snapshot();
-  JsonWriter w;
-  w.BeginArray();
-  for (const CapturedTrace& capture : captures) {
-    w.BeginObject();
-    w.Key("seq").Uint(capture.seq);
-    w.Key("elapsed_ms").Number(capture.elapsed_ms);
-    w.Key("slow").Bool(capture.slow);
-    w.Key("trace").Raw(SpanJson(capture.root));
-    w.EndObject();
-  }
-  w.EndArray();
-  return w.str();
-}
-
-SlowQueryLog::SlowQueryLog(size_t capacity, double threshold_ms)
-    : threshold_ms_(threshold_ms), slots_(std::max<size_t>(1, capacity)) {}
-
-void SlowQueryLog::Push(SlowQueryEntry entry) {
-  entry.seq = pushed_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t at = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[at % slots_.size()];
-  const MutexLock lock(slot.mu);
-  slot.entry = std::move(entry);
-  slot.full = true;
-}
-
-std::vector<SlowQueryEntry> SlowQueryLog::Snapshot() const {
-  std::vector<SlowQueryEntry> out;
-  out.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    const MutexLock lock(slot.mu);
-    if (slot.full) {
-      out.push_back(slot.entry);
+std::string RecordRing::DumpJson() const {
+  std::string out = "[";
+  for (const RequestRecord& record : Snapshot()) {
+    if (out.size() > 1) {
+      out += ',';
     }
+    out += RequestRecordJson(record);
   }
-  std::sort(out.begin(), out.end(),
-            [](const SlowQueryEntry& a, const SlowQueryEntry& b) {
-              return a.seq < b.seq;
-            });
+  out += ']';
   return out;
-}
-
-std::string SlowQueryLog::DumpJson() const {
-  const std::vector<SlowQueryEntry> entries = Snapshot();
-  JsonWriter w;
-  w.BeginArray();
-  for (const SlowQueryEntry& entry : entries) {
-    w.BeginObject();
-    w.Key("seq").Uint(entry.seq);
-    w.Key("epoch").Uint(entry.epoch);
-    w.Key("query").String(entry.query);
-    w.Key("rows").Uint(entry.rows);
-    w.Key("queue_ms").Number(entry.queue_ms);
-    w.Key("pin_ms").Number(entry.pin_ms);
-    w.Key("plan_ms").Number(entry.plan_ms);
-    w.Key("execute_ms").Number(entry.execute_ms);
-    w.Key("total_ms").Number(entry.total_ms);
-    if (!entry.root.name.empty()) {
-      w.Key("trace").Raw(SpanJson(entry.root));
-    }
-    w.EndObject();
-  }
-  w.EndArray();
-  return w.str();
-}
-
-std::string SpanJson(const TraceSpan& span) {
-  ExplainOptions options;
-  options.include_timing = true;
-  return ExplainSpanJson(span, options);
 }
 
 }  // namespace obs

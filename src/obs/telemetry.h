@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/request_record.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -40,120 +40,48 @@ class TraceSampler {
   std::atomic<uint64_t> seq_{0};
 };
 
-/// One completed, captured query trace (the root span tree plus the
-/// capture metadata the ring keys on).
-struct CapturedTrace {
-  /// Capture order (monotone across the ring's lifetime).
-  uint64_t seq = 0;
-  /// End-to-end latency the capturer stamped (serve: submit -> complete).
-  double elapsed_ms = 0.0;
-  /// True when captured by the slow-query path rather than sampling.
-  bool slow = false;
-  TraceSpan root;
-};
-
-/// Lock-light bounded MPMC ring of completed traces: writers claim a slot
-/// with one atomic fetch_add and lock only that slot's mutex to move the
-/// payload in, so concurrent captures on different slots never contend
-/// and capture cost stays O(spans moved), not O(ring). The ring keeps the
-/// most recent `capacity` captures; older ones are overwritten.
-class TraceRing {
+/// Lock-light bounded MPMC ring of request records — the trace ring
+/// (sampled requests) and the slow-query ring are two of these. Writers
+/// claim a slot with one atomic fetch_add and lock only that slot's mutex
+/// to copy the record in, so concurrent pushes on different slots never
+/// contend and push cost stays O(record), not O(ring). The ring keeps
+/// the most recent `capacity` records; older ones are overwritten.
+class RecordRing {
  public:
-  explicit TraceRing(size_t capacity);
+  explicit RecordRing(size_t capacity);
 
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
+  RecordRing(const RecordRing&) = delete;
+  RecordRing& operator=(const RecordRing&) = delete;
 
-  /// Captures one completed trace (moves it into a slot).
-  void Push(CapturedTrace trace);
+  /// Copies `record` into a slot, stamping its seq with the push order.
+  void Push(const RequestRecord& record);
 
-  /// Copies out the live captures, oldest first (by capture seq).
-  std::vector<CapturedTrace> Snapshot() const;
+  /// Copies out the live records, oldest first (by seq).
+  std::vector<RequestRecord> Snapshot() const;
 
-  /// Total traces ever pushed (>= live size; the difference is what the
+  /// Total records ever pushed (>= live size; the difference is what the
   /// ring overwrote).
   uint64_t TotalCaptured() const {
     return pushed_.load(std::memory_order_relaxed);
   }
   size_t capacity() const { return slots_.size(); }
 
-  /// The live captures as one JSON array of span trees (the dumpable
-  /// form the serve layer exposes).
+  /// The live records as one JSON array of RequestRecordJson objects,
+  /// oldest first.
   std::string DumpJson() const;
 
  private:
   struct Slot {
     /// Leaf rank: slot mutexes guard only their own payload and never
     /// acquire anything further.
-    mutable Mutex mu{lock_rank::kTelemetrySlot, "TraceRing::Slot::mu"};
+    mutable Mutex mu{lock_rank::kTelemetrySlot, "RecordRing::Slot::mu"};
     bool full EBI_GUARDED_BY(mu) = false;
-    CapturedTrace trace EBI_GUARDED_BY(mu);
+    RequestRecord record EBI_GUARDED_BY(mu);
   };
 
   std::vector<Slot> slots_;
-  std::atomic<uint64_t> head_{0};
   std::atomic<uint64_t> pushed_{0};
 };
-
-/// One slow-query log entry. Built from data the serve path already has
-/// in hand (stage timings, predicate summary), so slow queries are
-/// captured unconditionally — no trace needs to have been recording.
-struct SlowQueryEntry {
-  uint64_t seq = 0;
-  uint64_t epoch = 0;
-  /// Predicate summary, e.g. "a = 3 AND b IN (1, 2)".
-  std::string query;
-  size_t rows = 0;
-  double queue_ms = 0.0;
-  double pin_ms = 0.0;
-  double plan_ms = 0.0;
-  double execute_ms = 0.0;
-  double total_ms = 0.0;
-  /// The span tree, when the request also happened to be traced
-  /// (root.name empty otherwise).
-  TraceSpan root;
-};
-
-/// Bounded ring of the most recent slow queries (same slot-locking
-/// discipline as TraceRing). Dumpable as JSON.
-class SlowQueryLog {
- public:
-  SlowQueryLog(size_t capacity, double threshold_ms);
-
-  SlowQueryLog(const SlowQueryLog&) = delete;
-  SlowQueryLog& operator=(const SlowQueryLog&) = delete;
-
-  double threshold_ms() const { return threshold_ms_; }
-  /// True when `total_ms` crosses the slow threshold.
-  bool IsSlow(double total_ms) const { return total_ms >= threshold_ms_; }
-
-  void Push(SlowQueryEntry entry);
-
-  std::vector<SlowQueryEntry> Snapshot() const;
-  uint64_t TotalCaptured() const {
-    return pushed_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return slots_.size(); }
-
-  /// JSON array of entries, oldest first.
-  std::string DumpJson() const;
-
- private:
-  struct Slot {
-    mutable Mutex mu{lock_rank::kTelemetrySlot, "SlowQueryLog::Slot::mu"};
-    bool full EBI_GUARDED_BY(mu) = false;
-    SlowQueryEntry entry EBI_GUARDED_BY(mu);
-  };
-
-  double threshold_ms_;
-  std::vector<Slot> slots_;
-  std::atomic<uint64_t> head_{0};
-  std::atomic<uint64_t> pushed_{0};
-};
-
-/// Renders one span tree as JSON (name/elapsed_ms/attrs/children) — the
-/// shape ExplainJson uses for whole traces, reusable for captured roots.
-std::string SpanJson(const TraceSpan& span);
 
 }  // namespace obs
 }  // namespace ebi

@@ -1,317 +1,28 @@
 #include "obs/workload_recorder.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <utility>
 
-#include "obs/json.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 
 namespace ebi {
 namespace obs {
 namespace {
 
-/// uint64 fingerprints go into the log as hex strings: JSON numbers are
-/// doubles on most readers, which silently mangles values above 2^53.
-std::string HexU64(uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
+Counter* RecordsCounter() {
+  static Counter* counter =
+      MetricsRegistry::Global().GetCounter(kMetricWorkloadRecords);
+  return counter;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for the workload log.
-//
-// The repo has a JSON *writer* (obs/json.h) but no parser; rather than
-// grow a dependency, this is a small recursive-descent parser covering
-// exactly what JSONL records need: objects, arrays, strings with
-// escapes, numbers, bools, null. It builds a tiny DOM (JsonValue) that
-// ParseWorkloadRecord then walks. Any syntax error fails the whole
-// line, which the log reader treats as "skip and count".
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number = 0.0;
-  std::string string_value;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    JsonValue value;
-    EBI_RETURN_IF_ERROR(ParseValue(&value));
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing characters after JSON value");
-    }
-    return value;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  Status ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("unexpected end of JSON");
-    }
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->string_value);
-      case 't':
-        return ParseLiteral("true", out, /*is_bool=*/true, /*value=*/true);
-      case 'f':
-        return ParseLiteral("false", out, /*is_bool=*/true, /*value=*/false);
-      case 'n':
-        return ParseLiteral("null", out, /*is_bool=*/false, /*value=*/false);
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  Status ParseLiteral(const char* word, JsonValue* out, bool is_bool,
-                      bool value) {
-    const size_t len = std::strlen(word);
-    if (text_.compare(pos_, len, word) != 0) {
-      return Status::InvalidArgument("bad JSON literal");
-    }
-    pos_ += len;
-    out->kind = is_bool ? JsonValue::Kind::kBool : JsonValue::Kind::kNull;
-    out->bool_value = value;
-    return Status::OK();
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::InvalidArgument("bad JSON number");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
-      return Status::InvalidArgument("bad JSON number");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = value;
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    // Caller saw the opening quote.
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return Status::OK();
-      }
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Status::InvalidArgument("bad \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Status::InvalidArgument("bad \\u escape");
-            }
-          }
-          // The log writer only emits \u00XX control escapes; decode the
-          // BMP code point as UTF-8 and accept anything else verbatim.
-          if (code < 0x80) {
-            *out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            *out += static_cast<char>(0xc0 | (code >> 6));
-            *out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            *out += static_cast<char>(0xe0 | (code >> 12));
-            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            *out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
-        }
-        default:
-          return Status::InvalidArgument("bad JSON escape");
-      }
-    }
-    return Status::InvalidArgument("unterminated JSON string");
-  }
-
-  Status ParseArray(JsonValue* out) {
-    ++pos_;  // '['
-    out->kind = JsonValue::Kind::kArray;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      JsonValue element;
-      EBI_RETURN_IF_ERROR(ParseValue(&element));
-      out->array.push_back(std::move(element));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return Status::InvalidArgument("unterminated JSON array");
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Status::InvalidArgument("bad JSON array");
-    }
-  }
-
-  Status ParseObject(JsonValue* out) {
-    ++pos_;  // '{'
-    out->kind = JsonValue::Kind::kObject;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Status::InvalidArgument("bad JSON object key");
-      }
-      std::string key;
-      EBI_RETURN_IF_ERROR(ParseString(&key));
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Status::InvalidArgument("missing ':' in JSON object");
-      }
-      ++pos_;
-      JsonValue value;
-      EBI_RETURN_IF_ERROR(ParseValue(&value));
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return Status::InvalidArgument("unterminated JSON object");
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Status::InvalidArgument("bad JSON object");
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-double NumberOr(const JsonValue* v, double fallback) {
-  return (v != nullptr && v->kind == JsonValue::Kind::kNumber) ? v->number
-                                                               : fallback;
-}
-
-uint64_t UintOr(const JsonValue* v, uint64_t fallback) {
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber || v->number < 0) {
-    return fallback;
-  }
-  return static_cast<uint64_t>(v->number);
-}
-
-std::string StringOr(const JsonValue* v, std::string fallback) {
-  return (v != nullptr && v->kind == JsonValue::Kind::kString)
-             ? v->string_value
-             : std::move(fallback);
-}
-
-Result<uint64_t> ParseHexU64(const std::string& hex) {
-  if (hex.empty() || hex.size() > 16) {
-    return Status::InvalidArgument("bad fingerprint hex");
-  }
-  uint64_t value = 0;
-  for (const char c : hex) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<uint64_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      value |= static_cast<uint64_t>(c - 'A' + 10);
-    } else {
-      return Status::InvalidArgument("bad fingerprint hex");
-    }
-  }
-  return value;
+Counter* RotationsCounter() {
+  static Counter* counter =
+      MetricsRegistry::Global().GetCounter(kMetricWorkloadRotations);
+  return counter;
 }
 
 /// `path` -> `path.1` -> ... shifted file name for rotation generation n.
@@ -323,118 +34,6 @@ std::string GenerationPath(const std::string& path, size_t n) {
 }
 
 }  // namespace
-
-std::string WorkloadRecordJson(const WorkloadRecord& record) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("v").Int(record.version);
-  w.Key("seq").Uint(record.seq);
-  w.Key("ts").Number(record.ts_ms);
-  w.Key("epoch").Uint(record.epoch);
-  w.Key("rows").Uint(record.rows_selected);
-  w.Key("total").Uint(record.rows_total);
-  w.Key("sel").Number(record.selectivity);
-  w.Key("queue").Number(record.queue_ms);
-  w.Key("pin").Number(record.pin_ms);
-  w.Key("plan").Number(record.plan_ms);
-  w.Key("exec").Number(record.execute_ms);
-  w.Key("ms").Number(record.total_ms);
-  w.Key("vec").Uint(record.vectors);
-  w.Key("pages").Uint(record.pages);
-  w.Key("bytes").Uint(record.bytes);
-  w.Key("kernel").String(record.kernel);
-  w.Key("preds").BeginArray();
-  for (const WorkloadPredicate& pred : record.predicates) {
-    w.BeginObject();
-    w.Key("col").String(pred.column);
-    w.Key("op").String(pred.op);
-    w.Key("fp").String(HexU64(pred.fingerprint));
-    w.Key("rows").Uint(pred.rows);
-    if (!pred.literals.empty()) {
-      w.Key("lits").BeginArray();
-      for (const int64_t lit : pred.literals) {
-        w.Int(lit);
-      }
-      w.EndArray();
-    }
-    if (pred.has_range) {
-      w.Key("lo").Int(pred.lo);
-      w.Key("hi").Int(pred.hi);
-    }
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
-}
-
-Result<WorkloadRecord> ParseWorkloadRecord(const std::string& line) {
-  JsonParser parser(line);
-  EBI_ASSIGN_OR_RETURN(const JsonValue root, parser.Parse());
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("workload record is not a JSON object");
-  }
-  const JsonValue* v = root.Find("v");
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    return Status::InvalidArgument("workload record missing version");
-  }
-  const int version = static_cast<int>(v->number);
-  if (version != WorkloadRecorder::kSchemaVersion) {
-    return Status::InvalidArgument("unknown workload log version " +
-                                   std::to_string(version));
-  }
-  WorkloadRecord record;
-  record.version = version;
-  record.seq = UintOr(root.Find("seq"), 0);
-  record.ts_ms = NumberOr(root.Find("ts"), 0.0);
-  record.epoch = UintOr(root.Find("epoch"), 0);
-  record.rows_selected = UintOr(root.Find("rows"), 0);
-  record.rows_total = UintOr(root.Find("total"), 0);
-  record.selectivity = NumberOr(root.Find("sel"), 0.0);
-  record.queue_ms = NumberOr(root.Find("queue"), 0.0);
-  record.pin_ms = NumberOr(root.Find("pin"), 0.0);
-  record.plan_ms = NumberOr(root.Find("plan"), 0.0);
-  record.execute_ms = NumberOr(root.Find("exec"), 0.0);
-  record.total_ms = NumberOr(root.Find("ms"), 0.0);
-  record.vectors = UintOr(root.Find("vec"), 0);
-  record.pages = UintOr(root.Find("pages"), 0);
-  record.bytes = UintOr(root.Find("bytes"), 0);
-  record.kernel = StringOr(root.Find("kernel"), "");
-  const JsonValue* preds = root.Find("preds");
-  if (preds != nullptr) {
-    if (preds->kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument("workload record preds is not an array");
-    }
-    for (const JsonValue& p : preds->array) {
-      if (p.kind != JsonValue::Kind::kObject) {
-        return Status::InvalidArgument("workload predicate is not an object");
-      }
-      WorkloadPredicate pred;
-      pred.column = StringOr(p.Find("col"), "");
-      pred.op = StringOr(p.Find("op"), "");
-      EBI_ASSIGN_OR_RETURN(pred.fingerprint,
-                           ParseHexU64(StringOr(p.Find("fp"), "0")));
-      pred.rows = UintOr(p.Find("rows"), 0);
-      const JsonValue* lits = p.Find("lits");
-      if (lits != nullptr && lits->kind == JsonValue::Kind::kArray) {
-        for (const JsonValue& lit : lits->array) {
-          if (lit.kind == JsonValue::Kind::kNumber) {
-            pred.literals.push_back(static_cast<int64_t>(lit.number));
-          }
-        }
-      }
-      const JsonValue* lo = p.Find("lo");
-      const JsonValue* hi = p.Find("hi");
-      if (lo != nullptr && hi != nullptr) {
-        pred.has_range = true;
-        pred.lo = static_cast<int64_t>(NumberOr(lo, 0.0));
-        pred.hi = static_cast<int64_t>(NumberOr(hi, 0.0));
-      }
-      record.predicates.push_back(std::move(pred));
-    }
-  }
-  return record;
-}
 
 WorkloadRecorder::WorkloadRecorder(std::string path,
                                    const WorkloadRecorderOptions& options)
@@ -480,6 +79,7 @@ Status WorkloadRecorder::RotateLocked() {
                 GenerationPath(path_, n).c_str());
   }
   rotations_ += 1;
+  RotationsCounter()->Increment();
   file_bytes_ = 0;
   return EnsureOpenLocked();
 }
@@ -497,8 +97,7 @@ Status WorkloadRecorder::WriteLineLocked(const std::string& line) {
   return Status::OK();
 }
 
-Status WorkloadRecorder::Append(WorkloadRecord record) {
-  record.version = kSchemaVersion;
+Status WorkloadRecorder::Append(RequestRecord record) {
   // Claim a sequence number under the lock, then serialize outside it
   // so concurrent writers only contend on the fwrite, not on building
   // the JSON line.
@@ -512,11 +111,12 @@ Status WorkloadRecorder::Append(WorkloadRecord record) {
           std::chrono::steady_clock::now() - start_)
           .count();
   for (WorkloadPredicate& pred : record.predicates) {
-    if (pred.literals.size() > options_.literal_cap) {
-      pred.literals.resize(options_.literal_cap);
+    if (pred.literals.size() > kLiteralCap) {
+      pred.literals.resize(kLiteralCap);
     }
   }
-  std::string line = WorkloadRecordJson(record);
+  record.root.reset();
+  std::string line = RequestRecordJson(record);
   line += '\n';
 
   // Turnstile: a writer that serialized faster than a predecessor waits
@@ -531,6 +131,9 @@ Status WorkloadRecorder::Append(WorkloadRecord record) {
   const Status status = WriteLineLocked(line);
   next_write_ += 1;
   turn_cv_.NotifyAll();
+  if (status.ok()) {
+    RecordsCounter()->Increment();
+  }
   return status;
 }
 
@@ -570,7 +173,7 @@ Result<WorkloadLogRead> ReadWorkloadLog(const std::string& path) {
       out.skipped += 1;
       return;
     }
-    Result<WorkloadRecord> record = ParseWorkloadRecord(text);
+    Result<RequestRecord> record = ParseRequestRecord(text);
     if (record.ok()) {
       out.records.push_back(std::move(record).value());
     } else {

@@ -7,74 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/request_record.h"
 #include "util/status.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
 namespace ebi {
 namespace obs {
-
-/// One predicate of a recorded query: the fingerprint the re-encoding
-/// advisor mines (column, operator, literal set) plus what the execution
-/// observed (rows its bitmap selected).
-struct WorkloadPredicate {
-  std::string column;
-  /// Stable operator tag: "eq", "in", "range", "isnull", "neq", "notin".
-  std::string op;
-  /// FNV-1a hash over column, operator and the literal set — the
-  /// identity hot-predicate mining groups by. Two textually different
-  /// IN-lists with the same members collide on purpose (the set is
-  /// hashed sorted).
-  uint64_t fingerprint = 0;
-  /// Rows this predicate's bitmap selected (before conjunction).
-  uint64_t rows = 0;
-  /// Integer literals of eq/in predicates, ascending, capped at the
-  /// recorder's literal_cap (the fingerprint always covers the full
-  /// set). String literals contribute to the fingerprint only.
-  std::vector<int64_t> literals;
-  /// Range predicates: inclusive bounds.
-  int64_t lo = 0;
-  int64_t hi = 0;
-  bool has_range = false;
-};
-
-/// One executed query, compactly: what ran, what it selected, what it
-/// cost per stage. The append-only workload log is the data source for
-/// reencode_advisor and the (future) online encoding optimizer
-/// (ROADMAP item 5); `ebi_workload` summarizes it offline.
-struct WorkloadRecord {
-  /// Log-schema version this record was written as (see kSchemaVersion).
-  int version = 1;
-  /// Recorder-assigned sequence number (monotone per recorder).
-  uint64_t seq = 0;
-  /// Milliseconds since the recorder started (monotonic clock — the log
-  /// carries no wall-clock time, keeping runs reproducible).
-  double ts_ms = 0.0;
-  uint64_t epoch = 0;
-  uint64_t rows_selected = 0;
-  uint64_t rows_total = 0;
-  /// rows_selected / rows_total (0 when the table was empty).
-  double selectivity = 0.0;
-  double queue_ms = 0.0;
-  double pin_ms = 0.0;
-  double plan_ms = 0.0;
-  double execute_ms = 0.0;
-  double total_ms = 0.0;
-  uint64_t vectors = 0;
-  uint64_t pages = 0;
-  uint64_t bytes = 0;
-  /// Bitmap-kernel backend the process dispatched to ("scalar", "avx2",
-  /// ...), so logs from different hosts stay comparable.
-  std::string kernel;
-  std::vector<WorkloadPredicate> predicates;
-};
-
-/// Serializes one record as a single JSONL line (no trailing newline).
-std::string WorkloadRecordJson(const WorkloadRecord& record);
-
-/// Parses one JSONL line. Rejects unknown schema versions and malformed
-/// documents (the reader skips such lines and counts them).
-Result<WorkloadRecord> ParseWorkloadRecord(const std::string& line);
 
 struct WorkloadRecorderOptions {
   /// Rotate when the current log file exceeds this many bytes. 0 never
@@ -83,12 +22,12 @@ struct WorkloadRecorderOptions {
   /// Generations kept: the live file plus max_files-1 rotated ones
   /// (path.1 newest rotation .. path.<max_files-1> oldest).
   size_t max_files = 4;
-  /// Integer literals stored per predicate; the fingerprint always
-  /// covers the full set.
-  size_t literal_cap = 16;
 };
 
-/// Append-only JSONL workload log with size-based rotation.
+/// Append-only JSONL workload log with size-based rotation: one
+/// RequestRecordJson line per ok request, the data source for
+/// reencode_advisor and the (future) online encoding optimizer (ROADMAP
+/// item 5); `ebi_workload` summarizes it offline.
 ///
 /// Thread-safe: Append serializes outside the lock and holds the
 /// recorder mutex only for the buffered fwrite (and the rare rotation),
@@ -98,8 +37,9 @@ struct WorkloadRecorderOptions {
 /// sequence inversion. Writes are buffered; Flush()/destructor drain.
 class WorkloadRecorder {
  public:
-  /// Log-format version written into every record.
-  static constexpr int kSchemaVersion = 1;
+  /// Integer literals kept per predicate; the fingerprint always covers
+  /// the full set.
+  static constexpr size_t kLiteralCap = 16;
 
   explicit WorkloadRecorder(
       std::string path,
@@ -109,9 +49,11 @@ class WorkloadRecorder {
   WorkloadRecorder(const WorkloadRecorder&) = delete;
   WorkloadRecorder& operator=(const WorkloadRecorder&) = delete;
 
-  /// Stamps seq/ts_ms/version and appends one line. Opens the file
-  /// lazily on first append.
-  Status Append(WorkloadRecord record);
+  /// Stamps seq/ts_ms, caps literals at kLiteralCap, drops the span tree
+  /// (the log carries no traces; the rings do) and appends one line.
+  /// Opens the file lazily on first append. Counts written lines and
+  /// rotations into the global metrics registry.
+  Status Append(RequestRecord record);
 
   Status Flush();
 
@@ -144,7 +86,7 @@ class WorkloadRecorder {
 
 /// Result of reading one log file (or a rotated set).
 struct WorkloadLogRead {
-  std::vector<WorkloadRecord> records;
+  std::vector<RequestRecord> records;
   /// Lines skipped: truncated tails (a crash or rotation mid-line),
   /// malformed JSON, unknown schema versions.
   size_t skipped = 0;

@@ -27,14 +27,14 @@ Result<double> ExpectedCost(const MappingTable& mapping,
 }  // namespace
 
 Result<WorkloadProfile> ProfileFromRecords(
-    const std::vector<obs::WorkloadRecord>& records,
+    const std::vector<obs::RequestRecord>& records,
     const std::string& column, const Column& col) {
   // Accumulate frequency per predicate fingerprint; the value set of the
   // first occurrence stands for the group (identical fingerprints carry
   // identical literal sets by construction).
   std::unordered_map<uint64_t, WorkloadEntry> groups;
   std::vector<uint64_t> order;  // First-seen order, for determinism.
-  for (const obs::WorkloadRecord& record : records) {
+  for (const obs::RequestRecord& record : records) {
     for (const obs::WorkloadPredicate& pred : record.predicates) {
       if (pred.column != column) {
         continue;

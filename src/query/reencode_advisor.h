@@ -32,7 +32,7 @@ using WorkloadProfile = std::vector<WorkloadEntry>;
 /// selections. This closes the telemetry -> re-encoding loop (ROADMAP
 /// item 5).
 Result<WorkloadProfile> ProfileFromRecords(
-    const std::vector<obs::WorkloadRecord>& records,
+    const std::vector<obs::RequestRecord>& records,
     const std::string& column, const Column& col);
 
 /// Outcome of evaluating a candidate re-encoding — the paper's future-work

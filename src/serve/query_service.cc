@@ -45,12 +45,6 @@ obs::Counter* PublishCounter() {
   return counter;
 }
 
-obs::Counter* ReclaimedCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      obs::kMetricServeSnapshotsReclaimed);
-  return counter;
-}
-
 obs::Histogram* LatencyHistogram() {
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().GetHistogram(obs::kMetricServeLatencyMs);
@@ -88,18 +82,6 @@ obs::Counter* SlowQueriesCounter() {
   return counter;
 }
 
-obs::Counter* WorkloadRecordsCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter(obs::kMetricWorkloadRecords);
-  return counter;
-}
-
-obs::Counter* WorkloadRotationsCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      obs::kMetricWorkloadRotations);
-  return counter;
-}
-
 obs::Counter* MetricsExportsCounter() {
   static obs::Counter* counter =
       obs::MetricsRegistry::Global().GetCounter(obs::kMetricMetricsExports);
@@ -131,7 +113,23 @@ obs::Histogram* ExecuteHistogram() {
   return histogram;
 }
 
-/// "a = 3 AND b IN {1, 2}" — the query summary slow-log entries carry.
+/// The serve stage histograms, observed from a finished request's record:
+/// a stage the request never reached is not observed.
+void ObserveStages(const obs::RequestRecord& record) {
+  QueueHistogram()->Observe(record.queue_ms);
+  if (record.pin_ms.has_value()) {
+    PinHistogram()->Observe(*record.pin_ms);
+  }
+  if (record.plan_ms.has_value()) {
+    PlanHistogram()->Observe(*record.plan_ms);
+  }
+  if (record.execute_ms.has_value()) {
+    ExecuteHistogram()->Observe(*record.execute_ms);
+  }
+  LatencyHistogram()->Observe(record.total_ms);
+}
+
+/// "a = 3 AND b IN {1, 2}" — the query summary slow records carry.
 std::string PredicatesText(const std::vector<Predicate>& predicates) {
   std::string out;
   for (size_t i = 0; i < predicates.size(); ++i) {
@@ -272,10 +270,8 @@ QueryService::QueryService(const ServeOptions& options)
   const ServeTelemetryOptions& telemetry = options_.telemetry;
   if (telemetry.enabled) {
     sampler_ = std::make_unique<obs::TraceSampler>(telemetry.sample_rate);
-    trace_ring_ =
-        std::make_unique<obs::TraceRing>(telemetry.trace_ring_capacity);
-    slow_log_ = std::make_unique<obs::SlowQueryLog>(
-        telemetry.slow_log_capacity, telemetry.slow_threshold_ms);
+    trace_ring_ = std::make_unique<obs::RecordRing>(telemetry.ring_capacity);
+    slow_log_ = std::make_unique<obs::RecordRing>(telemetry.ring_capacity);
     if (!telemetry.workload_log_path.empty()) {
       workload_recorder_ = std::make_unique<obs::WorkloadRecorder>(
           telemetry.workload_log_path, telemetry.workload_options);
@@ -416,8 +412,10 @@ void QueryService::RunRequest(
     obs::QueryTrace* trace, Clock::time_point submitted,
     std::optional<Clock::time_point> deadline) {
   const Clock::time_point start = Clock::now();
-  const double queue_ms = MsBetween(submitted, start);
-  QueueHistogram()->Observe(queue_ms);
+  // The request's one record, filled as it progresses (DESIGN.md §11);
+  // every telemetry sink below is a projection of it.
+  obs::RequestRecord record;
+  record.queue_ms = MsBetween(submitted, start);
 
   // Sampling decision, up front: sampled requests without a caller trace
   // record into a local trace whose root the ring captures afterwards.
@@ -426,130 +424,96 @@ void QueryService::RunRequest(
   obs::QueryTrace* effective_trace =
       trace != nullptr ? trace : (sampled ? &local_trace : nullptr);
 
-  // Stage timings, filled as the request progresses (DESIGN.md §11).
-  double pin_ms = 0.0;
-  double plan_ms = 0.0;
-  double execute_ms = 0.0;
-  uint64_t epoch = 0;
-  uint64_t rows_total = 0;
-
   Result<ServeResult> outcome = [&]() -> Result<ServeResult> {
     if (deadline.has_value() && start >= *deadline) {
       DeadlineCounter()->Increment();
       return Status::DeadlineExceeded(
-          "request spent " + std::to_string(queue_ms) +
+          "request spent " + std::to_string(record.queue_ms) +
           " ms queued, past its deadline");
     }
     const Clock::time_point pin_start = Clock::now();
     SnapshotManager::Pin pin = snapshots_.Acquire();
-    pin_ms = MsBetween(pin_start, Clock::now());
-    PinHistogram()->Observe(pin_ms);
+    record.pin_ms = MsBetween(pin_start, Clock::now());
     if (!pin) {
       return Status::FailedPrecondition("no snapshot published");
     }
-    epoch = pin->epoch();
-    rows_total = pin->NumRows();
+    record.epoch = pin->epoch();
+    record.rows_total = pin->NumRows();
     obs::TraceScope scope(effective_trace);
     obs::ScopedSpan span("serve.request");
-    span.Attr("epoch", pin->epoch());
-    span.Attr("queue_ms", queue_ms);
-    span.Attr("pin_ms", pin_ms);
+    span.Attr("epoch", record.epoch);
+    span.Attr("queue_ms", record.queue_ms);
+    span.Attr("pin_ms", *record.pin_ms);
     const Clock::time_point plan_start = Clock::now();
     SelectionExecutor executor = pin->MakeExecutor();
     if (workload_recorder_ != nullptr) {
       executor.EnablePredicateStats(true);
     }
-    plan_ms = MsBetween(plan_start, Clock::now());
-    PlanHistogram()->Observe(plan_ms);
+    record.plan_ms = MsBetween(plan_start, Clock::now());
     const Clock::time_point execute_start = Clock::now();
     Result<SelectionResult> selected = executor.Select(predicates);
-    execute_ms = MsBetween(execute_start, Clock::now());
-    ExecuteHistogram()->Observe(execute_ms);
+    record.execute_ms = MsBetween(execute_start, Clock::now());
     if (!selected.ok()) {
       return selected.status();
     }
     ServeResult result;
     result.selection = std::move(selected).value();
     result.epoch = pin->epoch();
-    result.queue_ms = queue_ms;
+    result.queue_ms = record.queue_ms;
     result.run_ms = MsBetween(start, Clock::now());
     span.Attr("rows", result.selection.count);
     return result;
   }();
 
-  const double total_ms = MsBetween(submitted, Clock::now());
-  LatencyHistogram()->Observe(total_ms);
-
-  // Telemetry capture, after the result is in hand but before the ticket
-  // resolves — so tests that Wait() and then inspect the sinks observe
-  // their own request. (The outcome itself is moved out below; capture
-  // reads only what it needs.)
-  const bool slow = slow_log_ != nullptr && slow_log_->IsSlow(total_ms);
-  if (sampled) {
-    TraceSampledCounter()->Increment();
-    obs::CapturedTrace capture;
-    capture.elapsed_ms = total_ms;
-    capture.slow = slow;
-    // A caller-supplied trace stays with the caller; copy its root.
-    capture.root = effective_trace == &local_trace
-                       ? std::move(local_trace.root())
-                       : effective_trace->root();
-    trace_ring_->Push(std::move(capture));
-  }
-  if (slow) {
-    SlowQueriesCounter()->Increment();
-    obs::SlowQueryEntry entry;
-    entry.epoch = epoch;
-    entry.query = PredicatesText(predicates);
-    entry.rows = outcome.ok() ? outcome.value().selection.count : 0;
-    entry.queue_ms = queue_ms;
-    entry.pin_ms = pin_ms;
-    entry.plan_ms = plan_ms;
-    entry.execute_ms = execute_ms;
-    entry.total_ms = total_ms;
-    // Slow queries are captured unconditionally from data already in
-    // hand; the span tree rides along only when one was recorded anyway.
-    if (trace != nullptr) {
-      entry.root = trace->root();
-    }
-    slow_log_->Push(std::move(entry));
-  }
-  if (workload_recorder_ != nullptr && outcome.ok()) {
+  record.total_ms = MsBetween(submitted, Clock::now());
+  record.status = outcome.status().code();
+  if (outcome.ok()) {
     const SelectionResult& selection = outcome.value().selection;
-    obs::WorkloadRecord record;
-    record.epoch = epoch;
     record.rows_selected = selection.count;
-    record.rows_total = rows_total;
-    record.selectivity =
-        rows_total > 0
-            ? static_cast<double>(selection.count) / rows_total
-            : 0.0;
-    record.queue_ms = queue_ms;
-    record.pin_ms = pin_ms;
-    record.plan_ms = plan_ms;
-    record.execute_ms = execute_ms;
-    record.total_ms = total_ms;
     record.vectors = selection.io.vectors_read;
     record.pages = selection.io.pages_read;
     record.bytes = selection.io.bytes_read;
+  }
+  ObserveStages(record);
+
+  // Telemetry capture, after the result is in hand but before the ticket
+  // resolves — so tests that Wait() and then inspect the sinks observe
+  // their own request. Only a request some sink takes pays for predicate
+  // conversion and strings.
+  record.slow = slow_log_ != nullptr &&
+                record.total_ms >= options_.telemetry.slow_threshold_ms;
+  const bool logged = workload_recorder_ != nullptr && outcome.ok();
+  if (sampled || record.slow || logged) {
     record.kernel = kernels::Active().name;
+    const std::vector<PredicateStat>* stats =
+        outcome.ok() ? &outcome.value().selection.predicate_stats : nullptr;
     record.predicates.reserve(predicates.size());
     for (size_t i = 0; i < predicates.size(); ++i) {
-      const PredicateStat* stat = i < selection.predicate_stats.size()
-                                      ? &selection.predicate_stats[i]
+      const PredicateStat* stat = stats != nullptr && i < stats->size()
+                                      ? &(*stats)[i]
                                       : nullptr;
       record.predicates.push_back(ToWorkloadPredicate(predicates[i], stat));
     }
-    if (workload_recorder_->Append(std::move(record)).ok()) {
-      WorkloadRecordsCounter()->Increment();
-      // Forward newly observed rotations to the monotonic counter.
-      const uint64_t rotations = workload_recorder_->Rotations();
-      const uint64_t reported = rotations_reported_.exchange(
-          rotations, std::memory_order_seq_cst);
-      if (rotations > reported) {
-        WorkloadRotationsCounter()->Increment(rotations - reported);
-      }
-    }
+  }
+  if (record.slow) {
+    record.query = PredicatesText(predicates);
+  }
+  if (effective_trace != nullptr && (sampled || record.slow)) {
+    // A caller-supplied trace stays with the caller; copy its root.
+    record.root = effective_trace == &local_trace
+                      ? std::move(local_trace.root())
+                      : effective_trace->root();
+  }
+  if (sampled) {
+    TraceSampledCounter()->Increment();
+    trace_ring_->Push(record);
+  }
+  if (record.slow) {
+    SlowQueriesCounter()->Increment();
+    slow_log_->Push(record);
+  }
+  if (logged) {
+    workload_recorder_->Append(std::move(record)).IgnoreError();
   }
 
   ticket->Complete(std::move(outcome));
@@ -741,14 +705,6 @@ Status QueryService::CombineAndPublish(std::vector<StagedAppend>& batch,
     }
     snapshots_.Publish(std::move(next).value());
     PublishCounter()->Increment();
-    // Forward newly observed reclaims to the monotonic counter (only
-    // the combiner updates the cursor, so the delta is exact).
-    const uint64_t reclaimed = snapshots_.ReclaimedCount();
-    const uint64_t reported =
-        reclaim_reported_.exchange(reclaimed, std::memory_order_seq_cst);
-    if (reclaimed > reported) {
-      ReclaimedCounter()->Increment(reclaimed - reported);
-    }
   }
   pin.Release();
   return status;
@@ -768,15 +724,8 @@ Status QueryService::Shutdown() {
       drain_cv_.Wait(lock);
     }
   }
-  // Quiescent now: sweep any retirees a contended unpin left behind and
-  // bring the reclaim counter up to date.
+  // Quiescent now: sweep any retirees a contended unpin left behind.
   snapshots_.Reclaim();
-  const uint64_t reclaimed = snapshots_.ReclaimedCount();
-  const uint64_t reported =
-      reclaim_reported_.exchange(reclaimed, std::memory_order_seq_cst);
-  if (reclaimed > reported) {
-    ReclaimedCounter()->Increment(reclaimed - reported);
-  }
   // Drained: everything staged has published, so the log is complete.
   // The sync covers wal_sync_on_append=false (group commit) mode.
   if (wal_ != nullptr) {

@@ -32,20 +32,21 @@ namespace serve {
 /// histograms and counters — no sampling draw, no ring, no recorder —
 /// which is the "no sink" baseline BENCH_obs_overhead compares against.
 struct ServeTelemetryOptions {
-  /// Master switch for sampling, the slow-query log and the workload
+  /// Master switch for sampling, the slow-query ring and the workload
   /// recorder.
   bool enabled = false;
-  /// Fraction of requests whose trace is captured into the ring
-  /// (deterministic, see obs::TraceSampler). 0 disables sampling while
-  /// keeping the slow-query log and recorder live.
+  /// Fraction of requests whose record (with its span tree) is pushed
+  /// into the trace ring (deterministic, see obs::TraceSampler). 0
+  /// disables sampling while keeping the slow-query ring and recorder
+  /// live.
   double sample_rate = 0.01;
-  /// Completed-trace ring capacity (most recent captures win).
-  size_t trace_ring_capacity = 256;
+  /// Capacity of the trace ring and of the slow-query ring (most recent
+  /// records win).
+  size_t ring_capacity = 256;
   /// Requests at or above this end-to-end latency enter the slow-query
-  /// log unconditionally — sampled or not.
+  /// ring unconditionally — sampled or not.
   double slow_threshold_ms = 100.0;
-  size_t slow_log_capacity = 64;
-  /// When non-empty, every executed query appends one JSONL record here
+  /// When non-empty, every ok query appends one JSONL record here
   /// (obs::WorkloadRecorder; rotation per workload_options).
   std::string workload_log_path;
   obs::WorkloadRecorderOptions workload_options;
@@ -70,7 +71,7 @@ struct ServeOptions {
   /// Concurrent-reader capacity of the snapshot manager. Keep at least
   /// queue_depth + appenders; Acquire spins when all slots are claimed.
   size_t reader_slots = SnapshotManager::kDefaultReaderSlots;
-  /// Production telemetry (sampled tracing, slow-query log, workload
+  /// Production telemetry (sampled tracing, slow-query ring, workload
   /// recorder, periodic exporter).
   ServeTelemetryOptions telemetry;
   /// Durable serve mode (DESIGN.md §12): when non-empty, every combined
@@ -210,8 +211,8 @@ class QueryService {
 
   /// Telemetry sinks; nullptr when telemetry is disabled (and the
   /// recorder also when no workload_log_path was configured).
-  obs::TraceRing* trace_ring() { return trace_ring_.get(); }
-  obs::SlowQueryLog* slow_log() { return slow_log_.get(); }
+  obs::RecordRing* trace_ring() { return trace_ring_.get(); }
+  obs::RecordRing* slow_log() { return slow_log_.get(); }
   obs::WorkloadRecorder* workload_recorder() {
     return workload_recorder_.get();
   }
@@ -271,8 +272,6 @@ class QueryService {
   std::atomic<bool> start_guard_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
-  /// Reclaims already forwarded to the snapshots-reclaimed counter.
-  std::atomic<uint64_t> reclaim_reported_{0};
 
   std::atomic<size_t> in_flight_{0};
   Mutex drain_mu_{lock_rank::kQueryServiceDrain, "QueryService::drain_mu_"};
@@ -305,17 +304,14 @@ class QueryService {
   // without a guard.
   std::unique_ptr<obs::TraceSampler> sampler_
       EBI_UNGUARDED("constructed before the pool; internally atomic");
-  std::unique_ptr<obs::TraceRing> trace_ring_
+  std::unique_ptr<obs::RecordRing> trace_ring_
       EBI_UNGUARDED("constructed before the pool; per-slot locks inside");
-  std::unique_ptr<obs::SlowQueryLog> slow_log_
+  std::unique_ptr<obs::RecordRing> slow_log_
       EBI_UNGUARDED("constructed before the pool; per-slot locks inside");
   std::unique_ptr<obs::WorkloadRecorder> workload_recorder_
       EBI_UNGUARDED("constructed before the pool; has its own mutex");
   /// Completed requests (any outcome); drives the periodic export.
   std::atomic<uint64_t> completed_{0};
-  /// Workload-recorder rotations already forwarded to the rotation
-  /// counter.
-  std::atomic<uint64_t> rotations_reported_{0};
   Mutex export_mu_{lock_rank::kQueryServiceExport,
                    "QueryService::export_mu_"};
 

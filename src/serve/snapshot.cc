@@ -2,10 +2,21 @@
 
 #include <thread>
 
+#include "obs/metrics.h"
 #include "query/maintenance.h"
 
 namespace ebi {
 namespace serve {
+namespace {
+
+// Registry lookups are mutex-guarded; cache the stable pointer.
+obs::Counter* ReclaimedCounter() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      obs::kMetricServeSnapshotsReclaimed);
+  return counter;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // DatabaseSnapshot
@@ -246,6 +257,7 @@ void SnapshotManager::ReclaimLocked() {
     if (entry.second <= min_active) {
       entry.first.reset();
       reclaimed_.fetch_add(1, std::memory_order_relaxed);
+      ReclaimedCounter()->Increment();
     } else {
       retired_[kept++] = std::move(entry);
     }

@@ -166,7 +166,8 @@ class SnapshotManager {
 
   /// Retired-but-unreclaimed snapshots (for tests and metrics).
   size_t RetiredCount() const;
-  /// Snapshots freed so far by epoch reclamation.
+  /// Snapshots freed so far by epoch reclamation (each one also counts
+  /// into the global ebi.serve.snapshots_reclaimed counter).
   uint64_t ReclaimedCount() const {
     return reclaimed_.load(std::memory_order_relaxed);
   }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "index/encoded_bitmap_index.h"
 #include "index/simple_bitmap_index.h"
+#include "obs/json.h"
 #include "query/planner.h"
 #include "storage/table.h"
 
@@ -20,164 +20,10 @@ using obs::AttrValue;
 using obs::ExplainJson;
 using obs::ExplainOptions;
 using obs::ExplainText;
+using obs::JsonValue;
 using obs::QueryTrace;
 using obs::ScopedSpan;
 using obs::TraceScope;
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON reader, just enough to round-trip the
-// documents ExplainJson emits (objects, arrays, strings, numbers, bools).
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool b = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Get(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    return ParseValue(out) && (SkipSpace(), pos_ == text_.size());
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return false;
-    }
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return false;
-            }
-            c = static_cast<char>(
-                std::stoi(text_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: c = esc; break;
-        }
-      }
-      *out += c;
-    }
-    return pos_ < text_.size() && text_[pos_++] == '"';
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->type = JsonValue::Type::kObject;
-      if (Consume('}')) {
-        return true;
-      }
-      do {
-        std::string key;
-        JsonValue value;
-        if (!ParseString(&key) || !Consume(':') || !ParseValue(&value)) {
-          return false;
-        }
-        out->object.emplace_back(std::move(key), std::move(value));
-      } while (Consume(','));
-      return Consume('}');
-    }
-    if (c == '[') {
-      ++pos_;
-      out->type = JsonValue::Type::kArray;
-      if (Consume(']')) {
-        return true;
-      }
-      do {
-        JsonValue value;
-        if (!ParseValue(&value)) {
-          return false;
-        }
-        out->array.push_back(std::move(value));
-      } while (Consume(','));
-      return Consume(']');
-    }
-    if (c == '"') {
-      out->type = JsonValue::Type::kString;
-      return ParseString(&out->str);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->type = JsonValue::Type::kBool;
-      out->b = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->type = JsonValue::Type::kBool;
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return false;
-    }
-    out->type = JsonValue::Type::kNumber;
-    out->number = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 
 /// A hand-built deterministic trace mirroring the span vocabulary the
 /// query layer emits.
@@ -241,33 +87,34 @@ TEST(ExplainTest, JsonRoundTripsTheTree) {
   QueryTrace trace;
   BuildSampleTrace(&trace);
   const std::string json = ExplainJson(trace);
-  JsonValue doc;
-  ASSERT_TRUE(JsonReader(json).Parse(&doc)) << json;
+  const Result<JsonValue> parsed = obs::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
+  const JsonValue& doc = parsed.value();
 
-  ASSERT_EQ(doc.type, JsonValue::Type::kObject);
-  ASSERT_NE(doc.Get("name"), nullptr);
-  EXPECT_EQ(doc.Get("name")->str, "query");
-  const JsonValue* children = doc.Get("children");
+  ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
+  ASSERT_NE(doc.Find("name"), nullptr);
+  EXPECT_EQ(doc.Find("name")->text, "query");
+  const JsonValue* children = doc.Find("children");
   ASSERT_NE(children, nullptr);
   ASSERT_EQ(children->array.size(), 1u);
 
   const JsonValue& select = children->array[0];
-  EXPECT_EQ(select.Get("name")->str, "planner.select");
-  const JsonValue* select_attrs = select.Get("attrs");
+  EXPECT_EQ(select.Find("name")->text, "planner.select");
+  const JsonValue* select_attrs = select.Find("attrs");
   ASSERT_NE(select_attrs, nullptr);
-  EXPECT_EQ(select_attrs->Get("rows")->number, 120.0);
+  EXPECT_EQ(select_attrs->Find("rows")->Uint64(), 120u);
 
-  const JsonValue& pred = select.Get("children")->array[0];
-  EXPECT_EQ(pred.Get("name")->str, "predicate");
+  const JsonValue& pred = select.Find("children")->array[0];
+  EXPECT_EQ(pred.Find("name")->text, "predicate");
   // The quoted string survives escaping and un-escaping.
-  EXPECT_EQ(pred.Get("attrs")->Get("pred")->str, "product IN (1, 2)");
+  EXPECT_EQ(pred.Find("attrs")->Find("pred")->text, "product IN (1, 2)");
 
-  const JsonValue& eval = pred.Get("children")->array[0];
-  EXPECT_EQ(eval.Get("name")->str, "index.eval");
-  const JsonValue& reduce = eval.Get("children")->array[0];
-  EXPECT_EQ(reduce.Get("name")->str, "boolean.reduce");
-  EXPECT_EQ(reduce.Get("attrs")->Get("terms_in")->number, 2.0);
-  EXPECT_EQ(reduce.Get("attrs")->Get("terms_out")->number, 1.0);
+  const JsonValue& eval = pred.Find("children")->array[0];
+  EXPECT_EQ(eval.Find("name")->text, "index.eval");
+  const JsonValue& reduce = eval.Find("children")->array[0];
+  EXPECT_EQ(reduce.Find("name")->text, "boolean.reduce");
+  EXPECT_EQ(reduce.Find("attrs")->Find("terms_in")->Uint64(), 2u);
+  EXPECT_EQ(reduce.Find("attrs")->Find("terms_out")->Uint64(), 1u);
 }
 
 // ---------------------------------------------------------------------------

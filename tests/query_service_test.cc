@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -334,6 +336,123 @@ TEST(QueryServiceTest, RequestTraceRecordsServeSpan) {
   ASSERT_NE(span, nullptr);
   EXPECT_FALSE(span->attrs.empty());
   EXPECT_NE(trace.Find("executor.select"), nullptr);
+}
+
+TEST(QueryServiceTest, ReclaimCounterTracksReclaimedCount) {
+  obs::Counter* reclaimed = obs::MetricsRegistry::Global().GetCounter(
+      obs::kMetricServeSnapshotsReclaimed);
+  const uint64_t before = reclaimed->Value();
+  QueryService service;
+  ASSERT_TRUE(service.Start(TwoColumnTable(6), BothColumns()).ok());
+  // A pin held across publishes defers reclaims to its release (the
+  // unpin path), the rest go at publish time.
+  SnapshotManager::Pin pin = service.snapshots().Acquire();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(service.Append({{Value::Int(i), Value::Int(i)}}).ok());
+  }
+  pin.Release();
+  ASSERT_TRUE(service.Append({{Value::Int(4), Value::Int(4)}}).ok());
+  ASSERT_TRUE(service.Shutdown().ok());
+  EXPECT_EQ(service.snapshots().ReclaimedCount(), 4u);
+  EXPECT_EQ(reclaimed->Value() - before,
+            service.snapshots().ReclaimedCount());
+}
+
+TEST(QueryServiceTest, StageHistogramsObserveOnlyStagesThatRan) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Histogram* const histograms[] = {
+      registry.GetHistogram(obs::kMetricServeQueueMs),
+      registry.GetHistogram(obs::kMetricServeStagePinMs),
+      registry.GetHistogram(obs::kMetricServeStagePlanMs),
+      registry.GetHistogram(obs::kMetricServeStageExecuteMs),
+      registry.GetHistogram(obs::kMetricServeLatencyMs)};
+  uint64_t before[5];
+  for (size_t i = 0; i < 5; ++i) {
+    before[i] = histograms[i]->TotalCount();
+  }
+  QueryService service;
+  ASSERT_TRUE(service.Start(TwoColumnTable(16), BothColumns()).ok());
+  ASSERT_TRUE(service.Select({Predicate::Eq("a", Value::Int(1))}).ok());
+  ASSERT_TRUE(service.Select({Predicate::Eq("b", Value::Int(2))}).ok());
+  // Fails in the executor: every stage ran.
+  ASSERT_FALSE(service.Select({Predicate::Eq("zzz", Value::Int(1))}).ok());
+  // A one-nanosecond budget passes admission but has expired by the time
+  // a worker picks the request up: it never pins, plans or executes.
+  RequestOptions expiring;
+  expiring.deadline_ms = 1e-6;
+  const Result<ServeResult> late =
+      service.Select({Predicate::Eq("a", Value::Int(1))}, expiring);
+  ASSERT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(service.Shutdown().ok());
+  // queue, pin, plan, execute, end-to-end.
+  const uint64_t expected[5] = {4, 3, 3, 3, 4};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(histograms[i]->TotalCount() - before[i], expected[i]) << i;
+  }
+}
+
+TEST(QueryServiceTest, TelemetrySinksProjectOneRequestRecord) {
+  const std::string log_path =
+      std::string(::testing::TempDir()) + "/ebi_request_record.jsonl";
+  std::remove(log_path.c_str());
+  ServeOptions options;
+  options.worker_threads = 1;
+  options.telemetry.enabled = true;
+  options.telemetry.sample_rate = 1.0;
+  options.telemetry.slow_threshold_ms = 0.0;
+  options.telemetry.ring_capacity = 4;
+  options.telemetry.workload_log_path = log_path;
+  QueryService service(options);
+  ASSERT_TRUE(service.Start(TwoColumnTable(30), BothColumns()).ok());
+  const Result<ServeResult> ok =
+      service.Select({Predicate::Eq("a", Value::Int(2)),
+                      Predicate::In("b", {Value::Int(0), Value::Int(1)})});
+  ASSERT_TRUE(ok.ok());
+  const Result<ServeResult> failed =
+      service.Select({Predicate::Eq("zzz", Value::Int(1))});
+  ASSERT_FALSE(failed.ok());
+  ASSERT_TRUE(service.Shutdown().ok());
+
+  // Sampled at rate 1 and slow at threshold 0: both rings hold both
+  // requests, span tree and query text included.
+  for (obs::RecordRing* ring : {service.trace_ring(), service.slow_log()}) {
+    ASSERT_NE(ring, nullptr);
+    const std::vector<obs::RequestRecord> records = ring->Snapshot();
+    ASSERT_EQ(records.size(), 2u);
+    const obs::RequestRecord& first = records[0];
+    EXPECT_EQ(first.status, StatusCode::kOk);
+    EXPECT_EQ(first.rows_selected, ok.value().selection.count);
+    EXPECT_EQ(first.rows_total, 30u);
+    EXPECT_EQ(first.vectors, ok.value().selection.io.vectors_read);
+    EXPECT_TRUE(first.slow);
+    EXPECT_EQ(first.query, "a = 2 AND b IN {0, 1}");
+    ASSERT_EQ(first.predicates.size(), 2u);
+    EXPECT_EQ(first.predicates[1].literals, (std::vector<int64_t>{0, 1}));
+    ASSERT_TRUE(first.root.has_value());
+    EXPECT_NE(obs::SpanJson(*first.root).find("serve.request"),
+              std::string::npos);
+    const obs::RequestRecord& second = records[1];
+    EXPECT_EQ(second.status, failed.status().code());
+    EXPECT_EQ(second.rows_selected, 0u);
+    EXPECT_TRUE(second.execute_ms.has_value());
+    ASSERT_EQ(second.predicates.size(), 1u);
+    EXPECT_EQ(second.predicates[0].column, "zzz");
+    EXPECT_NE(ring->DumpJson().find(std::string("\"status\":\"") +
+                                    StatusCodeName(failed.status().code())),
+              std::string::npos);
+  }
+
+  // The log takes only the ok request, without its span tree.
+  const Result<obs::WorkloadLogRead> read = obs::ReadWorkloadLog(log_path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().skipped, 0u);
+  ASSERT_EQ(read.value().records.size(), 1u);
+  const obs::RequestRecord& logged = read.value().records[0];
+  EXPECT_EQ(logged.rows_selected, ok.value().selection.count);
+  EXPECT_TRUE(logged.slow);
+  EXPECT_EQ(logged.query, "a = 2 AND b IN {0, 1}");
+  EXPECT_FALSE(logged.root.has_value());
+  std::remove(log_path.c_str());
 }
 
 TEST(QueryServiceTest, ConcurrentAppendsAllLandExactlyOnce) {

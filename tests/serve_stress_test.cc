@@ -184,9 +184,8 @@ TEST(ServeStressTest, TelemetryCapturesEveryCompletedSelection) {
   options.queue_depth = 256;
   options.telemetry.enabled = true;
   options.telemetry.sample_rate = 1.0;
-  options.telemetry.trace_ring_capacity = 8;  // forces wraparound
+  options.telemetry.ring_capacity = 8;  // forces wraparound
   options.telemetry.slow_threshold_ms = 0.0;
-  options.telemetry.slow_log_capacity = 4;
   options.telemetry.workload_log_path = log_path;
   options.telemetry.workload_options.rotate_bytes = 2048;
   options.telemetry.workload_options.max_files = 3;
@@ -230,7 +229,7 @@ TEST(ServeStressTest, TelemetryCapturesEveryCompletedSelection) {
   EXPECT_EQ(service.trace_ring()->TotalCaptured(), completed);
   const auto captures = service.trace_ring()->Snapshot();
   EXPECT_EQ(captures.size(),
-            std::min<size_t>(completed, options.telemetry.trace_ring_capacity));
+            std::min<size_t>(completed, options.telemetry.ring_capacity));
   for (size_t i = 1; i < captures.size(); ++i) {
     EXPECT_LT(captures[i - 1].seq, captures[i].seq);
   }
@@ -252,13 +251,13 @@ TEST(ServeStressTest, TelemetryCapturesEveryCompletedSelection) {
   ASSERT_FALSE(set.value().records.empty());
   EXPECT_EQ(set.value().records.back().seq, completed - 1);
   for (size_t i = 0; i < set.value().records.size(); ++i) {
-    const obs::WorkloadRecord& record = set.value().records[i];
+    const obs::RequestRecord& record = set.value().records[i];
     if (i > 0) {
       EXPECT_LT(set.value().records[i - 1].seq, record.seq);
     }
     EXPECT_FALSE(record.kernel.empty());
-    EXPECT_GE(record.selectivity, 0.0);
-    EXPECT_LE(record.selectivity, 1.0);
+    EXPECT_GE(record.Selectivity(), 0.0);
+    EXPECT_LE(record.Selectivity(), 1.0);
     ASSERT_EQ(record.predicates.size(), 1u);
     EXPECT_EQ(record.predicates[0].column, "a");
     EXPECT_EQ(record.predicates[0].op, "eq");

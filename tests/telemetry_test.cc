@@ -66,107 +66,92 @@ TEST(TraceSamplerTest, SampledFractionTracksRate) {
   EXPECT_NEAR(fraction, 0.3, 0.02);
 }
 
-// --- TraceRing -------------------------------------------------------------
+// --- RecordRing ------------------------------------------------------------
 
-CapturedTrace MakeCapture(double elapsed_ms) {
-  CapturedTrace capture;
-  capture.elapsed_ms = elapsed_ms;
-  capture.root.name = "query";
-  capture.root.attrs.emplace_back("rows", AttrValue::Uint(7));
-  return capture;
+RequestRecord MakeRecord(double total_ms) {
+  RequestRecord record;
+  record.total_ms = total_ms;
+  record.root = TraceSpan();
+  record.root->name = "query";
+  record.root->attrs.emplace_back("rows", AttrValue::Uint(7));
+  return record;
 }
 
-TEST(TraceRingTest, KeepsMostRecentCaptures) {
-  TraceRing ring(4);
+TEST(RecordRingTest, KeepsMostRecentRecords) {
+  RecordRing ring(4);
   EXPECT_EQ(ring.capacity(), 4u);
   for (int i = 0; i < 10; ++i) {
-    ring.Push(MakeCapture(static_cast<double>(i)));
+    ring.Push(MakeRecord(static_cast<double>(i)));
   }
   EXPECT_EQ(ring.TotalCaptured(), 10u);
-  const std::vector<CapturedTrace> captures = ring.Snapshot();
-  ASSERT_EQ(captures.size(), 4u);
+  const std::vector<RequestRecord> records = ring.Snapshot();
+  ASSERT_EQ(records.size(), 4u);
   // The four most recent pushes survive, oldest first.
-  for (size_t i = 0; i < captures.size(); ++i) {
-    EXPECT_EQ(captures[i].seq, 6 + i);
-    EXPECT_DOUBLE_EQ(captures[i].elapsed_ms, static_cast<double>(6 + i));
-    EXPECT_EQ(captures[i].root.name, "query");
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, 6 + i);
+    EXPECT_DOUBLE_EQ(records[i].total_ms, static_cast<double>(6 + i));
+    EXPECT_EQ(records[i].root->name, "query");
   }
 }
 
-TEST(TraceRingTest, CapacityClampsToOne) {
-  TraceRing ring(0);
+TEST(RecordRingTest, CapacityClampsToOne) {
+  RecordRing ring(0);
   EXPECT_EQ(ring.capacity(), 1u);
-  ring.Push(MakeCapture(1.0));
-  ring.Push(MakeCapture(2.0));
-  const std::vector<CapturedTrace> captures = ring.Snapshot();
-  ASSERT_EQ(captures.size(), 1u);
-  EXPECT_DOUBLE_EQ(captures[0].elapsed_ms, 2.0);
+  ring.Push(MakeRecord(1.0));
+  ring.Push(MakeRecord(2.0));
+  const std::vector<RequestRecord> records = ring.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_DOUBLE_EQ(records[0].total_ms, 2.0);
 }
 
-TEST(TraceRingTest, DumpJsonRendersSpanTrees) {
-  TraceRing ring(2);
-  ring.Push(MakeCapture(1.5));
+TEST(RecordRingTest, DumpJsonRendersRecordsAndSpanTrees) {
+  RecordRing ring(2);
+  ring.Push(MakeRecord(1.5));
+  RequestRecord slow;
+  slow.slow = true;
+  slow.query = "a = 2";
+  slow.total_ms = 62.0;
+  ring.Push(slow);
   const std::string json = ring.DumpJson();
+  ASSERT_EQ(json.front(), '[') << json;
+  ASSERT_EQ(json.back(), ']') << json;
   EXPECT_NE(json.find("\"seq\":0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"elapsed_ms\":1.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ms\":1.5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\":\"query\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"rows\":7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"seq\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"slow\":true,\"query\":\"a = 2\"}"),
+            std::string::npos)
+      << json;
+  // One span tree between the two records: the second has none.
+  EXPECT_EQ(json.find("\"trace\""), json.rfind("\"trace\"")) << json;
 }
 
-TEST(TraceRingTest, ConcurrentPushesNeverLoseOrTearCaptures) {
+TEST(RecordRingTest, ConcurrentPushesNeverLoseOrTearRecords) {
   // TSan target (scripts/repro.sh runs this suite under
   // -fsanitize=thread): concurrent writers claim distinct slots via the
-  // atomic head and lock only their slot.
+  // atomic counter and lock only their slot.
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 500;
-  TraceRing ring(64);
+  RecordRing ring(64);
   exec::ThreadPool pool(4);
   pool.ParallelFor(0, kThreads, [&](size_t t) {
     for (size_t i = 0; i < kPerThread; ++i) {
-      ring.Push(MakeCapture(static_cast<double>(t)));
+      ring.Push(MakeRecord(static_cast<double>(t)));
     }
   });
   EXPECT_EQ(ring.TotalCaptured(), kThreads * kPerThread);
-  const std::vector<CapturedTrace> captures = ring.Snapshot();
-  EXPECT_EQ(captures.size(), ring.capacity());
-  for (size_t i = 0; i < captures.size(); ++i) {
-    // Every surviving capture is whole: a moved-in root, not a torn mix.
-    EXPECT_EQ(captures[i].root.name, "query");
-    ASSERT_EQ(captures[i].root.attrs.size(), 1u);
+  const std::vector<RequestRecord> records = ring.Snapshot();
+  EXPECT_EQ(records.size(), ring.capacity());
+  for (size_t i = 0; i < records.size(); ++i) {
+    // Every surviving record is whole: a copied-in root, not a torn mix.
+    ASSERT_TRUE(records[i].root.has_value());
+    EXPECT_EQ(records[i].root->name, "query");
+    ASSERT_EQ(records[i].root->attrs.size(), 1u);
     if (i > 0) {
-      EXPECT_LT(captures[i - 1].seq, captures[i].seq);
+      EXPECT_LT(records[i - 1].seq, records[i].seq);
     }
   }
-}
-
-// --- SlowQueryLog ----------------------------------------------------------
-
-TEST(SlowQueryLogTest, ThresholdClassifies) {
-  SlowQueryLog log(8, 100.0);
-  EXPECT_FALSE(log.IsSlow(99.9));
-  EXPECT_TRUE(log.IsSlow(100.0));
-  EXPECT_TRUE(log.IsSlow(250.0));
-}
-
-TEST(SlowQueryLogTest, KeepsMostRecentEntriesAndDumps) {
-  SlowQueryLog log(2, 50.0);
-  for (int i = 0; i < 3; ++i) {
-    SlowQueryEntry entry;
-    entry.epoch = static_cast<uint64_t>(i);
-    entry.query = "a = " + std::to_string(i);
-    entry.total_ms = 60.0 + i;
-    log.Push(std::move(entry));
-  }
-  EXPECT_EQ(log.TotalCaptured(), 3u);
-  const std::vector<SlowQueryEntry> entries = log.Snapshot();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].query, "a = 1");
-  EXPECT_EQ(entries[1].query, "a = 2");
-  const std::string json = log.DumpJson();
-  EXPECT_NE(json.find("\"query\":\"a = 2\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"total_ms\":62"), std::string::npos) << json;
-  // No trace was attached, so no span tree rides along.
-  EXPECT_EQ(json.find("\"trace\""), std::string::npos) << json;
 }
 
 // --- Exporter goldens ------------------------------------------------------

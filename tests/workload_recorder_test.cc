@@ -4,11 +4,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace ebi {
 namespace obs {
@@ -43,12 +45,11 @@ void WriteFile(const std::string& path, const std::string& content) {
   std::fclose(f);
 }
 
-WorkloadRecord SampleRecord() {
-  WorkloadRecord record;
+RequestRecord SampleRecord() {
+  RequestRecord record;
   record.epoch = 3;
   record.rows_selected = 42;
   record.rows_total = 1000;
-  record.selectivity = 0.042;
   record.queue_ms = 0.5;
   record.pin_ms = 0.25;
   record.plan_ms = 0.125;
@@ -84,24 +85,23 @@ WorkloadRecord SampleRecord() {
 // --- Serialization round-trip ----------------------------------------------
 
 TEST(WorkloadRecordTest, JsonRoundTrip) {
-  WorkloadRecord record = SampleRecord();
+  RequestRecord record = SampleRecord();
   record.seq = 11;
   record.ts_ms = 123.5;
-  const std::string line = WorkloadRecordJson(record);
-  const Result<WorkloadRecord> parsed = ParseWorkloadRecord(line);
+  const std::string line = RequestRecordJson(record);
+  const Result<RequestRecord> parsed = ParseRequestRecord(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const WorkloadRecord& got = parsed.value();
-  EXPECT_EQ(got.version, WorkloadRecorder::kSchemaVersion);
+  const RequestRecord& got = parsed.value();
   EXPECT_EQ(got.seq, 11u);
   EXPECT_DOUBLE_EQ(got.ts_ms, 123.5);
   EXPECT_EQ(got.epoch, 3u);
   EXPECT_EQ(got.rows_selected, 42u);
   EXPECT_EQ(got.rows_total, 1000u);
-  EXPECT_DOUBLE_EQ(got.selectivity, 0.042);
+  EXPECT_DOUBLE_EQ(got.Selectivity(), 0.042);
   EXPECT_DOUBLE_EQ(got.queue_ms, 0.5);
-  EXPECT_DOUBLE_EQ(got.pin_ms, 0.25);
-  EXPECT_DOUBLE_EQ(got.plan_ms, 0.125);
-  EXPECT_DOUBLE_EQ(got.execute_ms, 1.5);
+  EXPECT_DOUBLE_EQ(got.pin_ms.value(), 0.25);
+  EXPECT_DOUBLE_EQ(got.plan_ms.value(), 0.125);
+  EXPECT_DOUBLE_EQ(got.execute_ms.value(), 1.5);
   EXPECT_DOUBLE_EQ(got.total_ms, 2.375);
   EXPECT_EQ(got.vectors, 7u);
   EXPECT_EQ(got.pages, 2u);
@@ -119,26 +119,159 @@ TEST(WorkloadRecordTest, JsonRoundTrip) {
   EXPECT_TRUE(got.predicates[1].has_range);
   EXPECT_EQ(got.predicates[1].lo, -100);
   EXPECT_EQ(got.predicates[1].hi, 100);
+  // An ok, fast, untraced record carries none of the tail fields.
+  EXPECT_EQ(got.status, StatusCode::kOk);
+  EXPECT_FALSE(got.slow);
+  EXPECT_TRUE(got.query.empty());
+  EXPECT_FALSE(got.root.has_value());
+}
+
+TEST(WorkloadRecordTest, OkFastUntracedLineIsTheV1Line) {
+  // Golden v1 lines: the line of an ok, fast, untraced request must not
+  // change, so logs already written and the tools reading them stay
+  // byte-compatible.
+  RequestRecord record = SampleRecord();
+  record.seq = 11;
+  record.ts_ms = 123.5;
+  record.pin_ms = 0.0123456789012;
+  WorkloadPredicate isnull;
+  isnull.column = "na\"me";
+  isnull.op = "isnull";
+  isnull.fingerprint = 1;
+  record.predicates.push_back(isnull);
+  EXPECT_EQ(RequestRecordJson(record),
+            "{\"v\":1,\"seq\":11,\"ts\":123.5,\"epoch\":3,\"rows\":42,"
+            "\"total\":1000,\"sel\":0.042,\"queue\":0.5,"
+            "\"pin\":0.0123456789,\"plan\":0.125,\"exec\":1.5,"
+            "\"ms\":2.375,\"vec\":7,\"pages\":2,\"bytes\":16384,"
+            "\"kernel\":\"scalar\",\"preds\":["
+            "{\"col\":\"region\",\"op\":\"in\",\"fp\":\"deadbeefcafebabe\","
+            "\"rows\":250,\"lits\":[-4,2,9]},"
+            "{\"col\":\"price\",\"op\":\"range\",\"fp\":\"0123456789abcdef\","
+            "\"rows\":610,\"lo\":-100,\"hi\":100},"
+            "{\"col\":\"na\\\"me\",\"op\":\"isnull\","
+            "\"fp\":\"0000000000000001\",\"rows\":0}]}");
+
+  RequestRecord zero;
+  zero.pin_ms = 0.0;
+  zero.plan_ms = 0.0;
+  zero.execute_ms = 0.0;
+  EXPECT_EQ(RequestRecordJson(zero),
+            "{\"v\":1,\"seq\":0,\"ts\":0,\"epoch\":0,\"rows\":0,"
+            "\"total\":0,\"sel\":0,\"queue\":0,\"pin\":0,\"plan\":0,"
+            "\"exec\":0,\"ms\":0,\"vec\":0,\"pages\":0,\"bytes\":0,"
+            "\"kernel\":\"\",\"preds\":[]}");
+}
+
+TEST(WorkloadRecordTest, TailFieldsAppearOnlyWhenSet) {
+  RequestRecord record = SampleRecord();
+  record.status = StatusCode::kDeadlineExceeded;
+  record.slow = true;
+  record.query = "region IN {-4, 2, 9}";
+  record.pin_ms.reset();
+  record.plan_ms.reset();
+  record.execute_ms.reset();
+  TraceSpan root;
+  root.name = "serve.request";
+  record.root = root;
+  const std::string line = RequestRecordJson(record);
+  // Stages the request never reached are left out, not reported as 0.
+  EXPECT_EQ(line.find("\"pin\""), std::string::npos) << line;
+  EXPECT_EQ(line.find("\"exec\""), std::string::npos) << line;
+  EXPECT_NE(line.find("\"status\":\"DeadlineExceeded\",\"slow\":true,"
+                      "\"query\":\"region IN {-4, 2, 9}\","
+                      "\"trace\":{\"name\":\"serve.request\""),
+            std::string::npos)
+      << line;
+
+  const Result<RequestRecord> parsed = ParseRequestRecord(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(parsed.value().slow);
+  EXPECT_EQ(parsed.value().query, "region IN {-4, 2, 9}");
+  EXPECT_FALSE(parsed.value().pin_ms.has_value());
+  EXPECT_FALSE(parsed.value().execute_ms.has_value());
+  // The log holds ok requests without span trees: neither is read back.
+  EXPECT_EQ(parsed.value().status, StatusCode::kOk);
+  EXPECT_FALSE(parsed.value().root.has_value());
+}
+
+TEST(WorkloadRecordTest, IntegersRoundTripExactly) {
+  // Past 2^53 a double cannot hold every integer: the reader parses
+  // integer fields from their digits, never through a double.
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  RequestRecord record = SampleRecord();
+  record.seq = static_cast<uint64_t>(kTwo53) + 1;
+  record.bytes = std::numeric_limits<uint64_t>::max();
+  record.predicates[0].literals = {kMin, -kMax, -(kTwo53 + 1), kTwo53 + 1,
+                                   kMax};
+  record.predicates[1].lo = kMin;
+  record.predicates[1].hi = kMax;
+  const std::string line = RequestRecordJson(record);
+  EXPECT_NE(line.find("9007199254740993"), std::string::npos) << line;
+  const Result<RequestRecord> parsed = ParseRequestRecord(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().seq, static_cast<uint64_t>(kTwo53) + 1);
+  EXPECT_EQ(parsed.value().bytes, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(parsed.value().predicates[0].literals,
+            record.predicates[0].literals);
+  EXPECT_EQ(parsed.value().predicates[1].lo, kMin);
+  EXPECT_EQ(parsed.value().predicates[1].hi, kMax);
+}
+
+TEST(WorkloadRecordTest, RejectsNonIntegralAndOutOfRangeIntegers) {
+  const std::string good = RequestRecordJson(SampleRecord());
+  auto with = [&good](const std::string& from, const std::string& to) {
+    std::string line = good;
+    const size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  const std::string bad_lines[] = {
+      with("\"seq\":0", "\"seq\":1e30"),
+      with("\"seq\":0", "\"seq\":1.5"),
+      with("\"seq\":0", "\"seq\":-1"),
+      with("\"seq\":0", "\"seq\":18446744073709551616"),
+      with("\"seq\":0", "\"seq\":\"7\""),
+      with("\"lits\":[-4,", "\"lits\":[1e300,"),
+      with("\"lits\":[-4,", "\"lits\":[9223372036854775808,"),
+      with("\"lo\":-100", "\"lo\":-9223372036854775809"),
+      with("\"v\":1", "\"v\":1.0"),
+  };
+  for (const std::string& line : bad_lines) {
+    EXPECT_FALSE(ParseRequestRecord(line).ok()) << line;
+  }
+
+  // The log reader skips such a line and counts it.
+  const std::string path = TempPath("bad_integers");
+  RemoveSet(path, 4);
+  WriteFile(path, good + "\n" + bad_lines[5] + "\n" + good + "\n");
+  const Result<WorkloadLogRead> read = ReadWorkloadLog(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value().records.size(), 2u);
+  EXPECT_EQ(read.value().skipped, 1u);
+  RemoveSet(path, 4);
 }
 
 TEST(WorkloadRecordTest, FingerprintSerializesAsHex) {
-  WorkloadRecord record = SampleRecord();
-  const std::string line = WorkloadRecordJson(record);
+  RequestRecord record = SampleRecord();
+  const std::string line = RequestRecordJson(record);
   EXPECT_NE(line.find("\"fp\":\"deadbeefcafebabe\""), std::string::npos)
       << line;
 }
 
 TEST(WorkloadRecordTest, RejectsUnknownVersionAndGarbage) {
-  WorkloadRecord record = SampleRecord();
-  std::string line = WorkloadRecordJson(record);
+  RequestRecord record = SampleRecord();
+  std::string line = RequestRecordJson(record);
   // The version is the first field; bump it and the parser must refuse.
   const size_t at = line.find("\"v\":1");
   ASSERT_NE(at, std::string::npos);
   line.replace(at, 5, "\"v\":9");
-  EXPECT_FALSE(ParseWorkloadRecord(line).ok());
-  EXPECT_FALSE(ParseWorkloadRecord("not json at all").ok());
-  EXPECT_FALSE(ParseWorkloadRecord("{\"seq\":0}").ok());
-  EXPECT_FALSE(ParseWorkloadRecord("").ok());
+  EXPECT_FALSE(ParseRequestRecord(line).ok());
+  EXPECT_FALSE(ParseRequestRecord("not json at all").ok());
+  EXPECT_FALSE(ParseRequestRecord("{\"seq\":0}").ok());
+  EXPECT_FALSE(ParseRequestRecord("").ok());
 }
 
 // --- Recorder: append, read back -------------------------------------------
@@ -149,7 +282,7 @@ TEST(WorkloadRecorderTest, AppendsAndReadsBack) {
   {
     WorkloadRecorder recorder(path);
     for (int i = 0; i < 5; ++i) {
-      WorkloadRecord record = SampleRecord();
+      RequestRecord record = SampleRecord();
       record.rows_selected = static_cast<uint64_t>(i);
       ASSERT_TRUE(recorder.Append(std::move(record)).ok());
     }
@@ -177,25 +310,38 @@ TEST(WorkloadRecorderTest, MissingFileIsNotFound) {
   EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
 }
 
-TEST(WorkloadRecorderTest, CapsStoredLiterals) {
+TEST(WorkloadRecorderTest, CapsStoredLiteralsAndDropsTraces) {
   const std::string path = TempPath("litcap");
   RemoveSet(path, 4);
-  WorkloadRecorderOptions options;
-  options.literal_cap = 2;
+  RequestRecord record = SampleRecord();
+  std::vector<int64_t> literals;
+  for (int64_t v = 0; v < 20; ++v) {
+    literals.push_back(v);
+  }
+  record.predicates[0].literals = literals;
+  record.root = TraceSpan();
+  record.root->name = "serve.request";
   {
-    WorkloadRecorder recorder(path, options);
-    ASSERT_TRUE(recorder.Append(SampleRecord()).ok());
+    WorkloadRecorder recorder(path);
+    ASSERT_TRUE(recorder.Append(record).ok());
     ASSERT_TRUE(recorder.Flush().ok());
   }
   const Result<WorkloadLogRead> read = ReadWorkloadLog(path);
   ASSERT_TRUE(read.ok());
   ASSERT_EQ(read.value().records.size(), 1u);
-  // The IN-list had 3 literals; only literal_cap survive on disk. The
+  // The IN-list had 20 literals; only kLiteralCap survive on disk. The
   // fingerprint still covers the full set.
-  EXPECT_EQ(read.value().records[0].predicates[0].literals,
-            (std::vector<int64_t>{-4, 2}));
+  literals.resize(WorkloadRecorder::kLiteralCap);
+  EXPECT_EQ(read.value().records[0].predicates[0].literals, literals);
   EXPECT_EQ(read.value().records[0].predicates[0].fingerprint,
             0xdeadbeefcafebabeULL);
+  // The span tree stayed out of the log.
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[4096];
+  const size_t n = std::fread(buf, 1, sizeof(buf), f);
+  std::fclose(f);
+  EXPECT_EQ(std::string(buf, n).find("\"trace\""), std::string::npos);
   RemoveSet(path, 4);
 }
 
@@ -237,12 +383,36 @@ TEST(WorkloadRecorderTest, RotatesAndKeepsBoundedGenerations) {
   RemoveSet(path, 8);
 }
 
+TEST(WorkloadRecorderTest, CountsRecordsAndRotationsIntoTheRegistry) {
+  const std::string path = TempPath("counted");
+  RemoveSet(path, 3);
+  Counter* records =
+      MetricsRegistry::Global().GetCounter(kMetricWorkloadRecords);
+  Counter* rotations =
+      MetricsRegistry::Global().GetCounter(kMetricWorkloadRotations);
+  const uint64_t records_before = records->Value();
+  const uint64_t rotations_before = rotations->Value();
+  WorkloadRecorderOptions options;
+  options.rotate_bytes = 512;
+  options.max_files = 3;
+  {
+    WorkloadRecorder recorder(path, options);
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(recorder.Append(SampleRecord()).ok());
+    }
+    EXPECT_GT(recorder.Rotations(), 0u);
+    EXPECT_EQ(records->Value() - records_before, recorder.RecordsWritten());
+    EXPECT_EQ(rotations->Value() - rotations_before, recorder.Rotations());
+  }
+  RemoveSet(path, 3);
+}
+
 // --- Damage recovery --------------------------------------------------------
 
 TEST(WorkloadRecorderTest, SkipsTruncatedTail) {
   const std::string path = TempPath("truncated");
   RemoveSet(path, 4);
-  const std::string good = WorkloadRecordJson(SampleRecord());
+  const std::string good = RequestRecordJson(SampleRecord());
   // A crash mid-write leaves a final line with no newline, cut mid-JSON.
   WriteFile(path, good + "\n" + good.substr(0, good.size() / 2));
   const Result<WorkloadLogRead> read = ReadWorkloadLog(path);
@@ -255,7 +425,7 @@ TEST(WorkloadRecorderTest, SkipsTruncatedTail) {
 TEST(WorkloadRecorderTest, SkipsMalformedAndForeignVersionLines) {
   const std::string path = TempPath("damaged");
   RemoveSet(path, 4);
-  const std::string good = WorkloadRecordJson(SampleRecord());
+  const std::string good = RequestRecordJson(SampleRecord());
   std::string future = good;
   const size_t at = future.find("\"v\":1");
   ASSERT_NE(at, std::string::npos);
@@ -287,7 +457,7 @@ TEST(WorkloadRecorderTest, ConcurrentAppendsAssignUniqueSeqs) {
     exec::ThreadPool pool(4);
     pool.ParallelFor(0, kThreads, [&](size_t t) {
       for (size_t i = 0; i < kPerThread; ++i) {
-        WorkloadRecord record = SampleRecord();
+        RequestRecord record = SampleRecord();
         record.epoch = t;
         ASSERT_TRUE(recorder.Append(std::move(record)).ok());
       }
@@ -300,7 +470,7 @@ TEST(WorkloadRecorderTest, ConcurrentAppendsAssignUniqueSeqs) {
   EXPECT_EQ(read.value().skipped, 0u);
   ASSERT_EQ(read.value().records.size(), kThreads * kPerThread);
   std::set<uint64_t> seqs;
-  for (const WorkloadRecord& record : read.value().records) {
+  for (const RequestRecord& record : read.value().records) {
     seqs.insert(record.seq);
   }
   // No torn lines, no duplicated or lost sequence numbers.

@@ -31,10 +31,10 @@
 namespace {
 
 using ebi::obs::ReadWorkloadLogSet;
+using ebi::obs::RequestRecord;
+using ebi::obs::RequestRecordJson;
 using ebi::obs::WorkloadLogRead;
 using ebi::obs::WorkloadPredicate;
-using ebi::obs::WorkloadRecord;
-using ebi::obs::WorkloadRecordJson;
 
 constexpr size_t kMaxGenerations = 16;
 constexpr size_t kMaxShards = 64;
@@ -130,7 +130,7 @@ void PrintShardBreakdown(
     std::vector<double> latencies;
     latencies.reserve(read.records.size());
     double total_ms = 0.0;
-    for (const WorkloadRecord& r : read.records) {
+    for (const RequestRecord& r : read.records) {
       latencies.push_back(r.total_ms);
       total_ms += r.total_ms;
     }
@@ -146,7 +146,7 @@ void PrintShardBreakdown(
   std::printf("\n");
 }
 
-int RunSummary(const std::vector<WorkloadRecord>& records, size_t skipped) {
+int RunSummary(const std::vector<RequestRecord>& records, size_t skipped) {
   std::printf("records:        %zu\n", records.size());
   std::printf("skipped lines:  %zu\n", skipped);
   if (records.empty()) {
@@ -161,10 +161,10 @@ int RunSummary(const std::vector<WorkloadRecord>& records, size_t skipped) {
   latencies.reserve(records.size());
   std::map<std::string, uint64_t> kernels;
   std::map<uint64_t, uint64_t> epochs;
-  for (const WorkloadRecord& r : records) {
+  for (const RequestRecord& r : records) {
     total_ms += r.total_ms;
-    exec_ms += r.execute_ms;
-    selectivity += r.selectivity;
+    exec_ms += r.execute_ms.value_or(0.0);
+    selectivity += r.Selectivity();
     vectors += r.vectors;
     bytes += r.bytes;
     latencies.push_back(r.total_ms);
@@ -190,10 +190,10 @@ int RunSummary(const std::vector<WorkloadRecord>& records, size_t skipped) {
   return 0;
 }
 
-int RunTop(const std::vector<WorkloadRecord>& records, size_t k) {
+int RunTop(const std::vector<RequestRecord>& records, size_t k) {
   // Group by fingerprint; representative literals from first occurrence.
   std::map<uint64_t, PredicateGroup> groups;
-  for (const WorkloadRecord& r : records) {
+  for (const RequestRecord& r : records) {
     for (const WorkloadPredicate& p : r.predicates) {
       PredicateGroup& group = groups[p.fingerprint];
       if (group.count == 0) {
@@ -232,11 +232,11 @@ int RunTop(const std::vector<WorkloadRecord>& records, size_t k) {
   return 0;
 }
 
-int RunJson(const std::vector<WorkloadRecord>& records) {
+int RunJson(const std::vector<RequestRecord>& records) {
   std::printf("[");
   for (size_t i = 0; i < records.size(); ++i) {
     std::printf("%s%s", i > 0 ? ",\n " : "",
-                WorkloadRecordJson(records[i]).c_str());
+                RequestRecordJson(records[i]).c_str());
   }
   std::printf("]\n");
   return 0;
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::pair<LogSource, WorkloadLogRead>> reads;
-  std::vector<WorkloadRecord> records;
+  std::vector<RequestRecord> records;
   size_t skipped = 0;
   for (const LogSource& source : sources) {
     ebi::Result<WorkloadLogRead> one =

@@ -54,7 +54,6 @@
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "query/reencode_advisor.h"
-#include "storage/bitmap_store.h"
 #include "storage/catalog.h"
 #include "storage/column.h"
 #include "storage/csv.h"

@@ -18,7 +18,7 @@ class SliceStreams final : public CoverWordSource {
  public:
   explicit SliceStreams(size_t count) { streams_.reserve(count); }
 
-  void Add(size_t var, VectorReader reader) {
+  void Add(size_t var, engine::SliceReader reader) {
     streams_.push_back({var, std::move(reader), {}});
   }
 
@@ -34,7 +34,7 @@ class SliceStreams final : public CoverWordSource {
  private:
   struct Stream {
     size_t var;
-    VectorReader reader;
+    engine::SliceReader reader;
     std::array<uint64_t, kCoverBlockWords> block;
   };
   std::vector<Stream> streams_;
@@ -74,11 +74,16 @@ Status ColdEncodedBitmapIndex::Build() {
   eo.encode_null = column_->HasNulls();
   EBI_ASSIGN_OR_RETURN(mapping_, MakeSequentialMapping(m, eo));
 
+  // A rebuild closes (and so removes) the old backing files before it
+  // creates new ones at the same path.
+  engine_.reset();
+  engine::StorageEngineOptions engine_options;
+  engine_options.pool_pages = options_.pool_pages;
+  engine_options.io = io_;
+  engine_options.remove_on_close = true;
   EBI_ASSIGN_OR_RETURN(
-      BitmapStore store,
-      BitmapStore::Open(BackingPath(options_.directory, this),
-                        options_.pool_pages, io_));
-  store_ = std::make_unique<BitmapStore>(std::move(store));
+      engine_, engine::StorageEngine::Open(
+                   BackingPath(options_.directory, this), engine_options));
 
   const size_t k = static_cast<size_t>(mapping_.width());
   std::vector<BitVector> slices(k, BitVector(n));
@@ -90,12 +95,8 @@ Status ColdEncodedBitmapIndex::Build() {
       }
     }
   }
-  slice_ids_.clear();
-  slice_ids_.reserve(k);
-  for (BitVector& slice : slices) {
-    EBI_ASSIGN_OR_RETURN(const BitmapStore::VectorId id,
-                         store_->Put(slice));
-    slice_ids_.push_back(id);
+  for (const BitVector& slice : slices) {
+    EBI_RETURN_IF_ERROR(engine_->PutSlice(slice).status());
   }
   rows_indexed_ = n;
   built_ = true;
@@ -115,9 +116,7 @@ Status ColdEncodedBitmapIndex::Append(size_t row) {
     if (!free.has_value()) {
       EBI_RETURN_IF_ERROR(mapping_.ExpandWidth(mapping_.width() + 1));
       // New all-zero slice of the current length.
-      EBI_ASSIGN_OR_RETURN(const BitmapStore::VectorId new_id,
-                           store_->Put(BitVector(rows_indexed_)));
-      slice_ids_.push_back(new_id);
+      EBI_RETURN_IF_ERROR(engine_->PutSlice(BitVector(rows_indexed_)).status());
       free = mapping_.FirstFreeCode();
       if (!free.has_value()) {
         return Status::Internal("no free codeword after width expansion");
@@ -126,11 +125,11 @@ Status ColdEncodedBitmapIndex::Append(size_t row) {
     EBI_RETURN_IF_ERROR(mapping_.AddValue(id, *free));
   }
   EBI_ASSIGN_OR_RETURN(const uint64_t code, CodeForRow(row));
-  // Extend every slice by one bit: read-modify-write through the store.
-  for (size_t i = 0; i < slice_ids_.size(); ++i) {
-    EBI_ASSIGN_OR_RETURN(BitVector slice, store_->Get(slice_ids_[i]));
+  // Extend every slice by one bit: read-modify-write through the engine.
+  for (uint32_t i = 0; i < NumSlices(); ++i) {
+    EBI_ASSIGN_OR_RETURN(BitVector slice, engine_->GetSlice(i));
     slice.PushBack((code >> i) & 1);
-    EBI_RETURN_IF_ERROR(store_->Update(slice_ids_[i], slice));
+    EBI_RETURN_IF_ERROR(engine_->UpdateSlice(i, slice));
   }
   ++rows_indexed_;
   return Status::OK();
@@ -147,10 +146,10 @@ Status ColdEncodedBitmapIndex::MarkDeleted(size_t row) {
     return Status::OK();
   }
   const uint64_t code = *mapping_.void_code();
-  for (size_t i = 0; i < slice_ids_.size(); ++i) {
-    EBI_ASSIGN_OR_RETURN(BitVector slice, store_->Get(slice_ids_[i]));
+  for (uint32_t i = 0; i < NumSlices(); ++i) {
+    EBI_ASSIGN_OR_RETURN(BitVector slice, engine_->GetSlice(i));
     slice.Assign(row, (code >> i) & 1);
-    EBI_RETURN_IF_ERROR(store_->Update(slice_ids_[i], slice));
+    EBI_RETURN_IF_ERROR(engine_->UpdateSlice(i, slice));
   }
   return Status::OK();
 }
@@ -167,11 +166,12 @@ Result<BitVector> ColdEncodedBitmapIndex::EvaluateCoverCold(
   // Read only the slices the reduced expression references.
   const uint64_t vars = VariablesOf(cover);
   const auto referenced = static_cast<size_t>(DistinctVariables(cover));
+  const size_t slices = NumSlices();
   SliceStreams streams(referenced);
-  for (size_t i = 0; i < slice_ids_.size(); ++i) {
+  for (uint32_t i = 0; i < slices; ++i) {
     if ((vars >> i) & 1) {
-      EBI_ASSIGN_OR_RETURN(VectorReader reader,
-                           store_->Read(slice_ids_[i], rows_indexed_));
+      EBI_ASSIGN_OR_RETURN(engine::SliceReader reader,
+                           engine_->ReadSlice(i, rows_indexed_));
       streams.Add(i, std::move(reader));
     }
   }
@@ -180,8 +180,9 @@ Result<BitVector> ColdEncodedBitmapIndex::EvaluateCoverCold(
   if (span.active()) {
     span.Attr("minterms", cover.size());
     span.Attr("vectors_read", static_cast<uint64_t>(referenced));
-    span.Attr("slices_held", slice_ids_.size());
-    span.Attr("existence_and", !mapping_.void_code().has_value());
+    span.Attr("slices_held", slices);
+    // Build reserves void code 0, so covers never need the existence AND.
+    span.Attr("existence_and", false);
     span.AttrIo(scope.Delta());
   }
   return result;
@@ -227,7 +228,7 @@ Result<BitVector> ColdEncodedBitmapIndex::EvaluateRange(int64_t lo,
 
 size_t ColdEncodedBitmapIndex::SizeBytes() const {
   // Disk footprint: k slices of n bits.
-  return slice_ids_.size() * ((rows_indexed_ + 63) / 64) * 8;
+  return NumSlices() * ((rows_indexed_ + 63) / 64) * 8;
 }
 
 double ColdEncodedBitmapIndex::EstimatePages(
@@ -238,18 +239,14 @@ double ColdEncodedBitmapIndex::EstimatePages(
   }
   // Worst case: every slice read (reduction only lowers it), each at the
   // pages its extent really spans, matching the per-page charges a cold
-  // evaluation actually incurs.
+  // evaluation actually incurs. Build reserves void code 0, so no
+  // existence AND adds a read.
   double pages = 0.0;
-  for (const BitmapStore::VectorId id : slice_ids_) {
-    const auto slice_pages = store_->StoredPages(id);
+  for (uint32_t i = 0; i < NumSlices(); ++i) {
+    const auto slice_pages = engine_->SlicePages(i);
     if (slice_pages.ok()) {
       pages += static_cast<double>(*slice_pages);
     }
-  }
-  if (!mapping_.void_code().has_value()) {
-    // Existence AND costs one plain-bitmap read on top.
-    pages += static_cast<double>(
-        ((rows_indexed_ + 7) / 8 + io_->page_size() - 1) / io_->page_size());
   }
   return pages;
 }
@@ -258,11 +255,11 @@ Result<BitVector> ColdEncodedBitmapIndex::FetchSlice(size_t i) {
   if (!built_) {
     return Status::FailedPrecondition("index not built");
   }
-  if (i >= slice_ids_.size()) {
+  if (i >= NumSlices()) {
     return Status::OutOfRange("slice " + std::to_string(i) + " of " +
-                              std::to_string(slice_ids_.size()));
+                              std::to_string(NumSlices()));
   }
-  return store_->Get(slice_ids_[i]);
+  return engine_->GetSlice(static_cast<uint32_t>(i));
 }
 
 }  // namespace ebi

@@ -10,9 +10,12 @@
 #include "boolean/reduction.h"
 #include "encoding/mapping_table.h"
 #include "index/index.h"
-#include "storage/bitmap_store.h"
+#include "storage/engine/storage_engine.h"
 
 namespace ebi {
+
+/// Slice-read counts and pool evictions of a cold index's engine.
+using BitmapStoreStats = engine::SliceStats;
 
 /// Options for the cold encoded bitmap index.
 struct ColdEncodedBitmapIndexOptions {
@@ -27,7 +30,8 @@ struct ColdEncodedBitmapIndexOptions {
 };
 
 /// A disk-resident encoded bitmap index: the k = ceil(log2 m) slice
-/// vectors live in a file-backed BitmapStore with an LRU buffer pool, so
+/// vectors live in a scratch engine::StorageEngine, the one slice store,
+/// whose LRU buffer pool caches their pages, so
 /// only the slices a reduced retrieval expression actually references are
 /// read. This is the deployment shape the paper's I/O accounting
 /// assumes — vectors on disk, reads counted per vector — while
@@ -40,7 +44,7 @@ struct ColdEncodedBitmapIndexOptions {
 /// whole-slice read still applies; a failed check fails the selection.
 ///
 /// Maintenance is rebuild-oriented (appends rewrite the touched slices
-/// through the store); use the in-memory index for update-heavy phases and
+/// through the engine); use the in-memory index for update-heavy phases and
 /// persist it here for query service.
 class ColdEncodedBitmapIndex : public SecondaryIndex {
  public:
@@ -62,25 +66,27 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
   Result<BitVector> EvaluateRange(int64_t lo, int64_t hi) override;
 
   size_t SizeBytes() const override;
-  size_t NumVectors() const override { return slice_ids_.size(); }
+  size_t NumVectors() const override { return NumSlices(); }
 
   const MappingTable& mapping() const { return mapping_; }
-  /// Buffer-pool behaviour of the backing store.
-  BitmapStoreStats store_stats() const { return store_->stats(); }
-  void ResetStoreStats() { store_->ResetStats(); }
-  /// The backing store; Build stores slice i as vector i.
-  BitmapStore* store() { return store_.get(); }
+  /// Buffer-pool behaviour of the backing engine.
+  BitmapStoreStats store_stats() const { return engine_->stats(); }
+  void ResetStoreStats() { engine_->ResetStats(); }
+  /// The backing engine; Build stores slice i as engine slice i.
+  engine::StorageEngine* storage_engine() { return engine_.get(); }
 
   /// Section 3.1 cost model against *real* extents: c_e <= k slice
   /// reads, each costing the pages its stored form actually spans.
   double EstimatePages(const SelectionShape& shape) const override;
 
-  /// Number of slice vectors resident in the backing store.
-  size_t NumSlices() const { return slice_ids_.size(); }
+  /// Number of slice vectors held by the backing engine.
+  size_t NumSlices() const {
+    return engine_ == nullptr ? 0 : engine_->NumSlices();
+  }
 
-  /// Fetches slice `i` from the store for the InvariantAuditor's
+  /// Fetches slice `i` from the engine for the InvariantAuditor's
   /// structural checks (a pool miss charges a vector read, like any other
-  /// access; the store validates the payload on the way in).
+  /// access; the engine validates the payload on the way in).
   Result<BitVector> FetchSlice(size_t i);
 
   const MappingTable* audit_mapping() const override {
@@ -90,9 +96,9 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
  private:
   Result<Cover> CoverForIds(const std::vector<ValueId>& ids) const;
   /// Evaluates the cover in one blocked pass whose slice words stream
-  /// from the store's pages (BitmapStore::Read): no slice is assembled,
-  /// and each referenced slice's pages are looked up once, charged as a
-  /// Get would charge them.
+  /// from the engine's pages (StorageEngine::ReadSlice): no slice is
+  /// assembled, and each referenced slice's pages are looked up once,
+  /// charged as a GetSlice would charge them.
   Result<BitVector> EvaluateCoverCold(const Cover& cover);
   Result<uint64_t> CodeForRow(size_t row) const;
 
@@ -100,8 +106,7 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
   bool built_ = false;
   size_t rows_indexed_ = 0;
   MappingTable mapping_;
-  std::unique_ptr<BitmapStore> store_;
-  std::vector<BitmapStore::VectorId> slice_ids_;
+  std::unique_ptr<engine::StorageEngine> engine_;
 };
 
 }  // namespace ebi

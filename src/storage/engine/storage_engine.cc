@@ -1,13 +1,14 @@
 #include "storage/engine/storage_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <limits>
 #include <utility>
 
+#include "obs/trace.h"
 #include "storage/engine/crc32.h"
-#include "util/stored_bitmap_io.h"
 
 #include <unistd.h>
 
@@ -17,6 +18,12 @@ namespace engine {
 namespace {
 
 constexpr uint32_t kMapMagic = 0x50414D45;  // "EMAP" LE.
+constexpr uint32_t kStoredMagic = 0x45424953;     // "EBIS" LE.
+constexpr uint32_t kBitVectorMagic = 0x45424956;  // "EBIV" LE.
+// The slice payload's format tag. Tags 1 (a run-length form) and 2
+// (EWAH) held retired compressed formats: they stay unassigned, so old
+// payloads are rejected as unknown instead of misread.
+constexpr uint32_t kTagPlain = 0;
 
 void PutU32(std::vector<uint8_t>* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -57,13 +64,87 @@ uint32_t PagesUsed(const SliceExtent& extent, size_t capacity) {
 std::string MapPath(const std::string& path) { return path + ".map"; }
 std::string MapTmpPath(const std::string& path) { return path + ".map.tmp"; }
 
-/// Serializes a slice through the util/stored_bitmap_io codec, so the
-/// hardening of LoadStoredBitmap (truncation/garbage rejection) covers
-/// the engine's pages too.
-Result<std::string> SerializeSlice(const BitVector& bits) {
-  std::ostringstream out;
-  EBI_RETURN_IF_ERROR(SaveStoredBitmap(out, bits));
-  return std::move(out).str();
+uint64_t WordCount(uint64_t bits) { return (bits + 63) / 64; }
+
+/// Copies bytes [offset, offset + n) of a slice payload — `header`, then
+/// `words` as little-endian bytes — to `dst`.
+void CopyPayload(const uint8_t* header, const std::vector<uint64_t>& words,
+                 uint64_t offset, size_t n, uint8_t* dst) {
+  if (offset < kSliceHeaderBytes) {
+    const auto head =
+        static_cast<size_t>(std::min<uint64_t>(n, kSliceHeaderBytes - offset));
+    std::memcpy(dst, header + offset, head);
+    dst += head;
+    offset += head;
+    n -= head;
+  }
+  if (n == 0) {
+    return;  // An empty slice's words may have no storage at all.
+  }
+  const uint64_t at = offset - kSliceHeaderBytes;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, reinterpret_cast<const uint8_t*>(words.data()) + at, n);
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t byte = at + i;
+      dst[i] = static_cast<uint8_t>(words[byte / 8] >> (8 * (byte % 8)));
+    }
+  }
+}
+
+/// Converts `n` words copied verbatim from little-endian bytes to native
+/// order, in place; a no-op on little-endian hosts.
+void WordsFromLittleEndian(uint64_t* words, size_t n) {
+  if constexpr (std::endian::native != std::endian::little) {
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t bytes[8];
+      std::memcpy(bytes, &words[i], 8);
+      words[i] = GetU64(bytes);
+    }
+  }
+}
+
+/// Parses a slice payload's first kSliceHeaderBytes bytes and returns the
+/// declared bit size. Sizes within 63 of 2^64 would wrap the word count
+/// to 0, so they are rejected as corrupt.
+Result<uint64_t> ParseSliceHeader(const uint8_t* header) {
+  if (GetU32(header) != kStoredMagic || GetU32(header + 8) != kBitVectorMagic) {
+    return Status::InvalidArgument("StorageEngine: bad slice payload magic");
+  }
+  if (GetU32(header + 4) != kTagPlain) {
+    return Status::InvalidArgument(
+        "StorageEngine: unknown slice format tag " +
+        std::to_string(GetU32(header + 4)));
+  }
+  const uint64_t bits = GetU64(header + 12);
+  if (bits > std::numeric_limits<uint64_t>::max() - 63) {
+    return Status::InvalidArgument(
+        "StorageEngine: declared size overflows the word count");
+  }
+  return bits;
+}
+
+/// A payload holds its header and exactly the declared size's words: a
+/// byte count that says otherwise means a corrupt header or extent.
+Status CheckPayloadBytes(uint32_t slice, uint64_t bits,
+                         uint64_t payload_bytes) {
+  if (payload_bytes != kSliceHeaderBytes + 8 * WordCount(bits)) {
+    return Status::InvalidArgument(
+        "StorageEngine: slice " + std::to_string(slice) + " payload of " +
+        std::to_string(payload_bytes) + " bytes does not hold the declared " +
+        std::to_string(bits) + " bits");
+  }
+  return Status::OK();
+}
+
+/// Bits past the declared size in the last word must be zero (BitVector's
+/// tail invariant holds on every write); set padding bits mean corruption.
+Status CheckPadding(uint64_t bits, uint64_t last_word) {
+  if (bits % 64 != 0 && (last_word >> (bits % 64)) != 0) {
+    return Status::InvalidArgument(
+        "StorageEngine: set padding bits past the declared size");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -110,10 +191,17 @@ StorageEngine::~StorageEngine() {
 
 Result<SliceExtent> StorageEngine::WriteExtentLocked(
     const BitVector& bits, SliceId id, SliceExtent* reuse) {
-  EBI_ASSIGN_OR_RETURN(const std::string payload, SerializeSlice(bits));
+  std::vector<uint8_t> header;
+  header.reserve(kSliceHeaderBytes);
+  PutU32(&header, kStoredMagic);
+  PutU32(&header, kTagPlain);
+  PutU32(&header, kBitVectorMagic);
+  PutU64(&header, bits.size());
+  const std::vector<uint64_t>& words = bits.words();
+  const uint64_t payload_bytes = kSliceHeaderBytes + 8 * words.size();
   const size_t capacity = file_.PayloadCapacity();
-  const uint32_t pages_needed = static_cast<uint32_t>(
-      payload.empty() ? 1 : (payload.size() + capacity - 1) / capacity);
+  const auto pages_needed =
+      static_cast<uint32_t>((payload_bytes + capacity - 1) / capacity);
 
   SliceExtent extent;
   // An extent the committed sidecar may name relocates (committed_pages_).
@@ -124,16 +212,18 @@ Result<SliceExtent> StorageEngine::WriteExtentLocked(
     extent.first_page = file_.Allocate(pages_needed);
     extent.num_pages = pages_needed;
   }
-  extent.payload_bytes = payload.size();
+  extent.payload_bytes = payload_bytes;
 
-  const auto* bytes = reinterpret_cast<const uint8_t*>(payload.data());
-  size_t remaining = payload.size();
+  // Each page's payload is assembled once in `page`, then copied into
+  // its pool frame.
+  const auto page = std::make_unique_for_overwrite<uint8_t[]>(capacity);
   for (uint32_t p = 0; p < pages_needed; ++p) {
-    const size_t chunk = remaining < capacity ? remaining : capacity;
+    const uint64_t offset = uint64_t{p} * capacity;
+    const auto chunk = static_cast<size_t>(
+        std::min<uint64_t>(capacity, payload_bytes - offset));
+    CopyPayload(header.data(), words, offset, chunk, page.get());
     EBI_RETURN_IF_ERROR(
-        pool_->WriteThrough(extent.first_page + p, id, bytes, chunk));
-    bytes += chunk;
-    remaining -= chunk;
+        pool_->WriteThrough(extent.first_page + p, id, page.get(), chunk));
   }
   return extent;
 }
@@ -170,43 +260,89 @@ Status StorageEngine::ExtentOf(SliceId id, SliceExtent* extent,
   return Status::OK();
 }
 
-Result<BitVector> StorageEngine::GetSlice(SliceId id,
-                                          size_t* pages_faulted) {
-  EBI_ASSIGN_OR_RETURN(SliceReader reader, ReadSlice(id));
-  // A slice payload is the codec's header followed by whole words.
-  const uint64_t payload = reader.extent_bytes_;
-  if (payload < kPlainStoredHeaderBytes ||
-      (payload - kPlainStoredHeaderBytes) % 8 != 0) {
-    return Status::Internal("StorageEngine: slice " + std::to_string(id) +
-                            " extent holds " + std::to_string(payload) +
-                            " bytes, not a whole slice payload");
-  }
-  // The header lands aside and the words straight in the slice's word
-  // array, sized from the checksummed extent map; whole pages copy once.
-  uint8_t header[kPlainStoredHeaderBytes];
-  std::vector<uint64_t> words((payload - kPlainStoredHeaderBytes) / 8);
-  EBI_RETURN_IF_ERROR(reader.Read(header, sizeof(header)));
-  EBI_RETURN_IF_ERROR(reader.Read(words.data(), words.size() * 8));
-  EBI_RETURN_IF_ERROR(reader.Finish());
-  if (pages_faulted != nullptr) {
-    *pages_faulted = reader.pages_faulted();
-  }
-  EBI_ASSIGN_OR_RETURN(const uint64_t bits, ParsePlainStoredHeader(header));
-  return BitVectorFromLittleEndian(bits, std::move(words));
-}
-
-Result<SliceReader> StorageEngine::ReadSlice(SliceId id) {
+Result<SliceReader> StorageEngine::OpenSlice(
+    SliceId id, std::optional<uint64_t> expect_bits) {
   SliceExtent extent;
   uint32_t pages_used = 0;
   EBI_RETURN_IF_ERROR(ExtentOf(id, &extent, &pages_used));
-  return SliceReader(pool_.get(), id, extent, pages_used,
-                     file_.PayloadCapacity());
+  SliceReader reader(this, id, extent, pages_used, file_.PayloadCapacity());
+  uint8_t header[kSliceHeaderBytes];
+  EBI_RETURN_IF_ERROR(reader.Read(header, sizeof(header)));
+  EBI_ASSIGN_OR_RETURN(reader.bits_, ParseSliceHeader(header));
+  if (expect_bits.has_value() && reader.bits_ != *expect_bits) {
+    return Status::Internal("StorageEngine: slice " + std::to_string(id) +
+                            " declares " + std::to_string(reader.bits_) +
+                            " bits, expected " +
+                            std::to_string(*expect_bits));
+  }
+  EBI_RETURN_IF_ERROR(
+      CheckPayloadBytes(id, reader.bits_, extent.payload_bytes));
+  if (reader.bits_ == 0) {
+    EBI_RETURN_IF_ERROR(reader.Finish(0));
+  }
+  return reader;
 }
 
-SliceReader::SliceReader(BufferPool* pool, uint32_t slice,
+Result<SliceReader> StorageEngine::ReadSlice(SliceId id, size_t bits) {
+  return OpenSlice(id, bits);
+}
+
+Result<BitVector> StorageEngine::GetSlice(SliceId id,
+                                          size_t* pages_faulted) {
+  obs::ScopedSpan span("store.get");
+  EBI_ASSIGN_OR_RETURN(SliceReader reader, OpenSlice(id, std::nullopt));
+  // The words land straight in the slice's word array; whole pages copy
+  // once. OpenSlice checked the size against the extent map, so a
+  // garbage size never sizes the allocation.
+  std::vector<uint64_t> words(WordCount(reader.bits()));
+  EBI_RETURN_IF_ERROR(reader.ReadWords(words.data(), words.size()));
+  if (pages_faulted != nullptr) {
+    *pages_faulted = reader.pages_faulted();
+  }
+  if (span.active()) {
+    span.Attr("id", static_cast<uint64_t>(id));
+    span.Attr("hit", reader.pages_faulted() == 0);
+    span.Attr("pages_faulted", static_cast<uint64_t>(reader.pages_faulted()));
+  }
+  return BitVector::FromWords(static_cast<size_t>(reader.bits()),
+                              std::move(words));
+}
+
+void StorageEngine::CountRead(size_t pages_faulted) {
+  if (pages_faulted == 0) {
+    ++reads_hit_;
+    return;
+  }
+  ++reads_missed_;
+  // The faulted pages already charged their bytes; the read itself is
+  // one logical vector read on top.
+  if (options_.io != nullptr) {
+    options_.io->ChargeVectorTouch();
+  }
+}
+
+SliceStats StorageEngine::stats() const {
+  const BufferPoolStats pool = pool_->stats();
+  SliceStats out;
+  out.hits = reads_hit_;
+  out.misses = reads_missed_;
+  const MutexLock lock(mu_);
+  out.evictions = pool.evictions - pool_baseline_.evictions;
+  out.writebacks = pool.writebacks - pool_baseline_.writebacks;
+  return out;
+}
+
+void StorageEngine::ResetStats() {
+  const MutexLock lock(mu_);
+  reads_hit_ = 0;
+  reads_missed_ = 0;
+  pool_baseline_ = pool_->stats();
+}
+
+SliceReader::SliceReader(StorageEngine* engine, uint32_t slice,
                          const SliceExtent& extent, uint32_t pages_used,
                          size_t page_capacity)
-    : pool_(pool),
+    : engine_(engine),
       slice_(slice),
       next_page_(extent.first_page),
       end_page_(extent.first_page + pages_used),
@@ -225,7 +361,7 @@ Result<size_t> SliceReader::CopyNextPage(uint8_t* dst) {
   }
   bool faulted = false;
   EBI_ASSIGN_OR_RETURN(const size_t bytes,
-                       pool_->CopyPage(next_page_, dst, &faulted));
+                       engine_->pool_->CopyPage(next_page_, dst, &faulted));
   ++next_page_;
   read_total_ += bytes;
   pages_faulted_ += faulted ? 1 : 0;
@@ -256,7 +392,24 @@ Status SliceReader::Read(void* dst, size_t bytes) {
   return Status::OK();
 }
 
-Status SliceReader::Finish() const {
+Status SliceReader::ReadWords(uint64_t* dst, size_t count) {
+  const uint64_t total = WordCount(bits_);
+  if (count > total - words_read_) {
+    return Status::OutOfRange("StorageEngine: slice " +
+                              std::to_string(slice_) +
+                              " read past the last word");
+  }
+  EBI_RETURN_IF_ERROR(Read(dst, count * sizeof(uint64_t)));
+  WordsFromLittleEndian(dst, count);
+  words_read_ += count;
+  if (count > 0 && words_read_ == total) {
+    return Finish(dst[count - 1]);
+  }
+  return Status::OK();
+}
+
+Status SliceReader::Finish(uint64_t last_word) {
+  EBI_RETURN_IF_ERROR(CheckPadding(bits_, last_word));
   if (offset_ != staged_ || next_page_ != end_page_) {
     return Status::Internal("StorageEngine: slice " + std::to_string(slice_) +
                             " pages hold bytes past the end of the read");
@@ -267,6 +420,7 @@ Status SliceReader::Finish() const {
         std::to_string(read_total_) + " bytes, extent map says " +
         std::to_string(extent_bytes_));
   }
+  engine_->CountRead(pages_faulted_);
   return Status::OK();
 }
 
@@ -293,7 +447,7 @@ Status StorageEngine::VerifySlice(SliceId id) {
   uint32_t pages_used = 0;
   EBI_RETURN_IF_ERROR(ExtentOf(id, &extent, &pages_used));
   std::vector<uint8_t> page(file_.page_size());
-  std::string payload;
+  std::vector<uint8_t> payload;
   payload.reserve(extent.payload_bytes);
   for (uint32_t p = 0; p < pages_used; ++p) {
     EBI_RETURN_IF_ERROR(file_.ReadPage(extent.first_page + p, page.data()));
@@ -304,17 +458,27 @@ Status StorageEngine::VerifySlice(SliceId id) {
                               " is tagged for slice " + std::to_string(slice) +
                               ", expected " + std::to_string(id));
     }
-    payload.append(
-        reinterpret_cast<const char*>(page.data() + PageFile::kHeaderBytes),
-        PageFile::PayloadBytes(page.data()));
+    const uint8_t* bytes = page.data() + PageFile::kHeaderBytes;
+    payload.insert(payload.end(), bytes,
+                   bytes + PageFile::PayloadBytes(page.data()));
   }
   if (payload.size() != extent.payload_bytes) {
     return Status::Internal("StorageEngine: slice " + std::to_string(id) +
                             " on-disk size mismatch");
   }
-  return LoadStoredBitmap(reinterpret_cast<const uint8_t*>(payload.data()),
-                          payload.size())
-      .status();
+  if (payload.size() < kSliceHeaderBytes) {
+    return Status::Internal("StorageEngine: slice " + std::to_string(id) +
+                            " is shorter than a slice header");
+  }
+  // The checks of a read (OpenSlice, SliceReader::Finish) on the bytes.
+  EBI_ASSIGN_OR_RETURN(const uint64_t bits, ParseSliceHeader(payload.data()));
+  EBI_RETURN_IF_ERROR(CheckPayloadBytes(id, bits, payload.size()));
+  uint64_t last_word = 0;
+  if (bits > 0) {
+    std::memcpy(&last_word, payload.data() + payload.size() - 8, 8);
+    WordsFromLittleEndian(&last_word, 1);
+  }
+  return CheckPadding(bits, last_word);
 }
 
 size_t StorageEngine::NumSlices() const {

@@ -244,8 +244,8 @@ TEST(ColdStreamingTest, ChargesMatchStoredExtents) {
       const uint64_t vars = VariablesOf(*cover);
       for (size_t i = 0; i < cold.NumSlices(); ++i) {
         if ((vars >> i) & 1) {
-          const auto slice_pages = cold.store()->StoredPages(i);
-          const auto slice_bytes = cold.store()->StoredBytes(i);
+          const auto slice_pages = cold.storage_engine()->SlicePages(i);
+          const auto slice_bytes = cold.storage_engine()->SliceBytes(i);
           ASSERT_TRUE(slice_pages.ok());
           ASSERT_TRUE(slice_bytes.ok());
           pages += *slice_pages;
@@ -309,7 +309,7 @@ class ColdCorruptionTest : public ::testing::Test {
     index_ = std::make_unique<ColdEncodedBitmapIndex>(
         &table_->column(0), &table_->existence(), &io_, options);
     ASSERT_TRUE(index_->Build().ok());
-    ASSERT_TRUE(index_->store()->storage_engine()->Sync().ok());
+    ASSERT_TRUE(index_->storage_engine()->Sync().ok());
   }
 
   void TearDown() override {
@@ -322,13 +322,13 @@ class ColdCorruptionTest : public ::testing::Test {
   /// the page file can notice.
   void Corrupt(size_t page_in_slice,
                const std::function<void(uint8_t* page)>& edit, bool reseal) {
-    engine::StorageEngine* engine = index_->store()->storage_engine();
+    engine::StorageEngine* engine = index_->storage_engine();
     const size_t page_size = engine->page_size();
     std::FILE* raw = std::fopen(engine->path().c_str(), "r+b");
     ASSERT_NE(raw, nullptr);
     uint32_t first_page = 0;
     for (size_t i = 0; i < index_->NumSlices(); ++i) {
-      const auto pages = index_->store()->StoredPages(i);
+      const auto pages = index_->storage_engine()->SlicePages(i);
       ASSERT_TRUE(pages.ok());
       ASSERT_GT(*pages, page_in_slice);
       const long offset =
@@ -413,6 +413,26 @@ TEST_F(ColdCorruptionTest, ShortDeclaredSizeFailsTheFetch) {
     ASSERT_FALSE(slice.ok()) << "slice " << i;
     EXPECT_EQ(slice.status().code(), StatusCode::kInvalidArgument)
         << slice.status().ToString();
+  }
+}
+
+TEST_F(ColdCorruptionTest, ShortDeclaredSizeFailsVerification) {
+  // The header edit above, audited on disk: VerifySlice applies the
+  // checks of a read, so it rejects every slice FetchSlice rejects.
+  const uint64_t wrong = table_->NumRows() / 64 * 64;
+  Corrupt(/*page_in_slice=*/0,
+          [wrong](uint8_t* page) {
+            for (int b = 0; b < 8; ++b) {
+              page[engine::PageFile::kHeaderBytes + 12 + b] =
+                  static_cast<uint8_t>(wrong >> (8 * b));
+            }
+          },
+          /*reseal=*/true);
+  engine::StorageEngine* engine = index_->storage_engine();
+  for (uint32_t i = 0; i < index_->NumSlices(); ++i) {
+    const Status verified = engine->VerifySlice(i);
+    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument)
+        << "slice " << i << ": " << verified.ToString();
   }
 }
 

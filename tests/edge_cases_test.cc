@@ -48,20 +48,6 @@ TEST(EdgeCasesTest, CsvCustomNullToken) {
   EXPECT_TRUE((*table)->column(0).ValueAt(1).is_null());
 }
 
-TEST(EdgeCasesTest, BitmapStoreMoveSemantics) {
-  IoAccountant io;
-  auto opened = BitmapStore::Open(
-      std::string(::testing::TempDir()) + "/ebi_move.bin", 2, &io);
-  ASSERT_TRUE(opened.ok());
-  BitmapStore store = std::move(opened).value();
-  const auto id = store.Put(BitVector::FromString("1010"));
-  ASSERT_TRUE(id.ok());
-  BitmapStore moved = std::move(store);
-  const auto bits = moved.Get(*id);
-  ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->ToString(), "1010");
-}
-
 TEST(EdgeCasesTest, RleFromRunsTrailingZeros) {
   const RleBitmap rle = RleBitmap::FromRuns({2, 1, 3});
   EXPECT_EQ(rle.size(), 6u);

@@ -5,11 +5,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "boolean/reduction.h"
-#include "encoding/mapping_table.h"
-#include "index/index.h"
+#include "index/encoded_index_base.h"
 #include "storage/engine/storage_engine.h"
 
 namespace ebi {
@@ -26,16 +25,17 @@ struct ColdEncodedBitmapIndexOptions {
   size_t pool_pages = 4;
   /// Directory for the backing file.
   std::string directory = "/tmp";
-  ReductionOptions reduction;
 };
 
 /// A disk-resident encoded bitmap index: the k = ceil(log2 m) slice
 /// vectors live in a scratch engine::StorageEngine, the one slice store,
-/// whose LRU buffer pool caches their pages, so
-/// only the slices a reduced retrieval expression actually references are
-/// read. This is the deployment shape the paper's I/O accounting
-/// assumes — vectors on disk, reads counted per vector — while
-/// EncodedBitmapIndex is the all-in-memory hot path.
+/// whose LRU buffer pool caches their pages, so only the slices a reduced
+/// retrieval expression references are read. This is the deployment shape
+/// the paper's I/O accounting assumes — vectors on disk, reads counted per
+/// vector. It shares the encoding of EncodedIndexBase with the in-memory
+/// EncodedBitmapIndex (sequential codes, void codeword 0, a NULL codeword
+/// when the column has NULLs) and keeps only where the slices live,
+/// holding none of them in memory between calls.
 ///
 /// A selection streams: the blocked cover pass (EvaluateCoverFrom) takes
 /// each referenced slice's words block by block from its pages, so a
@@ -43,32 +43,22 @@ struct ColdEncodedBitmapIndexOptions {
 /// works at any pool size. Every page, codec and padding check of a
 /// whole-slice read still applies; a failed check fails the selection.
 ///
-/// Maintenance is rebuild-oriented (appends rewrite the touched slices
-/// through the engine); use the in-memory index for update-heavy phases and
-/// persist it here for query service.
-class ColdEncodedBitmapIndex : public SecondaryIndex {
+/// Maintenance reads and rewrites each slice once per append batch or
+/// deletion; use the in-memory index for update-heavy phases.
+class ColdEncodedBitmapIndex : public EncodedIndexBase {
  public:
   ColdEncodedBitmapIndex(const Column* column, const BitVector* existence,
                          IoAccountant* io,
                          ColdEncodedBitmapIndexOptions options =
                              ColdEncodedBitmapIndexOptions())
-      : SecondaryIndex(column, existence, io),
-        options_(std::move(options)) {}
+      : EncodedIndexBase(column, existence, io, EncodedBitmapIndexOptions()),
+        store_options_(std::move(options)) {}
 
   std::string Name() const override { return "encoded-bitmap-cold"; }
-
-  Status Build() override;
-  Status Append(size_t row) override;
-  Status MarkDeleted(size_t row) override;
-
-  Result<BitVector> EvaluateEquals(const Value& value) override;
-  Result<BitVector> EvaluateIn(const std::vector<Value>& values) override;
-  Result<BitVector> EvaluateRange(int64_t lo, int64_t hi) override;
 
   size_t SizeBytes() const override;
   size_t NumVectors() const override { return NumSlices(); }
 
-  const MappingTable& mapping() const { return mapping_; }
   /// Buffer-pool behaviour of the backing engine.
   BitmapStoreStats store_stats() const { return engine_->stats(); }
   void ResetStoreStats() { engine_->ResetStats(); }
@@ -89,23 +79,20 @@ class ColdEncodedBitmapIndex : public SecondaryIndex {
   /// access; the engine validates the payload on the way in).
   Result<BitVector> FetchSlice(size_t i);
 
-  const MappingTable* audit_mapping() const override {
-    return built_ ? &mapping_ : nullptr;
-  }
-
  private:
-  Result<Cover> CoverForIds(const std::vector<ValueId>& ids) const;
+  /// Opens a fresh engine (a rebuild closes, and so removes, the old
+  /// backing file first) and persists the built slices.
+  Status StoreSlices(std::vector<BitVector> slices) override;
+  /// One read-modify-write per slice per append batch or deletion.
+  Status WriteCodes(size_t first_row,
+                    const std::vector<uint64_t>& codes) override;
   /// Evaluates the cover in one blocked pass whose slice words stream
   /// from the engine's pages (StorageEngine::ReadSlice): no slice is
   /// assembled, and each referenced slice's pages are looked up once,
   /// charged as a GetSlice would charge them.
-  Result<BitVector> EvaluateCoverCold(const Cover& cover);
-  Result<uint64_t> CodeForRow(size_t row) const;
+  Result<BitVector> EvaluateSlices(const Cover& cover) override;
 
-  ColdEncodedBitmapIndexOptions options_;
-  bool built_ = false;
-  size_t rows_indexed_ = 0;
-  MappingTable mapping_;
+  ColdEncodedBitmapIndexOptions store_options_;
   std::unique_ptr<engine::StorageEngine> engine_;
 };
 

@@ -1,15 +1,7 @@
 #ifndef EBI_INDEX_DYNAMIC_BITMAP_INDEX_H_
 #define EBI_INDEX_DYNAMIC_BITMAP_INDEX_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "index/encoded_bitmap_index.h"
-#include "index/index.h"
 
 namespace ebi {
 
@@ -20,49 +12,16 @@ namespace ebi {
 /// As the paper notes, this is a special case of encoded bitmap indexing
 /// whose encoding "trivially maps the domain onto a continuous integer
 /// set" and where "the significance of encoding was not discussed" — so
-/// this wrapper pins the sequential encoding, disables the
-/// encoding-dependent options (void reservation, trained encodings), and
-/// delegates the mechanics to EncodedBitmapIndex.
-class DynamicBitmapIndex : public SecondaryIndex {
+/// it is an EncodedBitmapIndex preset: sequential codes, no reserved void
+/// codeword (existence is handled by the mandatory AND instead), and its
+/// own name, which its copy-on-write clones keep.
+class DynamicBitmapIndex : public EncodedBitmapIndex {
  public:
   DynamicBitmapIndex(const Column* column, const BitVector* existence,
-                     IoAccountant* io);
-
-  std::string Name() const override { return "dynamic-bitmap"; }
-
-  Status Build() override { return impl_->Build(); }
-  Status Append(size_t row) override { return impl_->Append(row); }
-
-  Result<BitVector> EvaluateEquals(const Value& value) override {
-    return impl_->EvaluateEquals(value);
+                     IoAccountant* io)
+      : EncodedBitmapIndex(column, existence, io, {}, "dynamic-bitmap") {
+    options_.reserve_void_zero = false;
   }
-  Result<BitVector> EvaluateIn(const std::vector<Value>& values) override {
-    return impl_->EvaluateIn(values);
-  }
-  Result<BitVector> EvaluateRange(int64_t lo, int64_t hi) override {
-    return impl_->EvaluateRange(lo, hi);
-  }
-
-  size_t SizeBytes() const override { return impl_->SizeBytes(); }
-  size_t NumVectors() const override { return impl_->NumVectors(); }
-  double EstimatePages(const SelectionShape& shape) const override {
-    return impl_->EstimatePages(shape);
-  }
-  Result<BitVector> EvaluateIsNull() override {
-    return impl_->EvaluateIsNull();
-  }
-  bool SupportsIsNull() const override { return impl_->SupportsIsNull(); }
-
-  void ForEachAuditVector(
-      const std::function<void(const AuditableVector&)>& fn) const override {
-    impl_->ForEachAuditVector(fn);
-  }
-  const MappingTable* audit_mapping() const override {
-    return impl_->audit_mapping();
-  }
-
- private:
-  std::unique_ptr<EncodedBitmapIndex> impl_;
 };
 
 }  // namespace ebi

@@ -10,6 +10,8 @@
 
 #include "boolean/cover.h"
 #include "index/encoded_bitmap_index.h"
+#include "query/executor.h"
+#include "query/maintenance.h"
 #include "storage/engine/crc32.h"
 #include "storage/engine/page_file.h"
 #include "test_util.h"
@@ -183,6 +185,114 @@ std::vector<std::vector<Value>> StreamingQueries() {
   }
   queries.push_back(wide);
   return queries;
+}
+
+TEST(ColdHotDifferentialTest, SharedEncodingAcrossBuildAppendAndDelete) {
+  // 60 values, NULLs and deleted rows: void + NULL + 60 codes fill 62 of
+  // the 64 codewords at width 6, so the batch's 10 new values grow it.
+  auto table = RandomIntTable(5000, 60, 2718, /*null_fraction=*/0.1);
+  for (size_t row = 3; row < table->NumRows(); row += 97) {
+    ASSERT_TRUE(table->DeleteRow(row).ok());
+  }
+  const Column& column = table->column(0);
+  IoAccountant hot_io;
+  IoAccountant cold_io;
+  EncodedBitmapIndex hot(&column, &table->existence(), &hot_io);
+  ColdEncodedBitmapIndex cold(&column, &table->existence(), &cold_io,
+                              TestOptions());
+  ASSERT_TRUE(hot.Build().ok());
+  ASSERT_TRUE(cold.Build().ok());
+  ASSERT_EQ(hot.mapping().width(), 6);
+
+  MaintenanceDriver maintenance(table.get());
+  ASSERT_TRUE(maintenance.AttachIndex(&hot).ok());
+  ASSERT_TRUE(maintenance.AttachIndex(&cold).ok());
+  std::vector<std::vector<Value>> batch;
+  for (int64_t v = 0; v < 70; v += 3) {
+    batch.push_back({Value::Int(v)});
+    batch.push_back({Value::Null()});
+  }
+  ASSERT_TRUE(maintenance.AppendRows(batch).ok());
+  ASSERT_EQ(hot.mapping().width(), 7);
+  ASSERT_TRUE(maintenance.DeleteRow(17).ok());
+  ASSERT_TRUE(maintenance.DeleteRow(table->NumRows() - 2).ok());
+
+  EXPECT_EQ(cold.mapping().ToString(), hot.mapping().ToString());
+  ASSERT_EQ(cold.NumSlices(), hot.slices().size());
+  for (size_t i = 0; i < cold.NumSlices(); ++i) {
+    const auto slice = cold.FetchSlice(i);
+    ASSERT_TRUE(slice.ok());
+    EXPECT_EQ(*slice, hot.slices()[i]) << "slice " << i;
+  }
+  const auto same = [](const Result<BitVector>& a, const Result<BitVector>& b,
+                       const std::string& what) {
+    ASSERT_TRUE(a.ok()) << what << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << what << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << what;
+  };
+  for (int64_t v = 0; v < 72; ++v) {
+    same(hot.EvaluateEquals(Value::Int(v)), cold.EvaluateEquals(Value::Int(v)),
+         "= " + std::to_string(v));
+  }
+  same(hot.EvaluateIn({Value::Int(1), Value::Int(61), Value::Int(64)}),
+       cold.EvaluateIn({Value::Int(1), Value::Int(61), Value::Int(64)}),
+       "IN");
+  for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{0, 9},
+                               {5, 64}, {59, 71}, {0, 80}}) {
+    same(hot.EvaluateRange(lo, hi), cold.EvaluateRange(lo, hi),
+         "range " + std::to_string(lo) + ".." + std::to_string(hi));
+  }
+  EXPECT_TRUE(cold.SupportsIsNull());
+  same(hot.EvaluateIsNull(), cold.EvaluateIsNull(), "IS NULL");
+
+  // NOT IN masks NULL rows through each index's NULL codeword.
+  const Predicate not_in =
+      Predicate::NotIn("a", {Value::Int(2), Value::Int(63)});
+  SelectionExecutor hot_exec(table.get(), &hot_io);
+  SelectionExecutor cold_exec(table.get(), &cold_io);
+  hot_exec.RegisterIndex("a", &hot);
+  cold_exec.RegisterIndex("a", &cold);
+  const auto hot_rows = hot_exec.Select({not_in});
+  const auto cold_rows = cold_exec.Select({not_in});
+  const auto scan = hot_exec.SelectByScan({not_in});
+  ASSERT_TRUE(hot_rows.ok());
+  ASSERT_TRUE(cold_rows.ok());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(cold_rows->rows, hot_rows->rows);
+  EXPECT_EQ(cold_rows->rows, *scan);
+}
+
+TEST(ColdAppendBatchTest, RewritesEachSliceOncePerBatch) {
+  // Three pages per slice and a one-page pool: every page a batch writes
+  // is written back exactly once by eviction or by the final Sync.
+  auto table = RandomIntTable(2 * kRowsPerPage + 1, kCardinality, 99);
+  IoAccountant io;
+  ColdEncodedBitmapIndex cold(&table->column(0), &table->existence(), &io,
+                              TestOptions(/*pool=*/1));
+  ASSERT_TRUE(cold.Build().ok());
+  ASSERT_TRUE(cold.storage_engine()->Sync().ok());
+  const size_t k = cold.NumSlices();
+  const size_t first = table->NumRows();
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(table->AppendRow({Value::Int(i % 37)}).ok());
+  }
+  io.Reset();
+  cold.ResetStoreStats();
+  ASSERT_TRUE(cold.AppendBatch(first, 64).ok());
+  ASSERT_EQ(cold.NumSlices(), k);  // No width growth.
+  const BitmapStoreStats stats = cold.store_stats();
+  EXPECT_EQ(stats.hits + stats.misses, k);
+  ASSERT_TRUE(cold.storage_engine()->Sync().ok());
+  uint64_t pages = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const auto slice_pages = cold.storage_engine()->SlicePages(i);
+    ASSERT_TRUE(slice_pages.ok());
+    pages += *slice_pages;
+  }
+  EXPECT_EQ(io.stats().pages_written, pages);
+  const auto answer = cold.EvaluateEquals(Value::Int(5));
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(*answer, ScanEquals(*table, table->column(0), 5));
 }
 
 TEST(ColdStreamingTest, AnswersMatchInMemoryAcrossPageBoundaries) {

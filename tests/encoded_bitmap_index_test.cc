@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "index/dynamic_bitmap_index.h"
 #include "test_util.h"
 #include "util/bit_util.h"
 
@@ -396,6 +397,61 @@ TEST_F(EncodedBitmapIndexTest, AppendBeforeBuildRejected) {
   EXPECT_EQ(index.Append(0).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(index.EvaluateEquals(Value::Int(1)).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST_F(EncodedBitmapIndexTest, LargeUnalignedBatchMatchesAFreshBuild) {
+  // 1,000 rows end mid-word; one batch of 3,000 rows crosses several
+  // 16-word chunks of the slice writer and brings values 40..69 in
+  // ValueId order, growing the width from 6 to 7, so a fresh Build of
+  // all 4,000 rows assigns the same codes.
+  auto random = RandomIntTable(4000, 40, 5);
+  std::vector<int64_t> values;
+  for (size_t row = 0; row < 4000; ++row) {
+    values.push_back(row >= 1000 && row < 1030
+                         ? static_cast<int64_t>(40 + row - 1000)
+                         : random->column(0).ValueAt(row).int_value);
+  }
+  Init(IntTable(std::vector<int64_t>(values.begin(), values.begin() + 1000)));
+  ASSERT_EQ(index_->NumVectors(), 6u);
+  for (size_t row = 1000; row < values.size(); ++row) {
+    ASSERT_TRUE(table_->AppendRow({Value::Int(values[row])}).ok());
+  }
+  ASSERT_TRUE(index_->AppendBatch(1000, 3000).ok());
+  ASSERT_EQ(index_->NumVectors(), 7u);
+  auto rebuilt_table = IntTable(values);
+  IoAccountant io;
+  EncodedBitmapIndex rebuilt(&rebuilt_table->column(0),
+                             &rebuilt_table->existence(), &io);
+  ASSERT_TRUE(rebuilt.Build().ok());
+  EXPECT_EQ(index_->mapping().ToString(), rebuilt.mapping().ToString());
+  EXPECT_EQ(index_->slices(), rebuilt.slices());
+}
+
+TEST(DynamicBitmapCloneTest, CloneReboundKeepsThePresetAndAppends) {
+  auto table = IntTable({1, 2, 3, 1});
+  IoAccountant io;
+  DynamicBitmapIndex index(&table->column(0), &table->existence(), &io);
+  ASSERT_TRUE(index.Build().ok());
+  IoAccountant clone_io;
+  auto clone = index.CloneRebound(&table->column(0), &table->existence(),
+                                  &clone_io);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  EXPECT_EQ((*clone)->Name(), "dynamic-bitmap");
+  EXPECT_EQ((*clone)->NumVectors(), index.NumVectors());
+  // Values 1, 2, 3 hold codes 0..2 of width 2: 7 takes code 3, and 8
+  // grows the clone (only) to width 3.
+  for (const int64_t v : {7, 8, 2}) {
+    ASSERT_TRUE(table->AppendRow({Value::Int(v)}).ok());
+  }
+  ASSERT_TRUE((*clone)->AppendBatch(4, 3).ok());
+  EXPECT_EQ((*clone)->NumVectors(), index.NumVectors() + 1);
+  ASSERT_TRUE(table->DeleteRow(1).ok());
+  // No void codeword: the existence AND drops the deleted row.
+  for (const int64_t v : {1, 2, 3, 7, 8}) {
+    const auto result = (*clone)->EvaluateEquals(Value::Int(v));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(*result, ScanEquals(*table, table->column(0), v)) << v;
+  }
 }
 
 }  // namespace

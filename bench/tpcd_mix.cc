@@ -10,7 +10,7 @@
 
 #include "bench_util.h"
 #include "ebi/ebi.h"
-#include "query/planner.h"
+#include "query/executor.h"
 
 namespace ebi {
 namespace {
@@ -151,15 +151,15 @@ void Run() {
     std::printf("planned build failed\n");
     return;
   }
-  AccessPathPlanner planner(schema.sales, &planned_io);
-  planner.RegisterIndex("product", &p_simple);
-  planner.RegisterIndex("product", &p_encoded);
-  planner.RegisterIndex("product", &p_sliced);
+  SelectionExecutor executor(schema.sales, &planned_io);
+  executor.RegisterIndex("product", &p_simple);
+  executor.RegisterIndex("product", &p_encoded);
+  executor.RegisterIndex("product", &p_sliced);
   planned_io.Reset();
   bench::Timer timer;
   size_t planned_mismatches = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const auto result = planner.Select({queries[qi]});
+    const auto result = executor.Select({queries[qi]});
     if (!result.ok() || !(result->rows == reference[qi])) {
       ++planned_mismatches;
     }

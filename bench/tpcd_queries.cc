@@ -1,7 +1,8 @@
 // End-to-end TPC-D-flavoured query templates on the SALES star schema,
-// executed entirely through the library: selections via the cost-based
-// planner over bitmap indexes, star joins via the encoded bitmapped join
-// index, and aggregates on bit-sliced indexes — no fact-table scans.
+// executed entirely through the library: selections via the executor's
+// cost-based choice among bitmap indexes, star joins via the encoded
+// bitmapped join index, and aggregates on bit-sliced indexes — no
+// fact-table scans.
 //
 // Templates (miniatures of the TPC-D query shapes the paper counts —
 // 12 of 17 involve range search):
@@ -15,7 +16,7 @@
 
 #include "bench_util.h"
 #include "ebi/ebi.h"
-#include "query/planner.h"
+#include "query/executor.h"
 
 namespace ebi {
 namespace {
@@ -53,12 +54,12 @@ void Run() {
     std::printf("index build failed\n");
     return;
   }
-  AccessPathPlanner planner(schema.sales, &io);
-  planner.RegisterIndex("product", &product_simple);
-  planner.RegisterIndex("product", &product_encoded);
-  planner.RegisterIndex("branch", &branch_encoded);
-  planner.RegisterIndex("day", &day_sliced);
-  planner.RegisterIndex("day", &day_encoded);
+  SelectionExecutor executor(schema.sales, &io);
+  executor.RegisterIndex("product", &product_simple);
+  executor.RegisterIndex("product", &product_encoded);
+  executor.RegisterIndex("branch", &branch_encoded);
+  executor.RegisterIndex("day", &day_sliced);
+  executor.RegisterIndex("day", &day_encoded);
 
   bench::BenchReport report("tpcd_queries");
   const auto record = [&report, &io](const char* label, size_t rows) {
@@ -77,7 +78,7 @@ void Run() {
   // T1: range on day + aggregates over quantity.
   {
     io.Reset();
-    const auto sel = planner.Select({Predicate::Between("day", 30, 120)});
+    const auto sel = executor.Select({Predicate::Between("day", 30, 120)});
     if (sel.ok()) {
       const auto sum = SumBitSliced(&quantity_sliced, sel->rows);
       bool empty = false;
@@ -102,7 +103,7 @@ void Run() {
       products.push_back(Value::Int(p));
     }
     const auto sel =
-        planner.Select({Predicate::In("product", products),
+        executor.Select({Predicate::In("product", products),
                         Predicate::Between("day", 0, 180)});
     if (sel.ok()) {
       std::printf("%-4s %-34s %-10zu %-14s %-24s\n", "T2",
@@ -150,7 +151,7 @@ void Run() {
   {
     io.Reset();
     const auto sel =
-        planner.Select({Predicate::Eq("product", Value::Int(7))});
+        executor.Select({Predicate::Eq("product", Value::Int(7))});
     if (sel.ok()) {
       std::printf("%-4s %-34s %-10zu %-14s %-24s\n", "T4",
                   "product = 7: COUNT", sel->count, "-",

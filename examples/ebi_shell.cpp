@@ -1,6 +1,6 @@
 // ebi_shell: a tiny interactive shell over the library — load a CSV (or a
 // generated demo table), build indexes on columns, and run conjunctive
-// selections through the cost-based planner, watching exactly how many
+// selections with a cost-based access path per predicate, watching how many
 // bitmap vectors each query touches.
 //
 // Commands (one per line; also scriptable via stdin):

@@ -1,8 +1,8 @@
-// EXPLAIN demo: runs one multi-value selection through the cost-based
-// planner with a trace sink installed, then renders the plan tree —
-// every cost the paper's analysis talks about (candidate estimates, the
-// chosen access path, minterms before/after Boolean reduction, vectors
-// actually read) measured from the real execution.
+// EXPLAIN demo: runs one multi-value selection through the selection
+// executor's cost-based choice with a trace sink installed, then renders
+// the plan tree — every cost the paper's analysis talks about (candidate
+// estimates, the chosen access path, minterms before/after Boolean
+// reduction, vectors actually read) measured from the real execution.
 //
 // Usage: explain [--json] [--timing]
 
@@ -10,7 +10,7 @@
 #include <cstring>
 
 #include "ebi/ebi.h"
-#include "query/planner.h"
+#include "query/executor.h"
 
 int main(int argc, char** argv) {
   using ebi::Value;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Competing access paths per column, exactly as the planner sees them.
+  // Competing access paths per column, exactly as Choose sees them.
   ebi::IoAccountant io;
   const ebi::Column* product = *table.FindColumn("product");
   const ebi::Column* day = *table.FindColumn("day");
@@ -58,11 +58,11 @@ int main(int argc, char** argv) {
       !day_sliced.Build().ok() || !day_encoded.Build().ok()) {
     return 1;
   }
-  ebi::AccessPathPlanner planner(&table, &io);
-  planner.RegisterIndex("product", &product_simple);
-  planner.RegisterIndex("product", &product_encoded);
-  planner.RegisterIndex("day", &day_sliced);
-  planner.RegisterIndex("day", &day_encoded);
+  ebi::SelectionExecutor executor(&table, &io);
+  executor.RegisterIndex("product", &product_simple);
+  executor.RegisterIndex("product", &product_encoded);
+  executor.RegisterIndex("day", &day_sliced);
+  executor.RegisterIndex("day", &day_encoded);
 
   // The Figure 2 shape: a wide IN-list (encoded-bitmap territory) ANDed
   // with a range (bit-sliced territory).
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       ebi::Predicate::Between("day", 30, 120)};
 
   ebi::obs::QueryTrace trace;
-  const auto sel = planner.ExplainSelect(query, &trace);
+  const auto sel = executor.ExplainSelect(query, &trace);
   if (!sel.ok()) {
     std::printf("query failed: %s\n", sel.status().ToString().c_str());
     return 1;

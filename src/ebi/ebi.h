@@ -51,7 +51,6 @@
 #include "query/index_manager.h"
 #include "query/maintenance.h"
 #include "query/materialize.h"
-#include "query/planner.h"
 #include "query/predicate.h"
 #include "query/reencode_advisor.h"
 #include "storage/catalog.h"

@@ -11,6 +11,10 @@ namespace ebi {
 
 namespace {
 
+/// Annealing temperature at step 0; it falls linearly to 0 over the step
+/// budget.
+constexpr double kInitialTemperature = 1.5;
+
 /// Orders ValueIds so values sharing predicates sit next to each other:
 /// predicates are visited largest-first and append their unseen members;
 /// untouched values follow in id order.
@@ -113,7 +117,7 @@ Result<MappingTable> AnnealEncode(size_t m, const PredicateSet& predicates,
   Rng rng(options.seed);
   for (int step = 0; step < options.iterations && best_cost > 0; ++step) {
     const double temperature =
-        options.initial_temperature *
+        kInitialTemperature *
         (1.0 - static_cast<double>(step) / options.iterations);
 
     std::vector<uint64_t> proposal = current;

@@ -22,7 +22,6 @@ using PredicateSet = std::vector<std::vector<ValueId>>;
 struct OptimizerOptions {
   /// Annealing step budget. Each step evaluates all predicates once.
   int iterations = 2000;
-  double initial_temperature = 1.5;
   uint64_t seed = 42;
   ReductionOptions reduction;
 };

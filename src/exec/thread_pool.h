@@ -16,8 +16,8 @@ namespace exec {
 /// A fixed-size worker pool.
 ///
 /// The pool is the only place the library creates threads: each serve
-/// tier service runs its workers on one and the buffer pool's async
-/// prefetch borrows one, so thread counts stay bounded by pool sizes.
+/// tier service runs its workers on one, so thread counts stay bounded
+/// by pool sizes.
 /// Tasks are plain closures; results travel through caller-owned slots,
 /// never through the pool.
 ///

@@ -110,8 +110,8 @@ class SecondaryIndex {
     return Status::Unimplemented(Name() + " has no NULL representation");
   }
 
-  /// True iff EvaluateIsNull is implemented — the planner only routes
-  /// IS NULL predicates to capable indexes.
+  /// True iff EvaluateIsNull is implemented — SelectionExecutor::Choose
+  /// only routes IS NULL predicates to capable indexes.
   virtual bool SupportsIsNull() const { return false; }
 
   /// Reacts to the logical deletion of `row`. Most indexes rely on the
@@ -123,7 +123,7 @@ class SecondaryIndex {
   }
 
   /// Estimated pages this index would read to answer a selection of the
-  /// given shape — the quantity the access-path planner minimizes. The
+  /// given shape — the quantity SelectionExecutor::Choose minimizes. The
   /// default is a pessimistic whole-index read; every index family
   /// overrides it with its Section 2.1/3.1 cost model.
   virtual double EstimatePages(const SelectionShape& shape) const {
@@ -165,7 +165,6 @@ class SecondaryIndex {
   virtual size_t NumVectors() const = 0;
 
   const Column& column() const { return *column_; }
-  IoAccountant* io() const { return io_; }
 
  protected:
   /// Translates an IN-list of user values to ValueIds, silently dropping

@@ -21,7 +21,7 @@ struct ExplainOptions {
 /// per line:
 ///
 ///   query
-///     planner.select rows=3575 vectors=19 pages=76 bytes=285000
+///     executor.select rows=3575 vectors=19 pages=76 bytes=285000
 ///       predicate column=product pred="product IN (...)"
 ///         plan.choose chosen=encoded-bitmap est_pages=10 ...
 ///         index.eval index=encoded-bitmap ...

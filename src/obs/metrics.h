@@ -155,7 +155,8 @@ class MetricsRegistry {
 /// vectors/pages histograms from `io`, and the latency histogram.
 void RecordQuery(const IoStats& io, double latency_ms);
 
-/// Feeds one planner access-path decision: |estimated - actual| pages.
+/// Feeds one planned access-path decision (SelectionExecutor::Choose):
+/// |estimated - actual| pages.
 void RecordEstimateError(double estimated_pages, double actual_pages);
 
 }  // namespace obs

@@ -79,8 +79,8 @@ class AttrValue {
   std::string s_;
 };
 
-/// One timed, attributed node of a query trace. Spans nest: a
-/// planner.select span holds one predicate span per conjunct, which holds
+/// One timed, attributed node of a query trace. Spans nest: an
+/// executor.select span holds one predicate span per conjunct, which holds
 /// the plan.choose and index.eval spans, and so on down to store.get.
 struct TraceSpan {
   std::string name;

@@ -7,18 +7,121 @@
 
 namespace ebi {
 
-Result<BitVector> SelectionExecutor::EvaluateOne(const Predicate& p) {
-  const auto it = indexes_.find(p.column);
-  if (it == indexes_.end()) {
+Result<SelectionShape> SelectionExecutor::ShapeOf(
+    const Predicate& predicate) const {
+  EBI_ASSIGN_OR_RETURN(const Column* column,
+                       table_->FindColumn(predicate.column));
+  SelectionShape shape;
+  switch (predicate.kind) {
+    case Predicate::Kind::kEquals:
+    case Predicate::Kind::kIsNull:
+    case Predicate::Kind::kNotEquals:
+      shape.kind = SelectionShape::Kind::kPoint;
+      shape.delta = 1;
+      break;
+    case Predicate::Kind::kIn:
+    case Predicate::Kind::kNotIn:
+      shape.kind = SelectionShape::Kind::kValueSet;
+      shape.delta = std::max<size_t>(1, predicate.values.size());
+      break;
+    case Predicate::Kind::kRange:
+      shape.kind = SelectionShape::Kind::kRange;
+      shape.delta = std::max<size_t>(1, predicate.Width(*column));
+      break;
+  }
+  return shape;
+}
+
+Result<AccessPath> SelectionExecutor::Choose(
+    const Predicate& predicate) const {
+  obs::ScopedSpan span("plan.choose");
+  EBI_ASSIGN_OR_RETURN(const SelectionShape shape, ShapeOf(predicate));
+  AccessPath best;
+  best.delta = shape.delta;
+  size_t seen = 0;
+  for (const Candidate& candidate : candidates_) {
+    if (candidate.column != predicate.column) {
+      continue;
+    }
+    // Numbered by order among the column's candidates, so two same-named
+    // indexes on a column stay distinguishable.
+    const size_t number = seen++;
+    SecondaryIndex* index = candidate.index;
+    if (predicate.kind == Predicate::Kind::kIsNull &&
+        !index->SupportsIsNull()) {
+      continue;
+    }
+    const double pages = index->EstimatePages(shape);
+    if (span.active()) {
+      span.Attr("cand." + std::to_string(number) + "." + index->Name(),
+                pages);
+    }
+    if (best.index == nullptr || pages < best.estimated_pages) {
+      best.index = index;
+      best.estimated_pages = pages;
+    }
+  }
+  if (seen == 0) {
+    return Status::NotFound("no index registered for column " +
+                            predicate.column);
+  }
+  if (best.index == nullptr) {
+    return Status::NotFound("no index on " + predicate.column +
+                            " supports " + predicate.ToString());
+  }
+  if (span.active()) {
+    span.Attr("chosen", best.index->Name());
+    span.Attr("est_pages", best.estimated_pages);
+    span.Attr("delta", best.delta);
+  }
+  return best;
+}
+
+Result<BitVector> SelectionExecutor::EvaluateOne(
+    const Predicate& p, std::vector<AccessPath>* paths) {
+  SecondaryIndex* only = nullptr;
+  size_t candidates = 0;
+  for (const Candidate& candidate : candidates_) {
+    if (candidate.column == p.column) {
+      only = candidate.index;
+      ++candidates;
+    }
+  }
+  if (candidates == 0) {
     return Status::NotFound("no index registered for column " + p.column);
   }
-  SecondaryIndex* index = it->second;
   obs::ScopedSpan span("predicate");
   if (span.active()) {
     span.Attr("column", p.column);
     span.Attr("pred", p.ToString());
-    span.Attr("index", index->Name());
   }
+  if (candidates == 1 && paths == nullptr) {
+    if (span.active()) {
+      span.Attr("index", only->Name());
+    }
+    return Evaluate(p, only);
+  }
+  EBI_ASSIGN_OR_RETURN(const AccessPath path, Choose(p));
+  if (paths != nullptr) {
+    paths->push_back(path);
+  }
+  if (span.active()) {
+    span.Attr("index", path.index->Name());
+  }
+  const IoScope scope(io_);
+  EBI_ASSIGN_OR_RETURN(BitVector rows, Evaluate(p, path.index));
+  const IoStats actual = scope.Delta();
+  obs::RecordEstimateError(path.estimated_pages,
+                           static_cast<double>(actual.pages_read));
+  if (span.active()) {
+    span.Attr("rows", rows.Count());
+    span.AttrIo(actual);
+  }
+  return rows;
+}
+
+Result<BitVector> SelectionExecutor::Evaluate(const Predicate& p,
+                                              SecondaryIndex* index) const {
   switch (p.kind) {
     case Predicate::Kind::kEquals:
       return index->EvaluateEquals(p.value);
@@ -32,22 +135,21 @@ Result<BitVector> SelectionExecutor::EvaluateOne(const Predicate& p) {
     case Predicate::Kind::kNotIn: {
       // Negation as bitmap complement, restricted to existing non-NULL
       // rows (SQL: NULL satisfies neither side of !=).
-      EBI_ASSIGN_OR_RETURN(BitVector positive,
-                           EvaluateOne(p.Positive()));
-      positive.FlipAll();
-      positive.AndWith(table_->existence());
-      EBI_RETURN_IF_ERROR(MaskNulls(p.column, index, &positive));
-      return positive;
+      EBI_ASSIGN_OR_RETURN(BitVector rows, Evaluate(p.Positive(), index));
+      rows.FlipAll();
+      rows.AndWith(table_->existence());
+      EBI_RETURN_IF_ERROR(MaskNulls(p.column, index, &rows));
+      return rows;
     }
   }
   return Status::Internal("unknown predicate kind");
 }
 
-Status MaskNullRows(const Table& table, const std::string& column_name,
-                    SecondaryIndex* index, IoAccountant* io,
-                    BitVector* rows) {
+Status SelectionExecutor::MaskNulls(const std::string& column_name,
+                                    SecondaryIndex* index,
+                                    BitVector* rows) const {
   EBI_ASSIGN_OR_RETURN(const Column* column,
-                       table.FindColumn(column_name));
+                       table_->FindColumn(column_name));
   if (!column->HasNulls()) {
     return Status::OK();
   }
@@ -57,7 +159,7 @@ Status MaskNullRows(const Table& table, const std::string& column_name,
     return Status::OK();
   }
   // Fallback: scan the column's id array for NULL cells (charged).
-  io->ChargeBytes(column->RowBytes());
+  io_->ChargeBytes(column->RowBytes());
   for (size_t row = 0; row < column->size(); ++row) {
     if (column->ValueIdAt(row) == kNullValueId) {
       rows->Reset(row);
@@ -66,14 +168,9 @@ Status MaskNullRows(const Table& table, const std::string& column_name,
   return Status::OK();
 }
 
-Status SelectionExecutor::MaskNulls(const std::string& column_name,
-                                    SecondaryIndex* index,
-                                    BitVector* rows) const {
-  return MaskNullRows(*table_, column_name, index, io_, rows);
-}
-
 Result<SelectionResult> SelectionExecutor::Select(
-    const std::vector<Predicate>& predicates) {
+    const std::vector<Predicate>& predicates,
+    std::vector<AccessPath>* paths) {
   obs::ScopedSpan span("executor.select");
   const auto started = std::chrono::steady_clock::now();
   const IoScope scope(io_);
@@ -93,7 +190,7 @@ Result<SelectionResult> SelectionExecutor::Select(
     stats.reserve(predicates.size());
   }
   for (const Predicate& predicate : predicates) {
-    EBI_ASSIGN_OR_RETURN(BitVector one, EvaluateOne(predicate));
+    EBI_ASSIGN_OR_RETURN(BitVector one, EvaluateOne(predicate, paths));
     if (predicate_stats_) {
       PredicateStat stat;
       stat.column = predicate.column;
@@ -133,9 +230,10 @@ Result<SelectionResult> SelectionExecutor::Select(
 }
 
 Result<SelectionResult> SelectionExecutor::ExplainSelect(
-    const std::vector<Predicate>& predicates, obs::QueryTrace* trace) {
+    const std::vector<Predicate>& predicates, obs::QueryTrace* trace,
+    std::vector<AccessPath>* paths) {
   const obs::TraceScope install(trace);
-  return Select(predicates);
+  return Select(predicates, paths);
 }
 
 Result<SelectionResult> SelectionExecutor::SelectDnf(

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "index/index.h"
@@ -42,27 +41,39 @@ struct SelectionResult {
   std::vector<PredicateStat> predicate_stats;
 };
 
-/// Removes the NULL rows of `column_name` from `rows` — the NULL-mask step
-/// of negated predicates. Uses the index's NULL vector when it has one,
-/// otherwise a charged column scan. Shared by the executor and planner.
-Status MaskNullRows(const Table& table, const std::string& column_name,
-                    SecondaryIndex* index, IoAccountant* io,
-                    BitVector* rows);
+/// The access path chosen for one predicate, with the estimate that won.
+struct AccessPath {
+  SecondaryIndex* index = nullptr;
+  double estimated_pages = 0.0;
+  /// The paper's δ for this predicate on its column.
+  size_t delta = 0;
+};
 
 /// Evaluates conjunctive selections over one table using registered
-/// per-column indexes: each predicate is answered by its column's index
-/// and the result bitmaps are ANDed — the bitmap-index cooperativity that
-/// Section 2.1 contrasts with compound-key B-trees.
+/// per-column indexes: each predicate is answered by one of its column's
+/// indexes and the result bitmaps are ANDed — the bitmap-index cooperativity
+/// that Section 2.1 contrasts with compound-key B-trees.
+///
+/// A column may have several candidate indexes. A predicate on such a
+/// column is planned: Choose prices its selection shape through every
+/// candidate's EstimatePages() model and the cheapest one answers — the
+/// operational form of Section 3.1: simple bitmaps win single-value
+/// selections, encoded bitmaps win once δ > log2|A| + 1, bit-sliced
+/// indexes win wide numeric ranges. A column with one candidate is not
+/// planned: its predicates go straight to that index.
 class SelectionExecutor {
  public:
   SelectionExecutor(const Table* table, IoAccountant* io)
       : table_(table), io_(io) {}
 
-  /// Registers the index answering predicates on `column`. One index per
-  /// column; the last registration wins.
+  /// Adds `index` as a candidate for predicates on `column`. Several
+  /// candidates per column are allowed; Choose picks among them.
   void RegisterIndex(const std::string& column, SecondaryIndex* index) {
-    indexes_[column] = index;
+    candidates_.push_back({column, index});
   }
+
+  /// Drops every registration (e.g. before re-wiring after an index drop).
+  void Clear() { candidates_.clear(); }
 
   /// Collect per-conjunct PredicateStats in Select results. Off by
   /// default: the extra popcount per predicate is cheap but not free,
@@ -70,16 +81,34 @@ class SelectionExecutor {
   void EnablePredicateStats(bool on) { predicate_stats_ = on; }
   bool predicate_stats_enabled() const { return predicate_stats_; }
 
+  /// The selection shape (kind + δ) of a predicate on this table.
+  Result<SelectionShape> ShapeOf(const Predicate& predicate) const;
+
+  /// Picks the cheapest registered candidate for `predicate`; IS NULL is
+  /// routed only to indexes that support it. Records a plan.choose span.
+  Result<AccessPath> Choose(const Predicate& predicate) const;
+
   /// Evaluates the conjunction of `predicates`. Every referenced column
-  /// must have a registered index. Records an executor.select trace span
-  /// (with one predicate child per conjunct) when a trace sink is
-  /// installed; a no-op otherwise.
-  Result<SelectionResult> Select(const std::vector<Predicate>& predicates);
+  /// must have a registered index. `paths`, when non-null, receives the
+  /// chosen path of every predicate in order; asking for them plans
+  /// single-candidate columns too, so each path carries its estimate.
+  ///
+  /// Records an executor.select trace span with one predicate child per
+  /// conjunct when a trace sink is installed (obs::TraceScope); a planned
+  /// predicate's span also holds the plan.choose child, and the rows and
+  /// I/O that predicate performed. With no sink installed tracing is a
+  /// no-op and the charged I/O is identical.
+  Result<SelectionResult> Select(const std::vector<Predicate>& predicates,
+                                 std::vector<AccessPath>* paths = nullptr);
 
   /// EXPLAIN entry point: runs Select with `trace` installed as the
-  /// active sink (see AccessPathPlanner::ExplainSelect).
+  /// active sink, so the finished trace can be rendered with
+  /// obs::ExplainText()/ExplainJson(). The query is executed for real
+  /// (EXPLAIN ANALYZE semantics — every attribute is measured, not
+  /// estimated).
   Result<SelectionResult> ExplainSelect(
-      const std::vector<Predicate>& predicates, obs::QueryTrace* trace);
+      const std::vector<Predicate>& predicates, obs::QueryTrace* trace,
+      std::vector<AccessPath>* paths = nullptr);
 
   /// Evaluates a disjunction of conjunctions (disjunctive normal form):
   /// rows satisfying ANY of the conjunctive branches. Cross-column ORs —
@@ -98,9 +127,22 @@ class SelectionExecutor {
       const std::vector<std::vector<Predicate>>& branches) const;
 
  private:
-  Result<BitVector> EvaluateOne(const Predicate& predicate);
+  struct Candidate {
+    std::string column;
+    SecondaryIndex* index;
+  };
+
+  /// Answers one conjunct through its column's only candidate, or through
+  /// the chosen one when the column has several (or `paths` is wanted).
+  Result<BitVector> EvaluateOne(const Predicate& predicate,
+                                std::vector<AccessPath>* paths);
+  /// Answers `predicate` with `index`: the six-kind dispatch, with
+  /// negation as complement over existing non-NULL rows.
+  Result<BitVector> Evaluate(const Predicate& predicate,
+                             SecondaryIndex* index) const;
   /// Removes NULL rows of `column_name` from `rows` (for negated
-  /// predicates), using the index's NULL vector when it has one.
+  /// predicates), using the index's NULL vector when it has one and a
+  /// charged column scan otherwise.
   Status MaskNulls(const std::string& column_name, SecondaryIndex* index,
                    BitVector* rows) const;
   /// Scan-evaluates one predicate on one row.
@@ -110,7 +152,9 @@ class SelectionExecutor {
   const Table* table_;
   IoAccountant* io_;
   bool predicate_stats_ = false;
-  std::unordered_map<std::string, SecondaryIndex*> indexes_;
+  /// Registrations in order; a column's candidates are the entries naming
+  /// it, numbered by their order among those entries.
+  std::vector<Candidate> candidates_;
 };
 
 }  // namespace ebi

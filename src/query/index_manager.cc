@@ -25,7 +25,7 @@ Result<SecondaryIndex*> IndexManager::CreateIndex(const std::string& column,
   entry.index = std::move(index);
   SecondaryIndex* raw = entry.index.get();
   entries_.push_back(std::move(entry));
-  planner_.RegisterIndex(column, raw);
+  executor_.RegisterIndex(column, raw);
   EBI_RETURN_IF_ERROR(maintenance_.AttachIndex(raw));
   return raw;
 }
@@ -62,10 +62,10 @@ size_t IndexManager::TotalSizeBytes() const {
 }
 
 void IndexManager::Rewire() {
-  planner_.Clear();
+  executor_.Clear();
   maintenance_.Clear();
   for (const Entry& entry : entries_) {
-    planner_.RegisterIndex(entry.column, entry.index.get());
+    executor_.RegisterIndex(entry.column, entry.index.get());
     // Entries are unique owning pointers, so re-attachment cannot see a
     // null or duplicate index.
     maintenance_.AttachIndex(entry.index.get()).IgnoreError();

@@ -8,8 +8,8 @@
 
 #include "index/index.h"
 #include "index/index_factory.h"
+#include "query/executor.h"
 #include "query/maintenance.h"
-#include "query/planner.h"
 #include "storage/table.h"
 #include "util/status.h"
 
@@ -21,16 +21,16 @@ namespace ebi {
 
 /// Owns every index of one table and keeps the moving parts wired
 /// together: CREATE INDEX builds the structure and registers it with both
-/// the cost-based planner (several per column is encouraged) and the
-/// maintenance driver, so appends/deletes and planned selections stay
-/// consistent without the caller juggling objects — the "DBA surface" of
-/// the library.
+/// the selection executor (several per column is encouraged; it chooses
+/// among them per predicate) and the maintenance driver, so
+/// appends/deletes and planned selections stay consistent without the
+/// caller juggling objects — the "DBA surface" of the library.
 class IndexManager {
  public:
   IndexManager(Table* table, IoAccountant* io)
       : table_(table),
         io_(io),
-        planner_(table, io),
+        executor_(table, io),
         maintenance_(table) {}
 
   IndexManager(const IndexManager&) = delete;
@@ -61,10 +61,9 @@ class IndexManager {
   /// Planned conjunctive selection over all registered indexes.
   Result<SelectionResult> Select(const std::vector<Predicate>& predicates,
                                  std::vector<AccessPath>* paths = nullptr) {
-    return planner_.Select(predicates, paths);
+    return executor_.Select(predicates, paths);
   }
 
-  AccessPathPlanner& planner() { return planner_; }
   size_t NumIndexes() const { return entries_.size(); }
 
   /// Total bytes across all indexes.
@@ -77,12 +76,12 @@ class IndexManager {
     std::unique_ptr<SecondaryIndex> index;
   };
 
-  /// Rebuilds planner and maintenance registrations from `entries_`.
+  /// Rebuilds executor and maintenance registrations from `entries_`.
   void Rewire();
 
   Table* table_;
   IoAccountant* io_;
-  AccessPathPlanner planner_;
+  SelectionExecutor executor_;
   MaintenanceDriver maintenance_;
   std::vector<Entry> entries_;
 };

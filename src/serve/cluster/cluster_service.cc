@@ -122,10 +122,10 @@ Status ClusterQueryService::Start(std::unique_ptr<Table> table,
       std::make_unique<ShardRouter>(std::move(partitioner),
                                     options_.key_column);
   key_index_ = key_index;
-  schema_.clear();
-  schema_.reserve(table->NumColumns());
+  schema_ = Table(table->name());
   for (size_t c = 0; c < table->NumColumns(); ++c) {
-    schema_.push_back(table->column(c).type());
+    EBI_RETURN_IF_ERROR(schema_.AddColumn(table->column(c).name(),
+                                          table->column(c).type()));
   }
 
   // Materialize rows in table order: row r becomes global id r, so the
@@ -330,26 +330,7 @@ Result<uint64_t> ClusterQueryService::Append(
   // shard-side rejection would leave ids with no backing rows and shift
   // every later local index off its map entry.
   for (const auto& row : rows) {
-    if (row.size() != schema_.size()) {
-      return Status::InvalidArgument(
-          "append row has " + std::to_string(row.size()) +
-          " values; table has " + std::to_string(schema_.size()) +
-          " columns");
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (row[c].is_null()) {
-        continue;
-      }
-      const bool ok_type =
-          (schema_[c] == Column::Type::kInt64 &&
-           row[c].kind == Value::Kind::kInt64) ||
-          (schema_[c] == Column::Type::kString &&
-           row[c].kind == Value::Kind::kString);
-      if (!ok_type) {
-        return Status::InvalidArgument(
-            "append value type mismatch in column " + std::to_string(c));
-      }
-    }
+    EBI_RETURN_IF_ERROR(schema_.CheckRow(row));
   }
 
   MutexLock lock(append_mu_);

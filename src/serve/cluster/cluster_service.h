@@ -171,11 +171,11 @@ class ClusterQueryService {
                     "after");
   /// Partition-key column position; set once in Start before any query.
   size_t key_index_ EBI_UNGUARDED("set once in Start, read-only after") = 0;
-  /// Column types of the fact table, for pre-route validation (a row
-  /// that fails validation *after* routing would desynchronize the
+  /// The fact table's columns without rows, for pre-route validation (a
+  /// row that fails validation *after* routing would desynchronize the
   /// placement's global-id maps from the shard's actual rows).
-  std::vector<Column::Type> schema_
-      EBI_UNGUARDED("set once in Start, read-only after");
+  Table schema_ EBI_UNGUARDED("set once in Start, read-only after") =
+      Table("schema");
 
   std::vector<std::unique_ptr<QueryService>> shards_
       EBI_UNGUARDED("populated in Start before started_ flips");

@@ -265,7 +265,6 @@ void ServeTicket::Complete(Result<ServeResult> outcome) {
 
 QueryService::QueryService(const ServeOptions& options)
     : options_(options),
-      snapshots_(options.reader_slots),
       pool_(options.worker_threads) {
   const ServeTelemetryOptions& telemetry = options_.telemetry;
   if (telemetry.enabled) {
@@ -568,32 +567,6 @@ void QueryService::FinishRequest() {
   }
 }
 
-Status QueryService::ValidateRows(
-    const Table& table, const std::vector<std::vector<Value>>& rows) {
-  for (const std::vector<Value>& values : rows) {
-    if (values.size() != table.NumColumns()) {
-      return Status::InvalidArgument(
-          "row arity " + std::to_string(values.size()) + " != " +
-          std::to_string(table.NumColumns()) + " columns");
-    }
-    for (size_t i = 0; i < values.size(); ++i) {
-      const Value& v = values[i];
-      if (v.is_null()) {
-        continue;
-      }
-      const Column::Type type = table.column(i).type();
-      const bool matches =
-          (type == Column::Type::kInt64 && v.kind == Value::Kind::kInt64) ||
-          (type == Column::Type::kString && v.kind == Value::Kind::kString);
-      if (!matches) {
-        return Status::InvalidArgument("type mismatch in column " +
-                                       table.column(i).name());
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Result<uint64_t> QueryService::Append(std::vector<std::vector<Value>> rows) {
   if (!started_.load(std::memory_order_seq_cst)) {
     return Status::FailedPrecondition("service not started");
@@ -609,7 +582,9 @@ Result<uint64_t> QueryService::Append(std::vector<std::vector<Value>> rows) {
     if (!pin) {
       return Status::FailedPrecondition("no snapshot published");
     }
-    EBI_RETURN_IF_ERROR(ValidateRows(pin->table(), rows));
+    for (const std::vector<Value>& row : rows) {
+      EBI_RETURN_IF_ERROR(pin->table().CheckRow(row));
+    }
   }
 
   MutexLock lock(append_mu_);

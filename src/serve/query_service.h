@@ -68,9 +68,6 @@ struct ServeOptions {
   /// Deadline applied to requests that do not carry their own; 0 (or
   /// below) = none. Checked like a request's own deadline at admission.
   double default_deadline_ms = 0.0;
-  /// Concurrent-reader capacity of the snapshot manager. Keep at least
-  /// queue_depth + appenders; Acquire spins when all slots are claimed.
-  size_t reader_slots = SnapshotManager::kDefaultReaderSlots;
   /// Production telemetry (sampled tracing, slow-query ring, workload
   /// recorder, periodic exporter).
   ServeTelemetryOptions telemetry;
@@ -248,9 +245,6 @@ class QueryService {
   void MaybeExportTelemetry() EBI_EXCLUDES(export_mu_);
   /// Export body.
   Status ExportTelemetryLocked() EBI_REQUIRES(export_mu_);
-  /// Arity/type check against the (immutable) schema of `table`.
-  static Status ValidateRows(const Table& table,
-                             const std::vector<std::vector<Value>>& rows);
   /// Durable-mode recovery: replays committed WAL row batches onto the
   /// base table (skipping those it already contains) and opens the WAL
   /// for appending. Called by Start before the initial snapshot is built.

@@ -134,8 +134,7 @@ SelectionExecutor DatabaseSnapshot::MakeExecutor() const {
 // SnapshotManager
 // ---------------------------------------------------------------------------
 
-SnapshotManager::SnapshotManager(size_t reader_slots)
-    : slots_(reader_slots == 0 ? 1 : reader_slots) {}
+SnapshotManager::SnapshotManager() : slots_(kReaderSlots) {}
 
 SnapshotManager::~SnapshotManager() = default;
 

@@ -62,11 +62,6 @@ class DatabaseSnapshot {
   uint64_t epoch() const { return epoch_; }
   const Table& table() const { return *table_; }
   size_t NumRows() const { return table_->NumRows(); }
-  /// The per-snapshot accountant (aggregate I/O of every read served
-  /// from this version; per-request deltas are approximate under
-  /// concurrency — see DESIGN.md §9).
-  IoAccountant* io() const { return io_.get(); }
-  IoStats IoSeen() const { return io_->stats(); }
 
   /// The index serving predicates on `column` (nullptr when none).
   SecondaryIndex* index(const std::string& column) const;
@@ -88,6 +83,9 @@ class DatabaseSnapshot {
 
   uint64_t epoch_ = 0;
   std::vector<IndexSpec> specs_;
+  /// The accountant every index of this version charges (aggregate I/O
+  /// of every read served from it; per-request deltas are approximate
+  /// under concurrency — see DESIGN.md §9).
   std::unique_ptr<IoAccountant> io_;
   std::unique_ptr<Table> table_;
   std::vector<Entry> entries_;
@@ -105,11 +103,14 @@ class DatabaseSnapshot {
 /// snapshot alive arbitrarily long after newer ones supersede it.
 class SnapshotManager {
  public:
-  static constexpr size_t kDefaultReaderSlots = 256;
+  /// Concurrent pins the manager holds without spinning. Pins are taken
+  /// by requests running on workers and by appenders; a queued request
+  /// holds none.
+  static constexpr size_t kReaderSlots = 256;
   /// Slot value meaning "claimed but not announcing any epoch".
   static constexpr uint64_t kQuiescent = UINT64_MAX;
 
-  explicit SnapshotManager(size_t reader_slots = kDefaultReaderSlots);
+  SnapshotManager();
   /// Frees the current snapshot and any unreclaimed retirees. All pins
   /// must have been released (the QueryService drain guarantees this).
   ~SnapshotManager();
@@ -151,9 +152,9 @@ class SnapshotManager {
   /// one (single writer; serialized internally).
   void Publish(std::unique_ptr<DatabaseSnapshot> snapshot);
 
-  /// Pins the current snapshot. Lock-free; spins (with yields) only if
-  /// every reader slot is claimed, which admission control prevents.
-  /// The pin is empty until the first Publish.
+  /// Pins the current snapshot. Lock-free; spins (with yields) only while
+  /// all kReaderSlots slots are claimed. The pin is empty until the first
+  /// Publish.
   Pin Acquire();
 
   /// Epoch of the current snapshot (0 before the first publish).

@@ -20,8 +20,7 @@ Status Column::Append(const Value& value) {
     rows_.push_back(kNullValueId);
     return Status::OK();
   }
-  if ((type_ == Type::kInt64 && value.kind != Value::Kind::kInt64) ||
-      (type_ == Type::kString && value.kind != Value::Kind::kString)) {
+  if (!Accepts(value)) {
     return Status::InvalidArgument("type mismatch appending to column " +
                                    name_);
   }

@@ -79,7 +79,14 @@ class Column {
   size_t Cardinality() const { return dict_size_; }
   bool HasNulls() const { return has_nulls_; }
 
-  /// Appends a value; type must match the column type (or be NULL).
+  /// True iff `value` may be stored here: NULL, or of the column's type.
+  [[nodiscard]] bool Accepts(const Value& value) const {
+    return value.is_null() ||
+           value.kind == (type_ == Type::kInt64 ? Value::Kind::kInt64
+                                                : Value::Kind::kString);
+  }
+
+  /// Appends a value; the column must Accept it.
   Status Append(const Value& value);
   Status AppendInt64(int64_t v) { return Append(Value::Int(v)); }
   Status AppendString(std::string v) {

@@ -186,7 +186,7 @@ class StorageEngine {
 
   /// Serialized bytes slice `id` occupies (the sum its cold read charges).
   Result<size_t> SliceBytes(SliceId id) const;
-  /// Pages slice `id` spans — the planner's page estimate for one slice.
+  /// Pages slice `id` spans — the page estimate for reading one slice.
   Result<uint32_t> SlicePages(SliceId id) const;
 
   /// Re-reads every page of slice `id` from the file and validates its

@@ -16,29 +16,25 @@ Status Table::AddColumn(std::string name, Column::Type type) {
   return Status::OK();
 }
 
-Status Table::AppendRow(const std::vector<Value>& values) {
+Status Table::CheckRow(const std::vector<Value>& values) const {
   if (values.size() != columns_.size()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(values.size()) + " != " +
         std::to_string(columns_.size()) + " columns");
   }
-  // Validate all appends would succeed before mutating (columns stay
-  // aligned even on type errors).
   for (size_t i = 0; i < values.size(); ++i) {
-    const Value& v = values[i];
-    if (v.is_null()) {
-      continue;
-    }
-    const bool ok =
-        (columns_[i]->type() == Column::Type::kInt64 &&
-         v.kind == Value::Kind::kInt64) ||
-        (columns_[i]->type() == Column::Type::kString &&
-         v.kind == Value::Kind::kString);
-    if (!ok) {
+    if (!columns_[i]->Accepts(values[i])) {
       return Status::InvalidArgument("type mismatch in column " +
                                      columns_[i]->name());
     }
   }
+  return Status::OK();
+}
+
+Status Table::AppendRow(const std::vector<Value>& values) {
+  // Validate all appends would succeed before mutating (columns stay
+  // aligned even on type errors).
+  EBI_RETURN_IF_ERROR(CheckRow(values));
   for (size_t i = 0; i < values.size(); ++i) {
     EBI_RETURN_IF_ERROR(columns_[i]->Append(values[i]));
   }

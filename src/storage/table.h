@@ -32,7 +32,11 @@ class Table {
   /// Adds a column; must be called before any rows are appended.
   Status AddColumn(std::string name, Column::Type type);
 
-  /// Appends one row; `values` must have one entry per column.
+  /// Checks that `values` can be appended as one row: one value per
+  /// column, each accepted by its column. InvalidArgument otherwise.
+  Status CheckRow(const std::vector<Value>& values) const;
+
+  /// Appends one row; `values` must pass CheckRow.
   Status AppendRow(const std::vector<Value>& values);
 
   /// Marks a row as deleted (void). The physical slot remains.

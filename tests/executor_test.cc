@@ -4,6 +4,7 @@
 
 #include "index/encoded_bitmap_index.h"
 #include "index/simple_bitmap_index.h"
+#include "test_util.h"
 
 namespace ebi {
 namespace {
@@ -176,6 +177,103 @@ TEST_F(ExecutorTest, PredicateWidth) {
       Predicate::In("product", {Value::Int(1), Value::Int(2)}).Width(product),
       2u);
   EXPECT_EQ(Predicate::Between("product", 1, 3).Width(product), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Several candidates on one column: each predicate is answered by the index
+// Choose prices cheapest; a lone candidate is used without pricing.
+
+using testing_util::RandomIntTable;
+
+/// A simple bitmap index that counts how often it is asked to price a
+/// selection.
+class CountingIndex : public SimpleBitmapIndex {
+ public:
+  using SimpleBitmapIndex::SimpleBitmapIndex;
+
+  double EstimatePages(const SelectionShape& shape) const override {
+    ++estimates;
+    return SimpleBitmapIndex::EstimatePages(shape);
+  }
+
+  mutable size_t estimates = 0;
+};
+
+std::vector<Value> FirstValues(int64_t count) {
+  std::vector<Value> values;
+  for (int64_t v = 0; v < count; ++v) {
+    values.push_back(Value::Int(v));
+  }
+  return values;
+}
+
+TEST(ExecutorPlanningTest, EachPredicateUsesItsCheapestCandidate) {
+  auto table = RandomIntTable(4000, 200, 13);
+  IoAccountant io;
+  SimpleBitmapIndex simple(&table->column(0), &table->existence(), &io);
+  EncodedBitmapIndex encoded(&table->column(0), &table->existence(), &io);
+  ASSERT_TRUE(simple.Build().ok());
+  ASSERT_TRUE(encoded.Build().ok());
+  SelectionExecutor both(table.get(), &io);
+  both.RegisterIndex("a", &simple);
+  both.RegisterIndex("a", &encoded);
+  SelectionExecutor simple_only(table.get(), &io);
+  simple_only.RegisterIndex("a", &simple);
+  SelectionExecutor encoded_only(table.get(), &io);
+  encoded_only.RegisterIndex("a", &encoded);
+
+  const Predicate point = Predicate::Eq("a", Value::Int(5));
+  const Predicate wide = Predicate::In("a", FirstValues(40));
+  const auto simple_point = simple_only.Select({point});
+  const auto encoded_point = encoded_only.Select({point});
+  const auto simple_wide = simple_only.Select({wide});
+  const auto encoded_wide = encoded_only.Select({wide});
+  ASSERT_TRUE(simple_point.ok() && encoded_point.ok());
+  ASSERT_TRUE(simple_wide.ok() && encoded_wide.ok());
+  // Section 3.1: simple bitmaps win the point, encoded ones the wide IN.
+  ASSERT_LT(simple_point->io.vectors_read, encoded_point->io.vectors_read);
+  ASSERT_LT(encoded_wide->io.vectors_read, simple_wide->io.vectors_read);
+
+  const auto planned_point = both.Select({point});
+  ASSERT_TRUE(planned_point.ok());
+  EXPECT_EQ(planned_point->io.vectors_read, simple_point->io.vectors_read);
+  const auto scanned_point = both.SelectByScan({point});
+  ASSERT_TRUE(scanned_point.ok());
+  EXPECT_EQ(planned_point->rows, *scanned_point);
+
+  const auto planned_wide = both.Select({wide});
+  ASSERT_TRUE(planned_wide.ok());
+  EXPECT_EQ(planned_wide->io.vectors_read, encoded_wide->io.vectors_read);
+  const auto scanned_wide = both.SelectByScan({wide});
+  ASSERT_TRUE(scanned_wide.ok());
+  EXPECT_EQ(planned_wide->rows, *scanned_wide);
+}
+
+TEST(ExecutorPlanningTest, OnlyColumnsWithSeveralCandidatesArePriced) {
+  auto table = RandomIntTable(1000, 50, 7);
+  IoAccountant io;
+  CountingIndex counting(&table->column(0), &table->existence(), &io);
+  EncodedBitmapIndex encoded(&table->column(0), &table->existence(), &io);
+  ASSERT_TRUE(counting.Build().ok());
+  ASSERT_TRUE(encoded.Build().ok());
+  const std::vector<Predicate> queries = {
+      Predicate::Eq("a", Value::Int(3)), Predicate::In("a", FirstValues(9)),
+      Predicate::Between("a", 10, 30), Predicate::NotIn("a", FirstValues(4))};
+
+  SelectionExecutor alone(table.get(), &io);
+  alone.RegisterIndex("a", &counting);
+  for (const Predicate& p : queries) {
+    ASSERT_TRUE(alone.Select({p}).ok()) << p.ToString();
+  }
+  EXPECT_EQ(counting.estimates, 0u);
+
+  SelectionExecutor both(table.get(), &io);
+  both.RegisterIndex("a", &counting);
+  both.RegisterIndex("a", &encoded);
+  for (const Predicate& p : queries) {
+    ASSERT_TRUE(both.Select({p}).ok()) << p.ToString();
+  }
+  EXPECT_GE(counting.estimates, 1u);
 }
 
 }  // namespace

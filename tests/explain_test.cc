@@ -10,7 +10,7 @@
 #include "index/encoded_bitmap_index.h"
 #include "index/simple_bitmap_index.h"
 #include "obs/json.h"
-#include "query/planner.h"
+#include "query/executor.h"
 #include "storage/table.h"
 
 namespace ebi {
@@ -29,7 +29,7 @@ using obs::TraceScope;
 /// query layer emits.
 void BuildSampleTrace(QueryTrace* trace) {
   const TraceScope install(trace);
-  ScopedSpan select("planner.select");
+  ScopedSpan select("executor.select");
   {
     ScopedSpan pred("predicate");
     pred.Attr("column", "product");
@@ -56,7 +56,7 @@ TEST(ExplainTest, GoldenText) {
   // Timing is off by default, so this rendering is fully deterministic.
   EXPECT_EQ(ExplainText(trace),
             "query\n"
-            "  planner.select predicates=1 rows=120\n"
+            "  executor.select predicates=1 rows=120\n"
             "    predicate column=product pred=\"product IN (1, 2)\" "
             "rows=120\n"
             "      index.eval index=encoded-bitmap delta=2\n"
@@ -69,7 +69,7 @@ TEST(ExplainTest, TextIndentIsConfigurable) {
   ExplainOptions options;
   options.indent = 4;
   const std::string text = ExplainText(trace, options);
-  EXPECT_NE(text.find("\n    planner.select"), std::string::npos);
+  EXPECT_NE(text.find("\n    executor.select"), std::string::npos);
   EXPECT_NE(text.find("\n        predicate"), std::string::npos);
 }
 
@@ -99,7 +99,7 @@ TEST(ExplainTest, JsonRoundTripsTheTree) {
   ASSERT_EQ(children->array.size(), 1u);
 
   const JsonValue& select = children->array[0];
-  EXPECT_EQ(select.Find("name")->text, "planner.select");
+  EXPECT_EQ(select.Find("name")->text, "executor.select");
   const JsonValue* select_attrs = select.Find("attrs");
   ASSERT_NE(select_attrs, nullptr);
   EXPECT_EQ(select_attrs->Find("rows")->Uint64(), 120u);
@@ -137,9 +137,14 @@ TEST(ExplainTest, EncodedSelectionReportsReductionAndVectorsRead) {
   auto table = RoundRobinTable(2000, m);
   IoAccountant io;
   EncodedBitmapIndex encoded(&table->column(0), &table->existence(), &io);
+  SimpleBitmapIndex simple(&table->column(0), &table->existence(), &io);
   ASSERT_TRUE(encoded.Build().ok());
-  AccessPathPlanner planner(table.get(), &io);
+  ASSERT_TRUE(simple.Build().ok());
+  // Two candidates on the column, so the predicate is planned and the
+  // plan renders its plan.choose step.
+  SelectionExecutor planner(table.get(), &io);
   planner.RegisterIndex("a", &encoded);
+  planner.RegisterIndex("a", &simple);
 
   // Consecutive IN-list of width 8 > log2(20): the encoded-bitmap sweet
   // spot, and wide enough that reduction must collapse minterms.
@@ -180,7 +185,7 @@ TEST(ExplainTest, EncodedSelectionReportsReductionAndVectorsRead) {
 
   // The whole story renders: every cost above appears in the text plan.
   const std::string text = ExplainText(trace);
-  EXPECT_NE(text.find("planner.select"), std::string::npos);
+  EXPECT_NE(text.find("executor.select"), std::string::npos);
   EXPECT_NE(text.find("plan.choose"), std::string::npos);
   EXPECT_NE(text.find("boolean.reduce"), std::string::npos);
   EXPECT_NE(text.find("terms_in=8"), std::string::npos);
@@ -194,7 +199,7 @@ TEST(ExplainTest, ExplainSelectMatchesPlainSelectCosts) {
   IoAccountant io;
   EncodedBitmapIndex encoded(&table->column(0), &table->existence(), &io);
   ASSERT_TRUE(encoded.Build().ok());
-  AccessPathPlanner planner(table.get(), &io);
+  SelectionExecutor planner(table.get(), &io);
   planner.RegisterIndex("a", &encoded);
   std::vector<Value> values;
   for (int64_t v = 3; v < 9; ++v) {

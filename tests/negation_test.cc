@@ -85,7 +85,7 @@ TEST_F(NegationTest, PlannerRoutesNegationsToo) {
   EncodedBitmapIndex encoded(&table->column(0), &table->existence(), &io);
   ASSERT_TRUE(simple.Build().ok());
   ASSERT_TRUE(encoded.Build().ok());
-  AccessPathPlanner planner(table.get(), &io);
+  SelectionExecutor planner(table.get(), &io);
   planner.RegisterIndex("a", &simple);
   planner.RegisterIndex("a", &encoded);
   SelectionExecutor reference(table.get(), &io);

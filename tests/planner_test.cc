@@ -1,4 +1,4 @@
-#include "query/planner.h"
+#include "query/executor.h"
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ class PlannerTest : public ::testing::Test {
     ASSERT_TRUE(simple_->Build().ok());
     ASSERT_TRUE(encoded_->Build().ok());
     ASSERT_TRUE(sliced_->Build().ok());
-    planner_ = std::make_unique<AccessPathPlanner>(table_.get(), &io_);
+    planner_ = std::make_unique<SelectionExecutor>(table_.get(), &io_);
     planner_->RegisterIndex("a", simple_.get());
     planner_->RegisterIndex("a", encoded_.get());
     planner_->RegisterIndex("a", sliced_.get());
@@ -36,7 +36,7 @@ class PlannerTest : public ::testing::Test {
   std::unique_ptr<SimpleBitmapIndex> simple_;
   std::unique_ptr<EncodedBitmapIndex> encoded_;
   std::unique_ptr<BitSlicedIndex> sliced_;
-  std::unique_ptr<AccessPathPlanner> planner_;
+  std::unique_ptr<SelectionExecutor> planner_;
 };
 
 TEST_F(PlannerTest, PointQueriesPreferSimpleBitmaps) {
@@ -132,7 +132,7 @@ TEST_F(PlannerTest, IsNullRoutesOnlyToCapableIndexes) {
   SimpleBitmapIndex simple(&table->column(0), &table->existence(), &io);
   ASSERT_TRUE(sliced.Build().ok());
   ASSERT_TRUE(simple.Build().ok());
-  AccessPathPlanner planner(table.get(), &io);
+  SelectionExecutor planner(table.get(), &io);
   planner.RegisterIndex("a", &sliced);
   const auto unroutable = planner.Choose(Predicate::IsNull("a"));
   EXPECT_EQ(unroutable.status().code(), StatusCode::kNotFound);

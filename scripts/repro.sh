@@ -34,7 +34,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 for backend in scalar avx2 avx512 neon; do
   echo "=== EBI_FORCE_KERNEL=$backend ===" | tee -a test_output.txt
   EBI_FORCE_KERNEL="$backend" ctest --test-dir build \
-    -R 'kernel_differential|bitvector|rle|stored_bitmap|bitmap_kernel_edge|cover|executor|simple_bitmap_index|encoded_bitmap_index|invariant_auditor|storage_engine|wal_recovery|cold_encoded_bitmap_index|dynamic_bitmap_index|groupset_index|join_index|planner|negation|explain|index_manager' \
+    -R 'kernel_differential|bitvector|rle|stored_bitmap|bitmap_kernel_edge|cover|executor|simple_bitmap_index|encoded_bitmap_index|invariant_auditor|storage_engine|wal_recovery|cold_encoded_bitmap_index|dynamic_bitmap_index|groupset_index|join_index|planner|negation|explain|index_manager|bit_sliced_index|aggregates|integration' \
     2>&1 | tee -a test_output.txt
 done
 

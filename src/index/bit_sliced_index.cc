@@ -1,90 +1,24 @@
 #include "index/bit_sliced_index.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.h"
-#include "util/bit_util.h"
 
 namespace ebi {
 
-Status BitSlicedIndex::Build() {
-  if (column_->type() != Column::Type::kInt64) {
-    return Status::InvalidArgument(
-        "bit-sliced index requires an integer column");
-  }
-  const size_t n = column_->size();
-
-  // Pass 1: value range over non-NULL cells.
-  bool any = false;
-  int64_t min_v = 0;
-  int64_t max_v = 0;
-  for (const Value& v : column_->dictionary()) {
-    if (!any || v.int_value < min_v) {
-      min_v = v.int_value;
-    }
-    if (!any || v.int_value > max_v) {
-      max_v = v.int_value;
-    }
-    any = true;
-  }
-  bias_ = any ? min_v : 0;
-  const uint64_t span =
-      any ? static_cast<uint64_t>(max_v - min_v) + 1 : 1;
-  const int k = Log2Ceil(span);
-
-  slices_.assign(static_cast<size_t>(k), BitVector(n));
-  for (size_t row = 0; row < n; ++row) {
-    const ValueId id = column_->ValueIdAt(row);
-    if (id == kNullValueId) {
-      continue;  // NULL cells stay all-zero; masked out via the column.
-    }
-    const uint64_t biased =
-        static_cast<uint64_t>(column_->ValueOf(id).int_value - bias_);
-    WriteBiased(row, biased);
-  }
-  rows_indexed_ = n;
-  built_ = true;
-  return Status::OK();
-}
-
-void BitSlicedIndex::WriteBiased(size_t row, uint64_t biased) {
-  for (size_t i = 0; i < slices_.size(); ++i) {
-    slices_[i].Assign(row, (biased >> i) & 1);
-  }
-}
-
-Status BitSlicedIndex::Append(size_t row) {
+Status BitSlicedIndex::CheckSelection(const BitVector& rows) const {
   if (!built_) {
     return Status::FailedPrecondition("index not built");
   }
-  if (row != rows_indexed_) {
-    return Status::InvalidArgument("rows must be appended in order");
+  if (rows.size() != rows_indexed_) {
+    return Status::InvalidArgument("selection bitmap size mismatch");
   }
-  const ValueId id = column_->ValueIdAt(row);
-  uint64_t biased = 0;
-  bool is_null = true;
-  if (id != kNullValueId) {
-    const int64_t v = column_->ValueOf(id).int_value;
-    if (v < bias_) {
-      return Status::Unimplemented(
-          "appended value below the slice bias; rebuild the index");
-    }
-    biased = static_cast<uint64_t>(v - bias_);
-    is_null = false;
-  }
-  // Grow the slice set if the new value needs more bits.
-  while (!is_null && biased >> slices_.size() != 0 && slices_.size() < 63) {
-    slices_.emplace_back(rows_indexed_);
-  }
-  for (size_t i = 0; i < slices_.size(); ++i) {
-    slices_[i].PushBack(!is_null && ((biased >> i) & 1));
-  }
-  ++rows_indexed_;
   return Status::OK();
 }
 
 void BitSlicedIndex::ChargeSlice(size_t i) {
-  io_->ChargeVectorRead(slices_[i].SizeBytes());
+  io_->ChargeVectorRead(slices()[i].SizeBytes());
 }
 
 BitVector BitSlicedIndex::LessOrEqual(uint64_t c) {
@@ -92,17 +26,16 @@ BitVector BitSlicedIndex::LessOrEqual(uint64_t c) {
   // slice, maintaining "strictly less so far" and "equal so far" bitmaps.
   BitVector lt(rows_indexed_);
   BitVector eq(rows_indexed_, true);
-  for (size_t i = slices_.size(); i > 0; --i) {
-    const size_t bit = i - 1;
+  for (size_t bit = slices().size(); bit-- > 0;) {
     ChargeSlice(bit);
     if ((c >> bit) & 1) {
       // Rows equal so far with a 0 here become strictly less.
       BitVector step = eq;
-      step.AndNotWith(slices_[bit]);
+      step.AndNotWith(slices()[bit]);
       lt.OrWith(step);
-      eq.AndWith(slices_[bit]);
+      eq.AndWith(slices()[bit]);
     } else {
-      eq.AndNotWith(slices_[bit]);
+      eq.AndNotWith(slices()[bit]);
     }
   }
   lt.OrWith(eq);
@@ -117,140 +50,80 @@ Result<BitVector> BitSlicedIndex::EvaluateRange(int64_t lo, int64_t hi) {
   const IoScope scope(io_);
   if (span.active()) {
     span.Attr("index", Name());
-    span.Attr("slices_held", slices_.size());
+    span.Attr("slices_held", NumVectors());
   }
-  if (lo > hi) {
+  const int64_t bias = this->bias();
+  const int64_t max_biased =
+      static_cast<int64_t>((uint64_t{1} << slices().size()) - 1);
+  if (lo > hi || hi < bias || lo > bias + max_biased) {
     return BitVector(rows_indexed_);
   }
-  const int64_t max_biased =
-      slices_.empty()
-          ? 0
-          : static_cast<int64_t>((uint64_t{1} << slices_.size()) - 1);
-
-  BitVector result;
-  if (hi < bias_ || lo > bias_ + max_biased) {
-    result = BitVector(rows_indexed_);
-  } else {
-    const uint64_t hi_b =
-        static_cast<uint64_t>(std::min(hi - bias_, max_biased));
-    result = LessOrEqual(hi_b);
-    if (lo > bias_) {
-      result.AndNotWith(
-          LessOrEqual(static_cast<uint64_t>(lo - bias_ - 1)));
-    }
+  BitVector result =
+      LessOrEqual(static_cast<uint64_t>(std::min(hi - bias, max_biased)));
+  if (lo > bias) {
+    result.AndNotWith(LessOrEqual(static_cast<uint64_t>(lo - bias - 1)));
   }
-
-  // NULL cells share the all-zero slice pattern with value bias_, so mask
-  // them out, then mask deleted rows.
-  if (column_->HasNulls()) {
-    for (size_t row = 0; row < rows_indexed_; ++row) {
-      if (column_->ValueIdAt(row) == kNullValueId) {
-        result.Reset(row);
-      }
-    }
-  }
-  io_->ChargeVectorRead(existence_->SizeBytes());
-  result.AndWith(*existence_);
+  const bool existence_and = MaskUnencodedRows(&result);
   if (span.active()) {
-    span.Attr("existence_and", true);
+    span.Attr("existence_and", existence_and);
     span.AttrIo(scope.Delta());
   }
   return result;
 }
 
-Result<BitVector> BitSlicedIndex::EvaluateEquals(const Value& value) {
-  if (!built_) {
-    return Status::FailedPrecondition("index not built");
-  }
-  if (value.kind != Value::Kind::kInt64) {
-    return BitVector(rows_indexed_);
-  }
-  return EvaluateRange(value.int_value, value.int_value);
-}
-
-Result<BitVector> BitSlicedIndex::EvaluateIn(
-    const std::vector<Value>& values) {
-  if (!built_) {
-    return Status::FailedPrecondition("index not built");
-  }
-  BitVector result(rows_indexed_);
-  for (const Value& v : values) {
-    EBI_ASSIGN_OR_RETURN(const BitVector one, EvaluateEquals(v));
-    result.OrWith(one);
-  }
-  return result;
-}
-
 Result<int64_t> BitSlicedIndex::Sum(const BitVector& rows) {
-  if (!built_) {
-    return Status::FailedPrecondition("index not built");
-  }
-  if (rows.size() != rows_indexed_) {
-    return Status::InvalidArgument("selection bitmap size mismatch");
-  }
+  EBI_RETURN_IF_ERROR(CheckSelection(rows));
   int64_t total = 0;
-  for (size_t i = 0; i < slices_.size(); ++i) {
+  for (size_t i = 0; i < slices().size(); ++i) {
     ChargeSlice(i);
-    total += static_cast<int64_t>(And(slices_[i], rows).Count())
-             << i;
+    total += static_cast<int64_t>(And(slices()[i], rows).Count()) << i;
   }
-  total += bias_ * static_cast<int64_t>(rows.Count());
+  total += bias() * static_cast<int64_t>(rows.Count());
   return total;
 }
 
 Result<int64_t> BitSlicedIndex::Min(const BitVector& rows) {
-  if (!built_) {
-    return Status::FailedPrecondition("index not built");
-  }
-  if (rows.size() != rows_indexed_ || rows.IsZero()) {
+  EBI_RETURN_IF_ERROR(CheckSelection(rows));
+  if (rows.IsZero()) {
     return Status::NotFound("empty selection");
   }
   BitVector candidates = rows;
   uint64_t value = 0;
-  for (size_t i = slices_.size(); i > 0; --i) {
-    const size_t bit = i - 1;
+  for (size_t bit = slices().size(); bit-- > 0;) {
     ChargeSlice(bit);
     BitVector zeros = candidates;
-    zeros.AndNotWith(slices_[bit]);
+    zeros.AndNotWith(slices()[bit]);
     if (!zeros.IsZero()) {
       candidates = std::move(zeros);  // Some candidate has 0 here: min does.
     } else {
       value |= uint64_t{1} << bit;  // All candidates have 1 here.
     }
   }
-  return bias_ + static_cast<int64_t>(value);
+  return bias() + static_cast<int64_t>(value);
 }
 
 Result<int64_t> BitSlicedIndex::Max(const BitVector& rows) {
-  if (!built_) {
-    return Status::FailedPrecondition("index not built");
-  }
-  if (rows.size() != rows_indexed_ || rows.IsZero()) {
+  EBI_RETURN_IF_ERROR(CheckSelection(rows));
+  if (rows.IsZero()) {
     return Status::NotFound("empty selection");
   }
   BitVector candidates = rows;
   uint64_t value = 0;
-  for (size_t i = slices_.size(); i > 0; --i) {
-    const size_t bit = i - 1;
+  for (size_t bit = slices().size(); bit-- > 0;) {
     ChargeSlice(bit);
-    const BitVector ones = And(candidates, slices_[bit]);
+    BitVector ones = And(candidates, slices()[bit]);
     if (!ones.IsZero()) {
-      candidates = ones;
+      candidates = std::move(ones);
       value |= uint64_t{1} << bit;
     }
   }
-  return bias_ + static_cast<int64_t>(value);
+  return bias() + static_cast<int64_t>(value);
 }
 
 Result<int64_t> BitSlicedIndex::Quantile(const BitVector& rows, double q) {
-  if (!built_) {
-    return Status::FailedPrecondition("index not built");
-  }
+  EBI_RETURN_IF_ERROR(CheckSelection(rows));
   if (q <= 0.0 || q > 1.0) {
     return Status::InvalidArgument("quantile must be in (0, 1]");
-  }
-  if (rows.size() != rows_indexed_) {
-    return Status::InvalidArgument("selection bitmap size mismatch");
   }
   const size_t count = rows.Count();
   if (count == 0) {
@@ -266,29 +139,20 @@ Result<int64_t> BitSlicedIndex::Quantile(const BitVector& rows, double q) {
 
   BitVector candidates = rows;
   uint64_t value = 0;
-  for (size_t i = slices_.size(); i > 0; --i) {
-    const size_t bit = i - 1;
+  for (size_t bit = slices().size(); bit-- > 0;) {
     ChargeSlice(bit);
     BitVector zeros = candidates;
-    zeros.AndNotWith(slices_[bit]);
+    zeros.AndNotWith(slices()[bit]);
     const size_t zero_count = zeros.Count();
     if (rank <= zero_count) {
       candidates = std::move(zeros);
     } else {
       rank -= zero_count;
-      candidates.AndWith(slices_[bit]);
+      candidates.AndWith(slices()[bit]);
       value |= uint64_t{1} << bit;
     }
   }
-  return bias_ + static_cast<int64_t>(value);
-}
-
-size_t BitSlicedIndex::SizeBytes() const {
-  size_t total = 0;
-  for (const BitVector& slice : slices_) {
-    total += slice.SizeBytes();
-  }
-  return total;
+  return bias() + static_cast<int64_t>(value);
 }
 
 }  // namespace ebi

@@ -3,54 +3,50 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
+#include <memory>
 
-#include "index/index.h"
+#include "index/encoded_bitmap_index.h"
 
 namespace ebi {
 
 /// The bit-sliced index of O'Neil & Quass (Section 4 of the paper), for
-/// kInt64 columns: bitmap vector S_i holds bit i of (value - bias), i.e.
-/// the index is an encoded bitmap index whose encoding is the total-order
-/// preserving internal binary representation.
+/// kInt64 columns: slice S_i holds bit i of (value - bias). As the paper
+/// notes, it is the encoded bitmap index whose mapping is the internal
+/// binary representation — the total-order preserving special case of
+/// Definition 2.1 — so it is an EncodedBitmapIndex preset with the
+/// value-binary mapping (EncodingStrategy::kValueBinary). Points and
+/// IN-lists run through the reduced retrieval cover, appends take the
+/// value's own code and grow the slices upward, and a value below the bias
+/// reports Unimplemented.
 ///
-/// Range selections run the classic slice-arithmetic comparison (no
-/// per-value enumeration), and SUM aggregates are computed directly on the
-/// slices — the operations [11] defines bit-sliced indexes for.
-class BitSlicedIndex : public SecondaryIndex {
+/// What the preset adds are the operations [11] defines bit-sliced
+/// indexes for, computed on the slices alone: the slice-arithmetic range
+/// comparison (no per-value enumeration, no reduction) and the aggregates.
+/// Each aggregate takes a selection that must not hold NULL or deleted
+/// rows (Evaluate* results already comply).
+class BitSlicedIndex : public EncodedBitmapIndex {
  public:
   BitSlicedIndex(const Column* column, const BitVector* existence,
                  IoAccountant* io)
-      : SecondaryIndex(column, existence, io) {}
-
-  std::string Name() const override { return "bit-sliced"; }
-
-  Status Build() override;
-  Status Append(size_t row) override;
-
-  Result<BitVector> EvaluateEquals(const Value& value) override;
-  Result<BitVector> EvaluateIn(const std::vector<Value>& values) override;
-  Result<BitVector> EvaluateRange(int64_t lo, int64_t hi) override;
-
-  size_t SizeBytes() const override;
-  size_t NumVectors() const override { return slices_.size(); }
-
-  /// Ranges run two slice-arithmetic passes (2k reads); value sets cost a
-  /// pass per value. The existence AND adds one vector.
-  double EstimatePages(const SelectionShape& shape) const override {
-    const double k = static_cast<double>(slices_.size());
-    const double passes =
-        shape.kind == SelectionShape::Kind::kRange
-            ? 2.0
-            : 2.0 * static_cast<double>(shape.delta);
-    return (passes * k + 1.0) * PagesPerVector();
+      : EncodedBitmapIndex(column, existence, io, {}, "bit-sliced") {
+    options_.strategy = EncodingStrategy::kValueBinary;
   }
 
-  /// SUM(column) over the rows selected by `rows`, evaluated on the slices
-  /// as sum_i 2^i * Count(S_i AND rows) + bias * Count(rows). `rows` must
-  /// not select NULL or deleted rows (Evaluate* results already comply).
+  /// Two LessOrEqual passes over the slices: at most 2k reads, plus the
+  /// existence AND.
+  Result<BitVector> EvaluateRange(int64_t lo, int64_t hi) override;
+
+  /// Ranges cost the two comparator passes; value sets cost the cover.
+  double EstimatePages(const SelectionShape& shape) const override {
+    if (shape.kind != SelectionShape::Kind::kRange) {
+      return EncodedBitmapIndex::EstimatePages(shape);
+    }
+    return (2.0 * static_cast<double>(NumVectors()) + 1.0) *
+           PagesPerVector();
+  }
+
+  /// SUM(column) over the rows selected by `rows`:
+  /// sum_i 2^i * Count(S_i AND rows) + bias * Count(rows).
   Result<int64_t> Sum(const BitVector& rows);
 
   /// MIN / MAX over the selected rows by most-significant-slice descent
@@ -64,27 +60,24 @@ class BitSlicedIndex : public SecondaryIndex {
   /// smallest value.
   Result<int64_t> Quantile(const BitVector& rows, double q);
 
-  int64_t bias() const { return bias_; }
+  /// The value of code 0: the column minimum at Build().
+  int64_t bias() const { return value_bias_.value_or(0); }
 
-  void ForEachAuditVector(
-      const std::function<void(const AuditableVector&)>& fn) const override {
-    for (size_t i = 0; i < slices_.size(); ++i) {
-      fn(AuditableVector{"slice", i, &slices_[i]});
-    }
+ protected:
+  std::unique_ptr<EncodedBitmapIndex> NewOfSameClass(
+      const Column* column, const BitVector* existence,
+      IoAccountant* io) const override {
+    return std::make_unique<BitSlicedIndex>(column, existence, io);
   }
 
  private:
-  /// Bitmap of rows with (value - bias) <= c, by most-to-least significant
-  /// slice scan. Charges every slice it reads.
+  /// Bitmap of rows with (value - bias) <= c, by most-to-least
+  /// significant slice scan. Charges every slice it reads.
   BitVector LessOrEqual(uint64_t c);
+  /// Checks that the index is built and `rows` spans it.
+  Status CheckSelection(const BitVector& rows) const;
   /// Charges a read of slice i.
   void ChargeSlice(size_t i);
-  void WriteBiased(size_t row, uint64_t biased);
-
-  bool built_ = false;
-  size_t rows_indexed_ = 0;
-  int64_t bias_ = 0;
-  std::vector<BitVector> slices_;
 };
 
 }  // namespace ebi

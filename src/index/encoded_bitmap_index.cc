@@ -9,6 +9,11 @@ Status EncodedBitmapIndex::SetMapping(MappingTable mapping) {
   if (built_) {
     return Status::FailedPrecondition("index already built");
   }
+  if (options_.strategy == EncodingStrategy::kValueBinary) {
+    // The slice algorithms of the bit-sliced index read codes as values.
+    return Status::FailedPrecondition(
+        "a value-binary index derives its own mapping");
+  }
   mapping_ = std::move(mapping);
   options_.strategy = EncodingStrategy::kCustom;
   return Status::OK();
@@ -57,12 +62,14 @@ Result<std::unique_ptr<SecondaryIndex>> EncodedBitmapIndex::CloneRebound(
         "clone target holds " + std::to_string(column->size()) +
         " rows, index covers " + std::to_string(rows_indexed_));
   }
-  auto clone = std::make_unique<EncodedBitmapIndex>(column, existence, io,
-                                                    options_);
+  std::unique_ptr<EncodedBitmapIndex> clone =
+      NewOfSameClass(column, existence, io);
+  clone->options_ = options_;
   clone->name_ = name_;
   // The mapping travels with the clone; a rebuild must not re-derive it.
   clone->options_.strategy = EncodingStrategy::kCustom;
   clone->mapping_ = mapping_;
+  clone->value_bias_ = value_bias_;
   clone->slices_ = slices_;
   clone->rows_indexed_ = rows_indexed_;
   clone->built_ = true;
@@ -72,6 +79,10 @@ Result<std::unique_ptr<SecondaryIndex>> EncodedBitmapIndex::CloneRebound(
 Status EncodedBitmapIndex::Reencode(MappingTable new_mapping) {
   if (!built_) {
     return Status::FailedPrecondition("index not built");
+  }
+  if (value_bias_.has_value()) {
+    return Status::FailedPrecondition(
+        "a value-binary index keeps its mapping");
   }
   if (new_mapping.NumValues() < column_->Cardinality()) {
     return Status::FailedPrecondition(

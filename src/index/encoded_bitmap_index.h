@@ -37,14 +37,15 @@ class EncodedBitmapIndex : public EncodedIndexBase {
   std::string Name() const override { return name_; }
 
   /// Installs a caller-provided mapping (strategy kCustom). The mapping
-  /// must cover the column's current cardinality.
+  /// must cover the column's current cardinality. A value-binary index
+  /// refuses it, as it refuses Reencode.
   Status SetMapping(MappingTable mapping);
 
   /// Copy-on-write clone for snapshot publication: copies the mapping and
   /// the slice vectors as built, rebinding to `column`/`existence`/`io`
   /// (which must hold exactly the rows this index has indexed). The
-  /// clone keeps the trained mapping and the name — no re-encoding, no
-  /// Build() pass.
+  /// clone keeps the trained mapping, the value-binary rule for new
+  /// values, the class and the name — no re-encoding, no Build() pass.
   Result<std::unique_ptr<SecondaryIndex>> CloneRebound(
       const Column* column, const BitVector* existence,
       IoAccountant* io) const override;
@@ -80,12 +81,22 @@ class EncodedBitmapIndex : public EncodedIndexBase {
   }
 
  protected:
-  /// A preset of the index under its own name (DynamicBitmapIndex).
+  /// A preset of the index under its own name (DynamicBitmapIndex,
+  /// BitSlicedIndex).
   EncodedBitmapIndex(const Column* column, const BitVector* existence,
                      IoAccountant* io, EncodedBitmapIndexOptions options,
                      const char* name)
       : EncodedIndexBase(column, existence, io, std::move(options)),
         name_(name) {}
+
+  /// An unbuilt index of this object's class, bound to the arguments,
+  /// that CloneRebound fills: a preset with methods of its own overrides
+  /// it, so that its clones keep them.
+  virtual std::unique_ptr<EncodedBitmapIndex> NewOfSameClass(
+      const Column* column, const BitVector* existence,
+      IoAccountant* io) const {
+    return std::make_unique<EncodedBitmapIndex>(column, existence, io);
+  }
 
  private:
   Status StoreSlices(std::vector<BitVector> slices) override;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "encoding/encoders.h"
 #include "obs/trace.h"
+#include "util/bit_util.h"
 #include "util/random.h"
 
 namespace ebi {
@@ -29,10 +32,40 @@ void Transpose64(uint64_t* m) {
   }
 }
 
+/// The value-binary mapping of `column` (code = value - bias, the bias the
+/// column minimum) and its bias; an empty domain gets bias 0 and width 1.
+Result<MappingTable> MakeValueBinaryMapping(const Column& column,
+                                            int64_t* bias) {
+  if (column.type() != Column::Type::kInt64) {
+    return Status::InvalidArgument(
+        "value-binary encoding requires an integer column");
+  }
+  const std::vector<Value>& domain = column.dictionary();
+  const auto [min_it, max_it] = std::minmax_element(
+      domain.begin(), domain.end(), [](const Value& a, const Value& b) {
+        return a.int_value < b.int_value;
+      });
+  *bias = domain.empty() ? 0 : min_it->int_value;
+  const uint64_t span =
+      domain.empty() ? 1
+                     : static_cast<uint64_t>(max_it->int_value - *bias) + 1;
+  std::vector<uint64_t> codes(domain.size());
+  for (size_t id = 0; id < domain.size(); ++id) {
+    codes[id] = static_cast<uint64_t>(domain[id].int_value - *bias);
+  }
+  return MappingTable::Create(Log2Ceil(span), codes);
+}
+
 }  // namespace
 
 Status EncodedIndexBase::DeriveMapping() {
   const size_t m = column_->Cardinality();
+  if (options_.strategy == EncodingStrategy::kValueBinary) {
+    int64_t bias = 0;
+    EBI_ASSIGN_OR_RETURN(mapping_, MakeValueBinaryMapping(*column_, &bias));
+    value_bias_ = bias;
+    return Status::OK();
+  }
   if (options_.strategy == EncodingStrategy::kCustom) {
     if (mapping_.NumValues() < m) {
       return Status::FailedPrecondition(
@@ -63,6 +96,7 @@ Status EncodedIndexBase::DeriveMapping() {
                             options_.optimizer, eo);
       case EncodingStrategy::kSequential:
       case EncodingStrategy::kCustom:
+      case EncodingStrategy::kValueBinary:
         break;
     }
     return MakeSequentialMapping(m, eo);
@@ -71,21 +105,46 @@ Status EncodedIndexBase::DeriveMapping() {
   return Status::OK();
 }
 
+Status EncodedIndexBase::AddNewValue(ValueId id, bool value_binary) {
+  if (value_binary) {
+    // The bit-sliced index's own expansion: the new value takes its own
+    // binary form, and the width grows until that code fits.
+    const int64_t value = column_->ValueOf(id).int_value;
+    if (value < *value_bias_) {
+      return Status::Unimplemented(
+          "appended value below the slice bias; rebuild the index");
+    }
+    const uint64_t code = static_cast<uint64_t>(value - *value_bias_);
+    int width = mapping_.width();
+    while (width < 63 && code >> width != 0) {
+      ++width;
+    }
+    EBI_RETURN_IF_ERROR(mapping_.ExpandWidth(width));
+    return mapping_.AddValue(id, code);
+  }
+  // Equation (1) holds iff a free codeword remains at the current width
+  // (Figure 2(a)); otherwise the width grows (Figure 2(b)), which leaves
+  // 2^width new codewords free.
+  if (!mapping_.FirstFreeCode().has_value()) {
+    EBI_RETURN_IF_ERROR(mapping_.ExpandWidth(mapping_.width() + 1));
+  }
+  return mapping_.AddValue(id, *mapping_.FirstFreeCode());
+}
+
 Status EncodedIndexBase::ResolveCodes(size_t first_row, size_t count,
                                       uint64_t* codes) {
+  // Decided once per call: this loop is the hot path of every Build and
+  // append.
+  const bool value_binary = value_bias_.has_value();
+  const std::optional<uint64_t> null_code =
+      value_binary ? std::optional<uint64_t>(0) : mapping_.null_code();
   for (size_t r = 0; r < count; ++r) {
     const size_t row = first_row + r;
     const ValueId id = column_->ValueIdAt(row);
     if (id != kNullValueId && id >= mapping_.NumValues()) {
-      // Domain expansion (Section 2.2): Equation (1) holds iff a free
-      // codeword remains at the current width (Figure 2(a)); otherwise
-      // the width grows (Figure 2(b)). New values arrive in dense ValueId
-      // order because the column assigned their ids at append time.
-      // A successful expansion leaves 2^width new codewords free.
-      if (!mapping_.FirstFreeCode().has_value()) {
-        EBI_RETURN_IF_ERROR(mapping_.ExpandWidth(mapping_.width() + 1));
-      }
-      EBI_RETURN_IF_ERROR(mapping_.AddValue(id, *mapping_.FirstFreeCode()));
+      // New values arrive in dense ValueId order because the column
+      // assigned their ids at append time.
+      EBI_RETURN_IF_ERROR(AddNewValue(id, value_binary));
     }
     if (!existence_->Get(row)) {
       // Void tuple: its codeword, or an arbitrary 0 when the index opted
@@ -93,11 +152,11 @@ Status EncodedIndexBase::ResolveCodes(size_t first_row, size_t count,
       // AND).
       codes[r] = mapping_.void_code().value_or(0);
     } else if (id == kNullValueId) {
-      if (!mapping_.null_code().has_value()) {
+      if (!null_code.has_value()) {
         return Status::FailedPrecondition(
             "column has NULLs but the mapping reserves no NULL codeword");
       }
-      codes[r] = *mapping_.null_code();
+      codes[r] = *null_code;
     } else {
       codes[r] = mapping_.codes()[id];
     }
@@ -192,18 +251,32 @@ Status EncodedIndexBase::MarkDeleted(size_t row) {
   return WriteCodes(row, {*mapping_.void_code()});
 }
 
+bool EncodedIndexBase::MaskUnencodedRows(BitVector* result) {
+  if (!mapping_.null_code().has_value() && column_->HasNulls()) {
+    // Only a value-binary mapping holds NULL rows without a NULL
+    // codeword: they were written as code 0, the bias value's codeword.
+    for (size_t row = 0; row < rows_indexed_; ++row) {
+      if (column_->ValueIdAt(row) == kNullValueId) {
+        result->Reset(row);
+      }
+    }
+  }
+  if (mapping_.void_code().has_value()) {
+    return false;
+  }
+  // No void codeword: deleted rows still carry stale value codes, so the
+  // existence bitmap must be ANDed — exactly the extra read Theorem 2.1
+  // eliminates.
+  io_->ChargeVectorRead(existence_->SizeBytes());
+  result->AndWith(*existence_);
+  return true;
+}
+
 Result<BitVector> EncodedIndexBase::EvaluateCharged(const Cover& cover) {
   obs::ScopedSpan span("cover.eval");
   const IoScope scope(io_);
   EBI_ASSIGN_OR_RETURN(BitVector result, EvaluateSlices(cover));
-  const bool existence_and = !mapping_.void_code().has_value();
-  if (existence_and) {
-    // No void codeword: deleted rows still carry stale value codes, so the
-    // existence bitmap must be ANDed — exactly the extra read Theorem 2.1
-    // eliminates.
-    io_->ChargeVectorRead(existence_->SizeBytes());
-    result.AndWith(*existence_);
-  }
+  const bool existence_and = MaskUnencodedRows(&result);
   if (span.active()) {
     // The measured c_e of Section 3.1: distinct slice vectors the reduced
     // expression touched (existence_and marks the Theorem 2.1 extra read).

@@ -31,6 +31,13 @@ enum class EncodingStrategy {
   kAnnealed,
   /// Caller supplies the mapping via SetMapping() before Build().
   kCustom,
+  /// The value's own binary form, code = value - bias with the bias the
+  /// column minimum at Build(): the total-order preserving encoding of the
+  /// bit-sliced index (Section 4). Integer columns only. It reserves no
+  /// void or NULL codeword whatever the options say: deleted rows are
+  /// masked by the existence AND, NULL rows are written as code 0 and
+  /// masked after evaluation.
+  kValueBinary,
 };
 
 /// Options for EncodedBitmapIndex.
@@ -93,7 +100,9 @@ class EncodedIndexBase : public SecondaryIndex {
     return EvaluateIn({value});
   }
   Result<BitVector> EvaluateIn(const std::vector<Value>& values) final;
-  Result<BitVector> EvaluateRange(int64_t lo, int64_t hi) final;
+  /// Ranges run through the reduced cover of the ids in [lo, hi]. The
+  /// bit-sliced preset overrides this with its slice comparator.
+  Result<BitVector> EvaluateRange(int64_t lo, int64_t hi) override;
 
   /// Rows whose column is NULL (requires a NULL codeword).
   Result<BitVector> EvaluateIsNull() final;
@@ -131,6 +140,12 @@ class EncodedIndexBase : public SecondaryIndex {
   /// Evaluates `cover` over the slices it references, charging the reads.
   virtual Result<BitVector> EvaluateSlices(const Cover& cover) = 0;
 
+  /// Clears from an evaluated `result` the rows its codewords cannot
+  /// exclude: NULL rows under a value-binary mapping, and, without a void
+  /// codeword, deleted rows (the existence AND, charged). Returns whether
+  /// it read the existence bitmap.
+  bool MaskUnencodedRows(BitVector* result);
+
   /// Encodes rows [0, n) under mapping_ into width() slices, a block of
   /// rows at a time.
   Result<std::vector<BitVector>> EncodeRows(size_t n);
@@ -146,13 +161,21 @@ class EncodedIndexBase : public SecondaryIndex {
   bool built_ = false;
   size_t rows_indexed_ = 0;
   MappingTable mapping_;
+  /// Set iff mapping_ is value-binary (kValueBinary): the value of code 0.
+  /// Kept apart from options_.strategy, which a clone rewrites to kCustom.
+  std::optional<int64_t> value_bias_;
 
  private:
   Status DeriveMapping();
   /// Codewords of rows [first_row, first_row + count): void for deleted
-  /// rows, the NULL codeword for NULLs, and for values the mapping does
-  /// not yet hold a free codeword, growing the width when none is left.
+  /// rows, the NULL codeword (code 0 under a value-binary mapping) for
+  /// NULLs, and for values the mapping does not yet hold a new codeword
+  /// (AddNewValue).
   Status ResolveCodes(size_t first_row, size_t count, uint64_t* codes);
+  /// Domain expansion (Section 2.2) for the value `id`: the code
+  /// value - bias under a value-binary mapping, else the first free
+  /// codeword; the width grows until the code fits.
+  Status AddNewValue(ValueId id, bool value_binary);
   /// Reduces the selection of `ids` and evaluates it under `span`.
   Result<BitVector> EvaluateIds(obs::ScopedSpan& span,
                                 const std::vector<ValueId>& ids);

@@ -110,7 +110,11 @@ size_t Predicate::Width(const Column& col) const {
       if (col.type() != Column::Type::kInt64) {
         return 0;
       }
-      return col.IdsInRange(lo, hi).size();
+      return static_cast<size_t>(std::count_if(
+          col.dictionary().begin(), col.dictionary().end(),
+          [this](const Value& v) {
+            return v.int_value >= lo && v.int_value <= hi;
+          }));
   }
   return 0;
 }

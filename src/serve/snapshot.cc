@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "query/maintenance.h"
 
 namespace ebi {
 namespace serve {
@@ -44,20 +43,26 @@ Result<std::unique_ptr<DatabaseSnapshot>> DatabaseSnapshot::Create(
   snapshot->io_ = std::make_unique<IoAccountant>();
   snapshot->table_ = std::move(table);
 
-  const Table& built = *snapshot->table_;
   for (const IndexSpec& spec : snapshot->specs_) {
-    EBI_ASSIGN_OR_RETURN(const Column* column, built.FindColumn(spec.column));
     Entry entry;
     entry.spec = spec;
-    entry.index = MakeSecondaryIndex(spec.kind, column, &built.existence(),
-                                     snapshot->io_.get());
-    if (entry.index == nullptr) {
-      return Status::Internal("unknown index kind in serving spec");
-    }
-    EBI_RETURN_IF_ERROR(entry.index->Build());
+    EBI_ASSIGN_OR_RETURN(entry.index, snapshot->BuildIndex(spec));
     snapshot->entries_.push_back(std::move(entry));
   }
   return snapshot;
+}
+
+Result<std::unique_ptr<SecondaryIndex>> DatabaseSnapshot::BuildIndex(
+    const IndexSpec& spec) const {
+  const Table& table = *table_;
+  EBI_ASSIGN_OR_RETURN(const Column* column, table.FindColumn(spec.column));
+  std::unique_ptr<SecondaryIndex> index =
+      MakeSecondaryIndex(spec.kind, column, &table.existence(), io_.get());
+  if (index == nullptr) {
+    return Status::Internal("unknown index kind in serving spec");
+  }
+  EBI_RETURN_IF_ERROR(index->Build());
+  return index;
 }
 
 Result<std::unique_ptr<DatabaseSnapshot>> DatabaseSnapshot::CloneWithRows(
@@ -71,44 +76,40 @@ Result<std::unique_ptr<DatabaseSnapshot>> DatabaseSnapshot::CloneWithRows(
   snapshot->table_ = std::move(table);
 
   // Clone the indexes before the table grows: a clone must cover exactly
-  // the rows its source indexed, and the batched append then extends the
-  // copies in lockstep with the table. Families without copy-on-write
-  // support are rebuilt from scratch after the append instead.
-  MaintenanceDriver driver(snapshot->table_.get());
-  std::vector<IndexSpec> rebuild;
+  // the rows its source indexed, and the batched append then extends it —
+  // so domain expansion coalesces into one rewrite per column.
   for (const Entry& entry : entries_) {
     EBI_ASSIGN_OR_RETURN(const Column* column,
                          static_cast<const Table&>(*snapshot->table_)
                              .FindColumn(entry.spec.column));
     Result<std::unique_ptr<SecondaryIndex>> cloned = entry.index->CloneRebound(
         column, &snapshot->table_->existence(), snapshot->io_.get());
-    if (cloned.ok()) {
-      Entry copy;
-      copy.spec = entry.spec;
-      copy.index = std::move(*cloned);
-      EBI_RETURN_IF_ERROR(driver.AttachIndex(copy.index.get()));
-      snapshot->entries_.push_back(std::move(copy));
-    } else if (cloned.status().code() == StatusCode::kUnimplemented) {
-      rebuild.push_back(entry.spec);
-    } else {
+    if (!cloned.ok() && cloned.status().code() != StatusCode::kUnimplemented) {
       return cloned.status();
     }
+    Entry copy;
+    copy.spec = entry.spec;
+    copy.index = cloned.ok() ? std::move(*cloned) : nullptr;
+    snapshot->entries_.push_back(std::move(copy));
   }
 
-  EBI_RETURN_IF_ERROR(driver.AppendRows(rows));
-
-  const Table& grown = *snapshot->table_;
-  for (const IndexSpec& spec : rebuild) {
-    EBI_ASSIGN_OR_RETURN(const Column* column, grown.FindColumn(spec.column));
-    Entry entry;
-    entry.spec = spec;
-    entry.index = MakeSecondaryIndex(spec.kind, column, &grown.existence(),
-                                     snapshot->io_.get());
-    if (entry.index == nullptr) {
-      return Status::Internal("unknown index kind in serving spec");
+  Table& grown = *snapshot->table_;
+  const size_t first_row = grown.NumRows();
+  for (const std::vector<Value>& values : rows) {
+    EBI_RETURN_IF_ERROR(grown.AppendRow(values));
+  }
+  // Families without a clone, and clones that cannot take the batch (a
+  // bit-sliced index given a value below its bias), are rebuilt from
+  // scratch over the grown table.
+  for (Entry& entry : snapshot->entries_) {
+    if (entry.index != nullptr) {
+      const Status appended = entry.index->AppendBatch(first_row, rows.size());
+      if (appended.code() != StatusCode::kUnimplemented) {
+        EBI_RETURN_IF_ERROR(appended);
+        continue;
+      }
     }
-    EBI_RETURN_IF_ERROR(entry.index->Build());
-    snapshot->entries_.push_back(std::move(entry));
+    EBI_ASSIGN_OR_RETURN(entry.index, snapshot->BuildIndex(entry.spec));
   }
   return snapshot;
 }

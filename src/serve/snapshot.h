@@ -37,7 +37,8 @@ struct IndexSpec {
 /// Evaluation entry points on the held indexes are thread-safe for the
 /// bitmap families the serving layer certifies (simple, encoded,
 /// bit-sliced, range-based): their Evaluate* paths read immutable
-/// structure and charge atomics only.
+/// structure and charge atomics only. An append clones the simple,
+/// encoded and bit-sliced indexes and rebuilds the range-based one.
 class DatabaseSnapshot {
   struct Passkey {};
 
@@ -48,11 +49,12 @@ class DatabaseSnapshot {
       std::unique_ptr<Table> table, std::vector<IndexSpec> specs,
       uint64_t epoch);
 
-  /// Copy-on-write successor: clones the table, clones every index that
-  /// implements CloneRebound (factory-rebuilding the rest), then appends
-  /// `rows` through the batched MaintenanceDriver path — so domain
-  /// expansion coalesces into one rewrite per column. This snapshot is
-  /// never touched; the returned one carries `epoch`.
+  /// Copy-on-write successor: clones the table and every index that
+  /// implements CloneRebound, appends `rows`, and extends each clone by
+  /// one AppendBatch — so domain expansion coalesces into one rewrite per
+  /// column. Indexes without a clone, and clones whose AppendBatch reports
+  /// Unimplemented, are factory-rebuilt over the grown table. This
+  /// snapshot is never touched; the returned one carries `epoch`.
   Result<std::unique_ptr<DatabaseSnapshot>> CloneWithRows(
       const std::vector<std::vector<Value>>& rows, uint64_t epoch) const;
 
@@ -76,6 +78,11 @@ class DatabaseSnapshot {
   explicit DatabaseSnapshot(Passkey) {}
 
  private:
+  /// Builds the index `spec` names over this snapshot's table and
+  /// accountant.
+  Result<std::unique_ptr<SecondaryIndex>> BuildIndex(
+      const IndexSpec& spec) const;
+
   struct Entry {
     IndexSpec spec;
     std::unique_ptr<SecondaryIndex> index;

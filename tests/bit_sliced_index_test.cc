@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "query/aggregates.h"
 #include "test_util.h"
 
 namespace ebi {
@@ -265,6 +269,102 @@ TEST_F(BitSlicedIndexTest, RandomizedRangeAgreement) {
           << "seed=" << seed;
     }
   }
+}
+
+TEST_F(BitSlicedIndexTest, AppendBatchMatchesScan) {
+  // One batch of 200 rows: values inside the range, values that need
+  // more slices, repeats and NULLs.
+  Init(IntTable({40, 47, 55}));
+  Rng rng(31);
+  for (int r = 0; r < 200; ++r) {
+    const Value v =
+        rng.Bernoulli(0.05)
+            ? Value::Null()
+            : Value::Int(40 + static_cast<int64_t>(rng.UniformInt(600)));
+    ASSERT_TRUE(table_->AppendRow({v}).ok());
+  }
+  ASSERT_TRUE(index_->AppendBatch(3, 200).ok());
+  EXPECT_EQ(index_->bias(), 40);
+  EXPECT_EQ(index_->NumVectors(), 10u);  // Codes below 600: ten bits.
+  const Column& col = table_->column(0);
+  for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+           {40, 40}, {41, 300}, {0, 1000}, {500, 639}, {47, 47}}) {
+    const auto range = index_->EvaluateRange(lo, hi);
+    ASSERT_TRUE(range.ok());
+    EXPECT_EQ(*range, ScanRange(*table_, col, lo, hi)) << lo << ".." << hi;
+    const auto sum = index_->Sum(*range);
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ(*sum, *SumByScan(col, *range)) << lo << ".." << hi;
+  }
+  for (int64_t v : {40, 47, 55, 300, 639}) {
+    const auto point = index_->EvaluateEquals(Value::Int(v));
+    ASSERT_TRUE(point.ok());
+    EXPECT_EQ(*point, ScanEquals(*table_, col, v)) << v;
+  }
+}
+
+TEST_F(BitSlicedIndexTest, MarkDeletedRowsLeaveEveryAnswer) {
+  Init(IntTable({5, 6, 7, 6}));
+  ASSERT_TRUE(table_->DeleteRow(1).ok());
+  ASSERT_TRUE(index_->MarkDeleted(1).ok());
+  const auto point = index_->EvaluateEquals(Value::Int(6));
+  ASSERT_TRUE(point.ok());
+  EXPECT_EQ(point->ToString(), "0001");
+  const auto in = index_->EvaluateIn({Value::Int(5), Value::Int(6)});
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(in->ToString(), "1001");
+  const auto range = index_->EvaluateRange(5, 7);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->ToString(), "1011");
+  EXPECT_EQ(*index_->Sum(*range), 18);
+  EXPECT_EQ(index_->MarkDeleted(4).code(), StatusCode::kOutOfRange);
+}
+
+TEST_F(BitSlicedIndexTest, CloneTakesNewValuesAtTheirOwnCode) {
+  // Codes 0, 2 and 5 leave code 1 free: a clone that handed the new value
+  // 13 the first free code would read it back as 11.
+  Init(IntTable({10, 12, 15}));
+  Table copy = table_->Clone();
+  auto cloned = index_->CloneRebound(&copy.column(0), &copy.existence(), &io_);
+  ASSERT_TRUE(cloned.ok());
+  auto* clone = dynamic_cast<BitSlicedIndex*>(cloned->get());
+  ASSERT_NE(clone, nullptr);
+  EXPECT_EQ(clone->Name(), "bit-sliced");
+  EXPECT_EQ(clone->bias(), 10);
+
+  ASSERT_TRUE(copy.AppendRow({Value::Int(13)}).ok());
+  ASSERT_TRUE(copy.AppendRow({Value::Int(40)}).ok());  // Needs a slice.
+  ASSERT_TRUE(clone->AppendBatch(3, 2).ok());
+  EXPECT_EQ(clone->NumVectors(), 5u);
+  EXPECT_EQ(index_->NumVectors(), 3u);  // The source is untouched.
+
+  const BitVector all(5, true);
+  EXPECT_EQ(*clone->Sum(all), 10 + 12 + 15 + 13 + 40);
+  for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+           {13, 14}, {11, 13}, {13, 40}, {0, 100}}) {
+    const auto range = clone->EvaluateRange(lo, hi);
+    ASSERT_TRUE(range.ok());
+    EXPECT_EQ(*range, ScanRange(copy, copy.column(0), lo, hi))
+        << lo << ".." << hi;
+  }
+
+  // Below the bias the clone refuses, as a built index does.
+  ASSERT_TRUE(copy.AppendRow({Value::Int(9)}).ok());
+  EXPECT_EQ(clone->AppendBatch(5, 1).code(), StatusCode::kUnimplemented);
+}
+
+TEST_F(BitSlicedIndexTest, KeepsItsValueBinaryMapping) {
+  // Sum, Min, Max, Quantile and the range comparator read codes as
+  // values, so the index takes no other mapping, before or after Build.
+  Init(IntTable({3, 8, 5}));
+  auto mapping = MappingTable::Create(2, {0, 1, 2});
+  ASSERT_TRUE(mapping.ok());
+  EXPECT_EQ(index_->Reencode(*mapping).code(),
+            StatusCode::kFailedPrecondition);
+  BitSlicedIndex unbuilt(&table_->column(0), &table_->existence(), &io_);
+  EXPECT_EQ(unbuilt.SetMapping(*mapping).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(*index_->Sum(BitVector(3, true)), 16);
 }
 
 }  // namespace

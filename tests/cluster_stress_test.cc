@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/auditor.h"
@@ -47,7 +48,9 @@ TEST(ClusterStressTest, ConcurrentQueriesAppendsAndDrain) {
   options.shards = 2;
   options.partition = PartitionKind::kRange;
   options.split_points = {31};
-  options.key_column = "k";
+  // Move-assigned: GCC 12 at -O3 inlines assignment from a literal into
+  // a memcpy it flags with a false -Wrestrict.
+  options.key_column = std::string("k");
   options.shard_options.worker_threads = 2;
   options.shard_options.queue_depth = 8;
   options.partial_policy = PartialResultPolicy::kPartial;

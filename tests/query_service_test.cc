@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "index/bit_sliced_index.h"
 #include "index/encoded_bitmap_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -492,6 +493,48 @@ TEST(QueryServiceTest, ConcurrentAppendsAllLandExactlyOnce) {
         {Predicate::Eq("a", Value::Int(static_cast<int64_t>(100 + c)))});
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value().selection.count, kRowsPerClient) << c;
+  }
+}
+
+TEST(QueryServiceTest, BitSlicedServesEveryAppendBatch) {
+  // a = i % 5 spans [0, 4]: three slices, bias 0. Batches: a value inside
+  // that range, one that needs more slices, and one below the bias, which
+  // a clone cannot take, so the snapshot rebuilds the index.
+  QueryService service;
+  ASSERT_TRUE(
+      service.Start(TwoColumnTable(40), {{"a", IndexKind::kBitSliced}}).ok());
+  const std::vector<std::vector<std::vector<Value>>> batches = {
+      {{Value::Int(3), Value::Int(0)}, {Value::Int(1), Value::Int(1)}},
+      {{Value::Int(200), Value::Int(2)}, {Value::Int(4), Value::Int(0)}},
+      {{Value::Int(-3), Value::Int(1)}, {Value::Int(2), Value::Int(2)}},
+  };
+  const std::vector<std::vector<Predicate>> queries = {
+      {Predicate::Eq("a", Value::Int(3))},
+      {Predicate::Eq("a", Value::Int(200))},
+      {Predicate::Eq("a", Value::Int(-3))},
+      {Predicate::In("a", {Value::Int(0), Value::Int(200), Value::Int(-3)})},
+      {Predicate::Between("a", 1, 3)},
+      {Predicate::Between("a", -5, 250)},
+      {Predicate::Between("a", 4, 200)},
+  };
+  const std::vector<int64_t> biases = {0, 0, -3};
+  for (size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_TRUE(service.Append(batches[b]).ok()) << b;
+    SnapshotManager::Pin pin = service.snapshots().Acquire();
+    const auto* index = dynamic_cast<const BitSlicedIndex*>(pin->index("a"));
+    ASSERT_NE(index, nullptr) << b;
+    EXPECT_EQ(index->bias(), biases[b]) << b;
+    EXPECT_EQ(index->Name(), "bit-sliced");
+    const SelectionExecutor executor = pin->MakeExecutor();
+    for (const std::vector<Predicate>& predicates : queries) {
+      const Result<ServeResult> served = service.Select(predicates);
+      ASSERT_TRUE(served.ok());
+      ASSERT_EQ(served.value().epoch, b + 1);
+      const Result<BitVector> scanned = executor.SelectByScan(predicates);
+      ASSERT_TRUE(scanned.ok());
+      EXPECT_EQ(served.value().selection.rows, scanned.value())
+          << "batch " << b << ": " << predicates[0].ToString();
+    }
   }
 }
 
